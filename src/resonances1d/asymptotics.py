@@ -171,6 +171,16 @@ class CartwrightReport:
         return self.value + self.tail_estimate
 
 
+def _tail_fit(f, cutoff, sign, logabs):
+    """Fit ln|f(x)| = p log|x| + q over the outermost decade of the real ray
+    toward sign * infinity; returns (p, q, largest misfit)."""
+    xs = cutoff * np.exp(np.linspace(-np.log(10.0), 0.0, 12))
+    L = _logabs_on_ray(f, 0.0 if sign > 0 else np.pi, xs, logabs)
+    A = np.column_stack([np.log(xs), np.ones(len(xs))])
+    coef, *_ = np.linalg.lstsq(A, L, rcond=None)
+    return float(coef[0]), float(coef[1]), float(np.max(np.abs(L - A @ coef)))
+
+
 def cartwright_integral(f, cutoff: float, logabs: bool = False) -> CartwrightReport:
     """Integral of ln+|f(x)| / (1+x^2) over the real line.
 
@@ -189,16 +199,11 @@ def cartwright_integral(f, cutoff: float, logabs: bool = False) -> CartwrightRep
     order = 0.0
     converged = True
     for sign in (+1.0, -1.0):
-        xs = sign * cutoff * np.exp(np.linspace(-np.log(10.0), 0.0, 12))
-        L = _logabs_on_ray(f, 0.0 if sign > 0 else np.pi, np.abs(xs), logabs)
-        A = np.column_stack([np.log(np.abs(xs)), np.ones(len(xs))])
-        coef, *_ = np.linalg.lstsq(A, L, rcond=None)
-        misfit = float(np.max(np.abs(L - A @ coef)))
+        p, q, misfit = _tail_fit(f, cutoff, sign, logabs)
         if misfit > 0.5:
             raise NonConvergentTail(
                 "ln|f| is not polynomially bounded near x=%g" % (sign * cutoff)
             )
-        p, q = float(coef[0]), float(coef[1])
         order = max(order, p)
         model = lambda x: max(p * np.log(x) + q, 0.0) / (1.0 + x * x)
         t, err = quad(model, cutoff, np.inf, limit=400)
@@ -303,11 +308,7 @@ def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
                        points=[x] if -line_cutoff < x < line_cutoff else None)
     tail = 0.0
     for sign in (+1.0, -1.0):
-        xs = sign * line_cutoff * np.exp(np.linspace(-np.log(10.0), 0.0, 12))
-        L = _logabs_on_ray(f, 0.0 if sign > 0 else np.pi, np.abs(xs), logabs)
-        A = np.column_stack([np.log(np.abs(xs)), np.ones(len(xs))])
-        coef, *_ = np.linalg.lstsq(A, L, rcond=None)
-        p, q = float(coef[0]), float(coef[1])
+        p, q, _ = _tail_fit(f, line_cutoff, sign, logabs)
         model = lambda t: (p * np.log(abs(t)) + q) * (y / np.pi) / ((t - x) ** 2 + y * y)
         lo, hi = (line_cutoff, np.inf) if sign > 0 else (-np.inf, -line_cutoff)
         t_val, _ = quad(model, lo, hi, limit=400)
@@ -348,7 +349,8 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
     measured alongside those of the first potential's full transform.
     """
     from .scattering import xhat
-    from .wavekernel import _require_shared_right, default_window_r
+    from .potential import _require_shared_right
+    from .wavekernel import default_window_r
 
     if r_window is None:
         r_window = default_window_r(V1)

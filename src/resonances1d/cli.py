@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -28,23 +29,6 @@ PASS_EXIT, USAGE_EXIT, FAIL_EXIT = 0, 1, 2
 # atomic output helpers
 
 
-def _atomic_write_text(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_json(path, obj):
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _atomic_via(path, writer):
     """Run a path-taking writer against a temp file, then rename."""
     d = os.path.dirname(os.path.abspath(path))
@@ -57,6 +41,19 @@ def _atomic_via(path, writer):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_json(path, obj):
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _atomic_via(path, lambda p: Path(p).write_text(text))
+
+
+def _emit_json(path, obj):
+    """Write obj to path atomically, or print it when no path is given."""
+    if path:
+        _atomic_json(path, obj)
+    else:
+        print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _load_potential(path):
@@ -196,10 +193,7 @@ def _cmd_cartwright_check(args):
         "target_d_over_2pi": target,
         "pass": bool(ok),
     }
-    if args.out:
-        _atomic_json(args.out, report)
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    _emit_json(args.out, report)
     return PASS_EXIT if ok else FAIL_EXIT
 
 
@@ -229,10 +223,7 @@ def _cmd_nevanlinna_check(args):
         "z": [args.z_re, args.z_im],
         "pass": bool(resid < 0.05),
     }
-    if args.out:
-        _atomic_json(args.out, report)
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    _emit_json(args.out, report)
     return PASS_EXIT if resid < 0.05 else FAIL_EXIT
 
 
@@ -263,10 +254,7 @@ def _cmd_distinguish(args):
     V1 = _load_potential(args.potential1)
     V2 = _load_potential(args.potential2)
     rep = inverse.uniqueness_report((V1, V2), args.radius)
-    if args.out:
-        _atomic_json(args.out, rep.to_json())
-    else:
-        print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
+    _emit_json(args.out, rep.to_json())
     return PASS_EXIT if rep.implication_pass else FAIL_EXIT
 
 

@@ -319,8 +319,9 @@ def _search_halfplane(f, radius, lower, tile, tag):
         y_edges = np.arange(eps, radius + tile, tile)
     for x0, x1 in zip(x_edges, x_edges[1:]):
         for y0, y1 in zip(y_edges, y_edges[1:]):
-            if min(abs(complex(x0, y0)), abs(complex(x1, y1)),
-                   abs(complex(x0, y1)), abs(complex(x1, y0))) > radius * 1.05:
+            # skip a tile only when even its point nearest the origin is off the disk
+            nearest = complex(min(max(0.0, x0), x1), min(max(0.0, y0), y1))
+            if abs(nearest) > radius * 1.05:
                 continue
             zs = find_zeros(f, Rect(complex(x0, y0), complex(x1, y1)),
                             max_zeros=500, function_tag=tag)

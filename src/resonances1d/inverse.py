@@ -16,12 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .czeros import ZeroSet, resonances
-from .errors import (
-    DivergedLoss,
-    JacobianSingular,
-    SharedPartMismatch,
-)
-from .potential import Fragment, Potential
+from .errors import DivergedLoss, JacobianSingular
+from .potential import Fragment, Potential, _require_shared_right
 from .scattering import det_s, xhat, yhat
 
 
@@ -74,11 +70,7 @@ class InverseProblemSpec:
             rbp = rbp[1:]
         bp.extend(rbp)
         vs.extend(rvs)
-        p = object.__new__(Potential)
-        object.__setattr__(p, "breakpoints", tuple(bp))
-        object.__setattr__(p, "values", tuple(vs))
-        object.__setattr__(p, "label", "candidate")
-        return p
+        return Potential._unchecked(bp, vs, "candidate")
 
     def to_json(self):
         d = {
@@ -261,20 +253,9 @@ def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100,
                           loss_trace=tuple(trace))
 
 
-def _split_parts(V: Potential):
-    return V.split_at_zero()
-
-
-def _check_shared_right(V1: Potential, V2: Potential):
-    r1 = _split_parts(V1)[1]
-    r2 = _split_parts(V2)[1]
-    if r1.breakpoints != r2.breakpoints or r1.values != r2.values:
-        raise SharedPartMismatch("potentials do not agree on [0, b]")
-
-
 def distinguishability(V1: Potential, V2: Potential, k_grid) -> float:
     """Max pointwise gap of the two scattering determinants over the grid."""
-    _check_shared_right(V1, V2)
+    _require_shared_right(V1, V2)
     k = np.asarray(k_grid, dtype=float)
     return float(np.max(np.abs(det_s(V1, k) - det_s(V2, k))))
 
@@ -311,9 +292,9 @@ def _hausdorff(z1, z2):
 def uniqueness_report(truth_pair, radius: float) -> UniquenessReport:
     """Measure every distance the uniqueness statement says must co-vanish."""
     V1, V2 = truth_pair
-    _check_shared_right(V1, V2)
-    l1 = _split_parts(V1)[0]
-    l2 = _split_parts(V2)[0]
+    _require_shared_right(V1, V2)
+    l1 = V1.split_at_zero()[0]
+    l2 = V2.split_at_zero()[0]
     identical = l1.breakpoints == l2.breakpoints and l1.values == l2.values
     k_std = np.linspace(0.1, 20.0, 201)
     dist = distinguishability(V1, V2, k_std)

@@ -24,6 +24,7 @@ from .errors import (
     HullDoesNotStraddleZero,
     NonIncreasingBreakpoints,
     OverlappingSupports,
+    SharedPartMismatch,
 )
 
 
@@ -96,6 +97,15 @@ class Potential:
             )
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vs)
+
+    @classmethod
+    def _unchecked(cls, breakpoints, values, label=""):
+        """Build as given: no trimming, merging or hull check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "breakpoints", tuple(float(x) for x in breakpoints))
+        object.__setattr__(p, "values", tuple(float(v) for v in values))
+        object.__setattr__(p, "label", label)
+        return p
 
     # -- basic geometry ---------------------------------------------------
 
@@ -185,11 +195,7 @@ class Potential:
             vs.extend([v] * factor)
         bp.append(self.breakpoints[-1])
         # bypass the equal-value merge: forward solvers may want the fine cells
-        p = object.__new__(Potential)
-        object.__setattr__(p, "breakpoints", tuple(float(x) for x in bp))
-        object.__setattr__(p, "values", tuple(float(v) for v in vs))
-        object.__setattr__(p, "label", self.label)
-        return p
+        return Potential._unchecked(bp, vs, self.label)
 
     # -- serialization ----------------------------------------------------
 
@@ -231,6 +237,17 @@ def square_well(depth: float, left: float, right: float, label: str = ""):
     if left < 0.0 < right:
         return Potential((left, right), (depth,), label)
     return Fragment((left, right), (depth,), label)
+
+
+def _require_shared_right(V1: Potential, V2: Potential):
+    """Raise SharedPartMismatch unless V1 and V2 agree exactly on [0, b].
+
+    The trimmed right fragments are compared exactly: they are stored
+    exactly, and JSON round trips and glue() reproduce them exactly.
+    """
+    r1, r2 = V1.split_at_zero()[1], V2.split_at_zero()[1]
+    if (r1.breakpoints, r1.values) != (r2.breakpoints, r2.values):
+        raise SharedPartMismatch("potentials differ on [0, b]")
 
 
 def glue(left_part, right_part, label: str = "") -> Potential:

@@ -17,6 +17,12 @@ Algebraically  xhat(k) xhat(-k) - k^2 - yhat(k) yhat(-k) = k^2 (det M - 1),
 so the unitary identity holds exactly up to rounding; the residual routine
 escalates working precision where rounding would dominate.
 
+M depends on k only through k^2, so M(-k) = M(k), and the scaled cell
+product is bitwise the same at k and -k (negation is exact).  Every public
+function therefore builds the product once per k-point and assembles the
+values at k and at -k from it: det S, the Jost coefficients and the
+unitary residual all need both signs.
+
 Sign convention resolved numerically (large real k):  xhat(k) - ik tends to
 -integral(V)/2.
 """
@@ -24,7 +30,7 @@ Sign convention resolved numerically (large real k):  xhat(k) - ik tends to
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import mpmath as mp
 import numpy as np
@@ -44,7 +50,9 @@ def _scaled_transfer(V: Potential, k, dtype=np.complex128):
     """Product of per-cell propagators, scaled cell by cell.
 
     Returns (M11, M12, M21, M22, logscale): the true matrix is the returned
-    one times exp(logscale).  Entries stay O(1) for any Im k.
+    one times exp(logscale).  Entries stay O(1) for any Im k.  logscale is
+    the sum of |Im kappa_j| w_j, the cancellation scale of the identities
+    assembled from the product.  The result is the same at k and -k.
     """
     k = np.asarray(k, dtype=dtype)
     real = np.longdouble if dtype == np.complex256 else np.float64
@@ -104,17 +112,17 @@ def transfer_matrix(V: Potential, k) -> TransferMatrix:
 # the entire functions
 
 
-def _xhat_scaled(V, k, dtype=np.complex128):
-    k = np.asarray(k, dtype=dtype)
-    M11, M12, M21, M22, ls = _scaled_transfer(V, k, dtype)
+def _xhat_from(V, k, P):
+    """(mantissa, log-modulus scale) of xhat at k, from the product P at +-k."""
+    M11, M12, M21, M22, ls = P
     L = V.breakpoints[-1] - V.breakpoints[0]
     mant = np.exp(1j * k.real * L) * (1j * k * (M11 + M22) + k * k * M12 - M21) / 2
     return mant, ls - k.imag * L
 
 
-def _yhat_scaled(V, k, dtype=np.complex128):
-    k = np.asarray(k, dtype=dtype)
-    M11, M12, M21, M22, ls = _scaled_transfer(V, k, dtype)
+def _yhat_from(V, k, P):
+    """(mantissa, log-modulus scale) of yhat at k, from the product P at +-k."""
+    M11, M12, M21, M22, ls = P
     ab = V.breakpoints[0] + V.breakpoints[-1]
     mant = np.exp(-1j * k.real * ab) * (1j * k * (M11 - M22) + k * k * M12 + M21) / 2
     return mant, ls + k.imag * ab
@@ -126,34 +134,34 @@ def _collapse(mant, logmag, scalar):
     return complex(out) if scalar else out
 
 
+def _log_abs(mant, logmag, scalar):
+    with np.errstate(divide="ignore"):
+        out = np.log(np.abs(mant)) + logmag
+    return float(out) if scalar else out
+
+
 def xhat(V: Potential, k):
     """The entire function ik/t; zeros in the lower half-plane are the
     resonances, zeros on the upper imaginary axis the bound states."""
-    scalar = np.ndim(k) == 0
-    m, l = _xhat_scaled(V, k)
-    return _collapse(m, l, scalar)
+    k = np.asarray(k, dtype=complex)
+    return _collapse(*_xhat_from(V, k, _scaled_transfer(V, k)), k.ndim == 0)
 
 
 def yhat(V: Potential, k):
     """The entire companion of xhat with Fourier support [2a, 2b]."""
-    scalar = np.ndim(k) == 0
-    m, l = _yhat_scaled(V, k)
-    return _collapse(m, l, scalar)
+    k = np.asarray(k, dtype=complex)
+    return _collapse(*_yhat_from(V, k, _scaled_transfer(V, k)), k.ndim == 0)
 
 
 def log_abs_xhat(V: Potential, k):
     """log|xhat(k)| evaluated without overflow (for indicator fits)."""
-    m, l = _xhat_scaled(V, k)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.abs(m)) + l
-    return float(out) if np.ndim(k) == 0 else out
+    k = np.asarray(k, dtype=complex)
+    return _log_abs(*_xhat_from(V, k, _scaled_transfer(V, k)), k.ndim == 0)
 
 
 def log_abs_yhat(V: Potential, k):
-    m, l = _yhat_scaled(V, k)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.abs(m)) + l
-    return float(out) if np.ndim(k) == 0 else out
+    k = np.asarray(k, dtype=complex)
+    return _log_abs(*_yhat_from(V, k, _scaled_transfer(V, k)), k.ndim == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +169,7 @@ def log_abs_yhat(V: Potential, k):
 
 
 def _xy_mp(V, k, dps):
-    """xhat, yhat at one point with mpmath at the given precision."""
+    """xhat(k), yhat(k), xhat(-k), yhat(-k) with mpmath at the given precision."""
     with mp.workdps(dps):
         kk = mp.mpc(k)
         M = mp.matrix([[1, 0], [0, 1]])
@@ -179,25 +187,17 @@ def _xy_mp(V, k, dps):
             A = mp.matrix([[c, s_over], [ksin, c]])
             M = A * M
         a, b = V.breakpoints[0], V.breakpoints[-1]
-        xh = mp.exp(1j * kk * (b - a)) * (
-            1j * kk * (M[0, 0] + M[1, 1]) + kk * kk * M[0, 1] - M[1, 0]
-        ) / 2
-        yh = mp.exp(-1j * kk * (a + b)) * (
-            1j * kk * (M[0, 0] - M[1, 1]) + kk * kk * M[0, 1] + M[1, 0]
-        ) / 2
-        return xh, yh
 
+        def xy(s):
+            xh = mp.exp(1j * s * (b - a)) * (
+                1j * s * (M[0, 0] + M[1, 1]) + s * s * M[0, 1] - M[1, 0]
+            ) / 2
+            yh = mp.exp(-1j * s * (a + b)) * (
+                1j * s * (M[0, 0] - M[1, 1]) + s * s * M[0, 1] + M[1, 0]
+            ) / 2
+            return xh, yh
 
-def _cancellation_exponent(V, k):
-    """Natural log of the magnitude of the largest intermediate term in the
-    unitary identity at k (the cancellation scale)."""
-    k = np.asarray(k, dtype=complex)
-    sig = np.zeros(k.shape)
-    bp = V.breakpoints
-    for j, v in enumerate(V.values):
-        w = bp[j + 1] - bp[j]
-        sig = sig + np.abs(np.sqrt(k * k - v).imag) * w
-    return 2 * sig + 2 * np.log(2 + np.abs(k))
+        return xy(kk) + xy(-kk)
 
 
 def unitary_residual(V: Potential, k):
@@ -205,13 +205,16 @@ def unitary_residual(V: Potential, k):
 
     Evaluates the four function values in float64, 80-bit, or mpmath
     depending on the cancellation scale at each k, so the result reflects
-    the identity rather than rounding noise.
+    the identity rather than rounding noise.  The scale is the largest
+    intermediate term, of log-modulus 2 logscale + 2 log(2 + |k|), read off
+    the float64 cell product that the float64 rung then reuses.
     """
     scalar = np.ndim(k) == 0
     shape = np.shape(k)
     k = np.atleast_1d(np.asarray(k, dtype=complex)).ravel()
     out = np.empty(k.shape, dtype=float)
-    expo = _cancellation_exponent(V, k)
+    P = _scaled_transfer(V, k)
+    expo = 2 * P[4] + 2 * np.log(2 + np.abs(k))
     target = np.log(1e-11 * (1 + np.abs(k) ** 2))
     use_d = expo + np.log(_D_EPS) < target
     use_ld = ~use_d & (expo + np.log(_LD_EPS) < target)
@@ -220,10 +223,12 @@ def unitary_residual(V: Potential, k):
         if not np.any(sel):
             continue
         ks = k[sel].astype(dtype)
-        x1, lx1 = _xhat_scaled(V, ks, dtype)
-        x2, lx2 = _xhat_scaled(V, -ks, dtype)
-        y1, ly1 = _yhat_scaled(V, ks, dtype)
-        y2, ly2 = _yhat_scaled(V, -ks, dtype)
+        Ps = (tuple(e[sel] for e in P) if dtype == np.complex128
+              else _scaled_transfer(V, ks, dtype))
+        x1, lx1 = _xhat_from(V, ks, Ps)
+        x2, lx2 = _xhat_from(V, -ks, Ps)
+        y1, ly1 = _yhat_from(V, ks, Ps)
+        y2, ly2 = _yhat_from(V, -ks, Ps)
         resid = np.abs(
             x1 * x2 * np.exp(lx1 + lx2) - ks * ks - y1 * y2 * np.exp(ly1 + ly2)
         )
@@ -231,8 +236,7 @@ def unitary_residual(V: Potential, k):
     for i in np.nonzero(use_mp)[0]:
         dps = int(np.ceil((expo[i] - target[i]) / np.log(10))) + 16
         with mp.workdps(max(dps, 30)):
-            x1, y1 = _xy_mp(V, k[i], dps)
-            x2, y2 = _xy_mp(V, -k[i], dps)
+            x1, y1, x2, y2 = _xy_mp(V, k[i], dps)
             r = abs(x1 * x2 - mp.mpc(k[i]) ** 2 - y1 * y2)
             out[i] = float(r / (1 + abs(k[i]) ** 2))
     return float(out[0]) if scalar else out.reshape(shape)
@@ -251,40 +255,48 @@ class JostCoefficients:
 
 
 def _richardson_limit(g, h0=1e-2, n=4):
-    """Neville extrapolation of g(h) to h = 0 over h0 / 2^j."""
+    """Neville extrapolation to h = 0 of each entry of the tuple g(h),
+    sampled at h0 / 2^j."""
     hs = [h0 / 2 ** j for j in range(n)]
-    vals = [g(h) for h in hs]
-    for m in range(1, n):
-        for i in range(n - m):
-            vals[i] = vals[i + 1] + (vals[i + 1] - vals[i]) * hs[i + m] / (
-                hs[i] - hs[i + m]
-            )
-    return vals[0]
+    out = []
+    for vals in map(list, zip(*[g(h) for h in hs])):
+        for m in range(1, n):
+            for i in range(n - m):
+                vals[i] = vals[i + 1] + (vals[i + 1] - vals[i]) * hs[i + m] / (
+                    hs[i] - hs[i + m]
+                )
+        out.append(vals[0])
+    return out
+
+
+def _jost_from(V, k, P) -> JostCoefficients:
+    """Jost coefficients at the complex scalar k, from the cell product P there.
+
+    At k = 0, where xhat may vanish, the three are extrapolated together
+    from nearby real k.
+    """
+    if k == 0:
+        near = lambda h: astuple(jost_coefficients(V, h))[:3]
+        return JostCoefficients(*_richardson_limit(near), k_zero_limit=True)
+    xm, xl = _xhat_from(V, np.asarray(k), P)
+    ym, yl = _yhat_from(V, np.asarray(k), P)
+    ym2, yl2 = _yhat_from(V, np.asarray(-k), P)
+    return JostCoefficients(complex(1j * k / xm * np.exp(-xl)),
+                            complex(ym / xm * np.exp(yl - xl)),
+                            complex(ym2 / xm * np.exp(yl2 - xl)))
 
 
 def jost_coefficients(V: Potential, k) -> JostCoefficients:
     """Transmission and the two reflections at one complex k."""
     k = complex(k)
-    if k == 0:
-        t = _richardson_limit(lambda h: jost_coefficients(V, h).t)
-        rr = _richardson_limit(lambda h: jost_coefficients(V, h).r_right)
-        rl = _richardson_limit(lambda h: jost_coefficients(V, h).r_left)
-        return JostCoefficients(t, rr, rl, k_zero_limit=True)
-    xm, xl = _xhat_scaled(V, k)
-    ym, yl = _yhat_scaled(V, k)
-    ym2, yl2 = _yhat_scaled(V, -k)
-    t = complex(1j * k / xm * np.exp(-xl))
-    r_right = complex(ym / xm * np.exp(yl - xl))
-    r_left = complex(ym2 / xm * np.exp(yl2 - xl))
-    return JostCoefficients(t, r_right, r_left)
+    return _jost_from(V, k, _scaled_transfer(V, k))
 
 
-def det_s(V: Potential, k):
-    """Scattering determinant -xhat(-k)/xhat(k) (the inverse-problem data)."""
-    scalar = np.ndim(k) == 0
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    m1, l1 = _xhat_scaled(V, k)
-    m2, l2 = _xhat_scaled(V, -k)
+def _det_s_from(V, k, P):
+    """det S at k, as an array of at least one dimension, from the product P at k."""
+    m1, l1 = _xhat_from(V, k, P)
+    m2, l2 = _xhat_from(V, -k, P)
+    k, m1, l1, m2, l2 = np.atleast_1d(k, m1, l1, m2, l2)
     absx = np.abs(m1)
     ref = np.maximum(np.abs(m2) * np.exp(np.minimum(l2 - l1, 700)),
                      (1 + np.abs(k)) * np.exp(np.clip(-l1, -700, 700)))
@@ -294,10 +306,17 @@ def det_s(V: Potential, k):
     out[ok] = -m2[ok] / m1[ok] * np.exp(l2[ok] - l1[ok])
     for i in np.nonzero(pole)[0]:
         if k[i] == 0:
-            out[i] = _richardson_limit(lambda h: complex(det_s(V, h)))
+            out[i] = _richardson_limit(lambda h: (complex(det_s(V, h)),))[0]
         else:
             raise PoleAtK("xhat vanishes at k = %s" % k[i])
-    return complex(out[0]) if scalar else out
+    return out
+
+
+def det_s(V: Potential, k):
+    """Scattering determinant -xhat(-k)/xhat(k) (the inverse-problem data)."""
+    k = np.asarray(k, dtype=complex)
+    out = _det_s_from(V, k, _scaled_transfer(V, k))
+    return complex(out[0]) if k.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +338,20 @@ class ScatteringSample:
 
 
 def sample(V: Potential, k) -> ScatteringSample:
+    """Every scattering value at one complex k; all but the unitary residual
+    come from a single cell product."""
     k = complex(k)
-    jc = jost_coefficients(V, k)
+    kk = np.asarray(k)
+    P = _scaled_transfer(V, kk)
+    jc = _jost_from(V, k, P)
     try:
-        ds = det_s(V, k)
+        ds = complex(_det_s_from(V, kk, P)[0])
     except PoleAtK:
         ds = complex(np.inf)
     return ScatteringSample(
         k=k,
-        xhat=xhat(V, k),
-        yhat=yhat(V, k),
+        xhat=_collapse(*_xhat_from(V, kk, P), True),
+        yhat=_collapse(*_yhat_from(V, kk, P), True),
         t=jc.t,
         r_right=jc.r_right,
         r_left=jc.r_left,

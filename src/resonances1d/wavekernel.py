@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import simpson, trapezoid
 
 from .errors import GridTooCoarse, ImaginaryPartTooLarge, SharedPartMismatch
-from .potential import Potential
+from .potential import Potential, _require_shared_right
 
 
 class Window(enum.Enum):
@@ -87,17 +87,6 @@ class KernelField:
     y_leading: np.ndarray       # V(y/2)/4 sampled on y_grid
     n_grid: int
     truncation_error: float = dfield(default=0.0)
-
-    def norms(self):
-        hx = self.x_grid[1] - self.x_grid[0]
-        hy = self.y_grid[1] - self.y_grid[0]
-        rem = self.Y_reg - self.y_leading
-        return {
-            "X_reg_sup": float(np.max(np.abs(self.X_reg))),
-            "X_reg_l1": float(trapezoid(np.abs(self.X_reg), dx=hx)),
-            "Y_remainder_sup": float(np.max(np.abs(rem))),
-            "Y_remainder_l1": float(trapezoid(np.abs(rem), dx=hy)),
-        }
 
 
 def _value_hull_inner(V: Potential, x):
@@ -261,18 +250,6 @@ class InfluenceReport:
     @property
     def passed(self):
         return self.x2_pass and self.y2_pass
-
-
-def _require_shared_right(V1: Potential, V2: Potential):
-    r1 = V1.split_at_zero()[1]
-    r2 = V2.split_at_zero()[1]
-    same = (
-        len(r1.breakpoints) == len(r2.breakpoints)
-        and np.allclose(r1.breakpoints, r2.breakpoints, atol=1e-12)
-        and np.allclose(r1.values, r2.values, atol=1e-12)
-    )
-    if not same:
-        raise SharedPartMismatch("potentials differ on [0, b]")
 
 
 def domain_of_influence_check(V1: Potential, V2: Potential, r: float,

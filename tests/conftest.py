@@ -13,11 +13,7 @@ def make_zero_potential(a=-1.0, b=1.0):
     be empty), so the free case is assembled directly; every solver must
     treat it as V = 0.
     """
-    p = object.__new__(Potential)
-    object.__setattr__(p, "breakpoints", (float(a), 0.0, float(b)))
-    object.__setattr__(p, "values", (0.0, 0.0))
-    object.__setattr__(p, "label", "free")
-    return p
+    return Potential._unchecked((a, 0.0, b), (0.0, 0.0), "free")
 
 
 @pytest.fixture

@@ -117,19 +117,21 @@ def test_free_potential_has_no_resonances(zero_potential):
 def _shooting_eigenvalues(V, n_grid=2000):
     """Independent oracle: count and locate L2 eigenvalues by shooting.
 
-    Integrates psi'' = (V - E) psi from a with a decaying left tail and
-    scans the Wronskian-type matching function W(E) = psi'(b) + kappa psi(b)
-    for sign changes.
+    Integrates psi'' = (V - E) psi from a with a decaying left tail, one
+    cell at a time with the cell's constant value, and scans the
+    Wronskian-type matching function W(E) = psi'(b) + kappa psi(b) for sign
+    changes.
     """
     a, b = V.hull
 
     def matchfun(E):
         kappa = np.sqrt(-E)
-        def rhs(x, y):
-            return [y[1], (V.value_at(float(x)) - E) * y[0]]
-        sol = solve_ivp(rhs, (a, b), [1.0, kappa], rtol=1e-11, atol=1e-12,
-                        dense_output=False, max_step=(b - a) / 200)
-        psi, dpsi = sol.y[0, -1], sol.y[1, -1]
+        y = [1.0, kappa]
+        for x0, x1, v in zip(V.breakpoints, V.breakpoints[1:], V.values):
+            sol = solve_ivp(lambda x, y: [y[1], (v - E) * y[0]], (x0, x1), y,
+                            rtol=1e-11, atol=1e-12, max_step=(b - a) / 200)
+            y = sol.y[:, -1]
+        psi, dpsi = y
         return dpsi + kappa * psi
 
     vmin = min(V.values)
@@ -152,6 +154,18 @@ def test_bound_states_match_shooting(depth):
         assert abs(e - o) < 1e-8
     # all on the positive imaginary axis for a real potential
     assert np.max(np.abs(zs.locations.real)) < 1e-8
+
+
+@pytest.mark.parametrize("radius", [0.9, 1.0, 1.2])
+def test_disk_inside_one_tile_keeps_its_zero(radius):
+    """The anti-bound state at -0.8142i is found when the whole search
+    disk lies inside a single tile whose corners are all off the disk."""
+    V = square_well(-1.2, -1.0, 1.0)
+    ref = [z for z in resonances(V, 3.0).locations if abs(z) <= radius]
+    got = resonances(V, radius).locations
+    assert len(ref) == 1 and abs(ref[0] + 0.8142j) < 1e-4
+    assert len(got) == len(ref)
+    np.testing.assert_allclose(got, ref, atol=1e-10)
 
 
 def test_zeroset_json(tmp_path):

@@ -151,6 +151,24 @@ def test_influence_check_rejects_mismatched_right():
         domain_of_influence_check(V1, V2, 0.1, 256)
 
 
+def test_right_part_off_by_1e13_is_rejected_on_every_path():
+    """The shared-right check is exact: a 1e-13 change of the right part
+    is a different potential for the kernel and the inverse comparisons."""
+    from resonances1d.asymptotics import g_function_experiment
+    from resonances1d.inverse import distinguishability, uniqueness_report
+
+    V1 = make_piecewise([-1.0, 0.0, 1.0], [-1.5, -2.0])
+    V2 = make_piecewise([-1.0, 0.0, 1.0], [-1.0, -2.0 + 1e-13])
+    with pytest.raises(SharedPartMismatch):
+        domain_of_influence_check(V1, V2, 0.1, 256)
+    with pytest.raises(SharedPartMismatch):
+        g_function_experiment(V1, V2, 4.0)
+    with pytest.raises(SharedPartMismatch):
+        distinguishability(V1, V2, np.linspace(0.1, 5.0, 10))
+    with pytest.raises(SharedPartMismatch):
+        uniqueness_report((V1, V2), 4.0)
+
+
 def test_identical_pair_is_insensitive_everywhere():
     V = make_piecewise([-1.0, 0.0, 1.0], [-1.5, -2.0])
     rep = domain_of_influence_check(V, V, 0.1, 256)
