@@ -57,7 +57,6 @@ from .asymptotics import (
 )
 from .inverse import (
     InverseProblemSpec,
-    LossKind,
     RecoveryResult,
     distinguishability,
     recover_left,
@@ -81,6 +80,6 @@ __all__ = [
     "blaschke_chi", "cartwright_integral", "g_function_experiment",
     "indicator_estimate", "indicator_width", "nevanlinna_residual",
     "zero_density",
-    "InverseProblemSpec", "LossKind", "RecoveryResult", "distinguishability",
+    "InverseProblemSpec", "RecoveryResult", "distinguishability",
     "recover_left", "synthesize_data", "uniqueness_report",
 ]

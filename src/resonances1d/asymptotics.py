@@ -261,39 +261,33 @@ def blaschke_chi(upper_zeros, z):
 
 
 def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
-                        line_cutoff: float, logabs: bool = False,
-                        check_zeros: bool = True) -> float:
+                        line_cutoff: float, logabs: bool = False) -> float:
     """Defect of ln|f(z)| against Poisson integral + sigma+ * Im z + ln|chi(z)|.
 
     The boundary integral runs over [-line_cutoff, line_cutoff] with a
     polynomial-growth tail correction.  When f is evaluable off the real
-    axis and check_zeros is set, the supplied zero list is reconciled
-    against an argument-principle count near z; a shortfall raises
-    IncompleteZeroSet.
+    axis, the supplied zero list is reconciled against an argument-principle
+    count near z; a shortfall raises IncompleteZeroSet, and a count that
+    fails raises its own error.
     """
     z = complex(z)
     x, y = z.real, z.imag
     if y <= 0:
         raise ValueError("Nevanlinna residual needs Im z > 0")
-    if check_zeros and not logabs:
+    if not logabs:
         R = max(10.0, 2.0 * abs(z))
         # floor at Im = 0.05: zeros hugging the real axis have Blaschke
         # factors ~1 and are already encoded in the boundary values
         rect = Rect(complex(-R, 0.05), complex(R, R))
-        try:
-            n_true = winding_number(f, rect)
-        except Exception:
-            n_true = None
-        if n_true is not None:
-            supplied = sum(
-                1 for a in upper_zeros
-                if rect.contains(complex(a), margin=-1e-6)
+        n_true = winding_number(f, rect)
+        supplied = sum(
+            1 for a in upper_zeros if rect.contains(complex(a), margin=-1e-6)
+        )
+        if n_true > supplied:
+            raise IncompleteZeroSet(
+                "%d upper-half-plane zeros inside |k|<%g, %d supplied"
+                % (n_true, R, supplied)
             )
-            if n_true > supplied:
-                raise IncompleteZeroSet(
-                    "%d upper-half-plane zeros inside |k|<%g, %d supplied"
-                    % (n_true, R, supplied)
-                )
 
     def logf_line(t):
         v = f(np.asarray([t], dtype=complex))[0]

@@ -73,8 +73,7 @@ def _load_potential(path):
 
 def _cmd_scattering_grid(args):
     V = _load_potential(args.potential)
-    ks = np.linspace(args.k_min, args.k_max, args.n)
-    samples = [scattering.sample(V, k) for k in ks]
+    samples = scattering.sample(V, np.linspace(args.k_min, args.k_max, args.n))
     _atomic_via(args.out, lambda p: scattering.write_samples_csv(p, samples))
     if args.svg:
         grid_r = np.linspace(args.k_min, args.k_max, 160)
@@ -202,14 +201,10 @@ def _cmd_nevanlinna_check(args):
     f = lambda k: scattering.yhat(V, k)
     vmin = min(V.values)
     kmax = float(np.sqrt(max(0.0, -vmin))) + 1.0
-    try:
-        zs = czeros.find_zeros(
-            f, czeros.Rect(complex(-kmax - 1, 1e-7), complex(kmax + 1, kmax + 1)),
-            max_zeros=200, function_tag="yhat",
-        )
-        upper = tuple(zs.locations)
-    except Resonances1DError:
-        upper = ()
+    upper = tuple(czeros.find_zeros(
+        f, czeros.Rect(complex(-kmax - 1, 1e-7), complex(kmax + 1, kmax + 1)),
+        max_zeros=200, function_tag="yhat",
+    ).locations)
     sigma = asymptotics.indicator_estimate(
         lambda k: scattering.log_abs_yhat(V, k), np.pi / 2, 40.0, logabs=True
     ).h

@@ -247,7 +247,7 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
             # polish failed or left the box: keep bisecting
         children = _split_counted(f, box, count)
         stack.extend(children)
-    return _finalize(found, f, rect, total, function_tag, scale0)
+    return _finalize(found, function_tag, scale0)
 
 
 def _split_counted(f, box, count):
@@ -279,7 +279,7 @@ def _split_axis(box: Rect, frac, vertical_cut):
             Rect(complex(box.lo.real, ym), box.hi)]
 
 
-def _finalize(found, f, rect, total, function_tag, scale0):
+def _finalize(found, function_tag, scale0):
     # dedup by pairwise distance
     kept = []
     for z in sorted(found, key=lambda z: (z.location.real, z.location.imag)):

@@ -1,29 +1,24 @@
 """Recovery of the left half of a potential from scattering-determinant data.
 
 The right part on [0, b] is assumed known; the left part on [a, 0] is
-parameterized by equal-width cells and fitted to det S samples (or to a
-target resonance set) by damped least squares.  A companion report
-quantifies distinguishability: distinct left parts must produce visibly
-different determinants.
+parameterized by equal-width cells and fitted to det S samples by damped
+least squares.  A companion report quantifies distinguishability: distinct
+left parts must produce visibly different determinants.
 """
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .czeros import ZeroSet, resonances
+from .czeros import resonances
 from .errors import DivergedLoss, JacobianSingular
 from .potential import Fragment, Potential, _require_shared_right
 from .scattering import det_s, xhat, yhat
 
-
-class LossKind(enum.Enum):
-    DET_S_GRID = "det_s_grid"
-    RESONANCE_MATCH = "resonance_match"
+_LOSS_KIND = "det_s_grid"  # the one loss; the spec schema still names it
 
 
 @dataclass(frozen=True)
@@ -35,23 +30,19 @@ class InverseProblemSpec:
     n_params: int
     k_samples: tuple = ()
     det_s_values: tuple = ()
-    target_zeros: tuple = ()
-    target_radius: float = 0.0
-    loss_kind: LossKind = LossKind.DET_S_GRID
 
     def __post_init__(self):
         if not self.a < 0:
             raise ValueError("left endpoint a must be negative")
         if self.n_params < 1:
             raise ValueError("need at least one left cell")
-        if self.loss_kind is LossKind.DET_S_GRID:
-            ks = np.asarray(self.k_samples, dtype=float)
-            if ks.size == 0:
-                raise ValueError("det-S loss needs k samples")
-            if len(np.unique(ks)) != len(ks):
-                raise ValueError("k samples must be distinct")
-            if len(self.det_s_values) != len(ks):
-                raise ValueError("data length must match k samples")
+        ks = np.asarray(self.k_samples, dtype=float)
+        if ks.size == 0:
+            raise ValueError("det-S loss needs k samples")
+        if len(np.unique(ks)) != len(ks):
+            raise ValueError("k samples must be distinct")
+        if len(self.det_s_values) != len(ks):
+            raise ValueError("data length must match k samples")
 
     def candidate(self, params):
         """Assemble the trial potential for a left-cell value vector.
@@ -73,28 +64,20 @@ class InverseProblemSpec:
         return Potential._unchecked(bp, vs, "candidate")
 
     def to_json(self):
-        d = {
+        return {
             "known_right": {
                 "breakpoints": list(self.known_right.breakpoints),
                 "values": list(self.known_right.values),
             },
             "a": self.a,
             "n_params": self.n_params,
-            "loss_kind": self.loss_kind.value,
-        }
-        if self.loss_kind is LossKind.DET_S_GRID:
-            d["data"] = {
+            "loss_kind": _LOSS_KIND,
+            "data": {
                 "k": list(self.k_samples),
                 "det_s_re": [v.real for v in self.det_s_values],
                 "det_s_im": [v.imag for v in self.det_s_values],
-            }
-        else:
-            d["data"] = {
-                "zeros_re": [z.real for z in self.target_zeros],
-                "zeros_im": [z.imag for z in self.target_zeros],
-                "radius": self.target_radius,
-            }
-        return d
+            },
+        }
 
     @classmethod
     def from_json(cls, d):
@@ -102,24 +85,15 @@ class InverseProblemSpec:
             tuple(d["known_right"]["breakpoints"]),
             tuple(d["known_right"]["values"]),
         )
-        kind = LossKind(d.get("loss_kind", "det_s_grid"))
+        if d.get("loss_kind", _LOSS_KIND) != _LOSS_KIND:
+            raise ValueError("unsupported loss_kind %r" % d["loss_kind"])
         data = d.get("data", {})
-        if kind is LossKind.DET_S_GRID:
-            vals = tuple(
-                complex(re, im)
-                for re, im in zip(data.get("det_s_re", []), data.get("det_s_im", []))
-            )
-            return cls(kr, float(d["a"]), int(d["n_params"]),
-                       k_samples=tuple(data.get("k", [])),
-                       det_s_values=vals, loss_kind=kind)
-        zs = tuple(
+        vals = tuple(
             complex(re, im)
-            for re, im in zip(data.get("zeros_re", []), data.get("zeros_im", []))
+            for re, im in zip(data.get("det_s_re", []), data.get("det_s_im", []))
         )
         return cls(kr, float(d["a"]), int(d["n_params"]),
-                   target_zeros=zs,
-                   target_radius=float(data.get("radius", 0.0)),
-                   loss_kind=kind)
+                   k_samples=tuple(data.get("k", [])), det_s_values=vals)
 
     @classmethod
     def load(cls, path):
@@ -149,43 +123,17 @@ class RecoveryResult:
 
 
 def synthesize_data(spec_like_right, a, n_params, truth: Potential,
-                    k_samples, loss_kind=LossKind.DET_S_GRID,
-                    radius: float = 0.0) -> InverseProblemSpec:
+                    k_samples) -> InverseProblemSpec:
     """Build a spec whose data comes from a known truth (round-trip input)."""
-    if loss_kind is LossKind.DET_S_GRID:
-        vals = tuple(complex(v) for v in det_s(truth, np.asarray(k_samples)))
-        return InverseProblemSpec(spec_like_right, a, n_params,
-                                  k_samples=tuple(k_samples),
-                                  det_s_values=vals, loss_kind=loss_kind)
-    zs = resonances(truth, radius)
+    vals = tuple(complex(v) for v in det_s(truth, np.asarray(k_samples)))
     return InverseProblemSpec(spec_like_right, a, n_params,
-                              target_zeros=tuple(zs.locations),
-                              target_radius=radius, loss_kind=loss_kind)
+                              k_samples=tuple(k_samples), det_s_values=vals)
 
 
 def _residual_vector(spec, params):
-    V = spec.candidate(params)
-    if spec.loss_kind is LossKind.DET_S_GRID:
-        model = det_s(V, np.asarray(spec.k_samples, dtype=float))
-        diff = model - np.asarray(spec.det_s_values, dtype=complex)
-        return np.concatenate([diff.real, diff.imag])
-    zs = resonances(V, spec.target_radius)
-    locs = zs.locations
-    target = np.asarray(spec.target_zeros, dtype=complex)
-    res = []
-    # nearest-neighbour pairing; unmatched zeros pay their distance to the
-    # search-domain boundary so cardinality mismatches stay penalized
-    for t in target:
-        if len(locs):
-            res.append(np.min(np.abs(locs - t)))
-        else:
-            res.append(spec.target_radius - abs(t))
-    if len(locs) > len(target):
-        extra = sorted(np.min(np.abs(locs[:, None] - target[None, :]), axis=1))[
-            len(target):
-        ] if len(target) else [spec.target_radius - abs(z) for z in locs]
-        res.extend(extra)
-    return np.asarray(res, dtype=float)
+    model = det_s(spec.candidate(params), np.asarray(spec.k_samples, dtype=float))
+    diff = model - np.asarray(spec.det_s_values, dtype=complex)
+    return np.concatenate([diff.real, diff.imag])
 
 
 def loss(spec: InverseProblemSpec, params) -> float:

@@ -23,6 +23,9 @@ function therefore builds the product once per k-point and assembles the
 values at k and at -k from it: det S, the Jost coefficients and the
 unitary residual all need both signs.
 
+A scalar k is evaluated as a one-element array and handed back as a Python
+scalar, so a value has the same bits alone or inside an array of any shape.
+
 Sign convention resolved numerically (large real k):  xhat(k) - ik tends to
 -integral(V)/2.
 """
@@ -100,12 +103,22 @@ class TransferMatrix:
         return e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
 
 
+def _points(k):
+    """k as a complex array of at least one dimension."""
+    return np.atleast_1d(np.asarray(k, dtype=complex))
+
+
+def _like(k, out):
+    """out as the caller asked for it: a Python scalar for a scalar k."""
+    return out.item() if np.ndim(k) == 0 else out
+
+
 def transfer_matrix(V: Potential, k) -> TransferMatrix:
     """Transfer matrix at a single complex k (entire in k)."""
-    M11, M12, M21, M22, ls = _scaled_transfer(V, complex(k))
+    M11, M12, M21, M22, ls = _scaled_transfer(V, _points(complex(k)))
     f = np.exp(ls)
     ent = np.array([[M11 * f, M12 * f], [M21 * f, M22 * f]], dtype=complex)
-    return TransferMatrix(ent, complex(k), V)
+    return TransferMatrix(ent[..., 0], complex(k), V)
 
 
 # ---------------------------------------------------------------------------
@@ -128,40 +141,39 @@ def _yhat_from(V, k, P):
     return mant, ls + k.imag * ab
 
 
-def _collapse(mant, logmag, scalar):
+def _collapse(mant, logmag):
     with np.errstate(over="ignore"):
-        out = mant * np.exp(logmag)
-    return complex(out) if scalar else out
+        return mant * np.exp(logmag)
 
 
-def _log_abs(mant, logmag, scalar):
+def _log_abs(mant, logmag):
     with np.errstate(divide="ignore"):
-        out = np.log(np.abs(mant)) + logmag
-    return float(out) if scalar else out
+        return np.log(np.abs(mant)) + logmag
+
+
+def _entire(V, k, assemble, finish):
+    kk = _points(k)
+    return _like(k, finish(*assemble(V, kk, _scaled_transfer(V, kk))))
 
 
 def xhat(V: Potential, k):
     """The entire function ik/t; zeros in the lower half-plane are the
     resonances, zeros on the upper imaginary axis the bound states."""
-    k = np.asarray(k, dtype=complex)
-    return _collapse(*_xhat_from(V, k, _scaled_transfer(V, k)), k.ndim == 0)
+    return _entire(V, k, _xhat_from, _collapse)
 
 
 def yhat(V: Potential, k):
     """The entire companion of xhat with Fourier support [2a, 2b]."""
-    k = np.asarray(k, dtype=complex)
-    return _collapse(*_yhat_from(V, k, _scaled_transfer(V, k)), k.ndim == 0)
+    return _entire(V, k, _yhat_from, _collapse)
 
 
 def log_abs_xhat(V: Potential, k):
     """log|xhat(k)| evaluated without overflow (for indicator fits)."""
-    k = np.asarray(k, dtype=complex)
-    return _log_abs(*_xhat_from(V, k, _scaled_transfer(V, k)), k.ndim == 0)
+    return _entire(V, k, _xhat_from, _log_abs)
 
 
 def log_abs_yhat(V: Potential, k):
-    k = np.asarray(k, dtype=complex)
-    return _log_abs(*_yhat_from(V, k, _scaled_transfer(V, k)), k.ndim == 0)
+    return _entire(V, k, _yhat_from, _log_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +221,7 @@ def unitary_residual(V: Potential, k):
     intermediate term, of log-modulus 2 logscale + 2 log(2 + |k|), read off
     the float64 cell product that the float64 rung then reuses.
     """
-    scalar = np.ndim(k) == 0
-    shape = np.shape(k)
-    k = np.atleast_1d(np.asarray(k, dtype=complex)).ravel()
+    k_in, k = k, _points(k).ravel()
     out = np.empty(k.shape, dtype=float)
     P = _scaled_transfer(V, k)
     expo = 2 * P[4] + 2 * np.log(2 + np.abs(k))
@@ -239,7 +249,7 @@ def unitary_residual(V: Potential, k):
             x1, y1, x2, y2 = _xy_mp(V, k[i], dps)
             r = abs(x1 * x2 - mp.mpc(k[i]) ** 2 - y1 * y2)
             out[i] = float(r / (1 + abs(k[i]) ** 2))
-    return float(out[0]) if scalar else out.reshape(shape)
+    return _like(k_in, out.reshape(np.shape(k_in)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,34 +279,39 @@ def _richardson_limit(g, h0=1e-2, n=4):
     return out
 
 
-def _jost_from(V, k, P) -> JostCoefficients:
-    """Jost coefficients at the complex scalar k, from the cell product P there.
+def _jost_from(V, k, P):
+    """Rows t, r_right and r_left at the array k, from the cell product P there.
 
     At k = 0, where xhat may vanish, the three are extrapolated together
     from nearby real k.
     """
-    if k == 0:
+    xm, xl = _xhat_from(V, k, P)
+    ym, yl = _yhat_from(V, k, P)
+    ym2, yl2 = _yhat_from(V, -k, P)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.array([1j * k / xm * np.exp(-xl),
+                        ym / xm * np.exp(yl - xl),
+                        ym2 / xm * np.exp(yl2 - xl)])
+    zero = k == 0
+    if zero.any():
         near = lambda h: astuple(jost_coefficients(V, h))[:3]
-        return JostCoefficients(*_richardson_limit(near), k_zero_limit=True)
-    xm, xl = _xhat_from(V, np.asarray(k), P)
-    ym, yl = _yhat_from(V, np.asarray(k), P)
-    ym2, yl2 = _yhat_from(V, np.asarray(-k), P)
-    return JostCoefficients(complex(1j * k / xm * np.exp(-xl)),
-                            complex(ym / xm * np.exp(yl - xl)),
-                            complex(ym2 / xm * np.exp(yl2 - xl)))
+        out[:, zero] = np.array(_richardson_limit(near))[:, None]
+    return out
 
 
 def jost_coefficients(V: Potential, k) -> JostCoefficients:
     """Transmission and the two reflections at one complex k."""
     k = complex(k)
-    return _jost_from(V, k, _scaled_transfer(V, k))
+    kk = _points(k)
+    rows = _jost_from(V, kk, _scaled_transfer(V, kk))
+    return JostCoefficients(*(r.item() for r in rows), k_zero_limit=k == 0)
 
 
 def _det_s_from(V, k, P):
-    """det S at k, as an array of at least one dimension, from the product P at k."""
+    """det S at the array k from the product P there, and the mask of its
+    poles: the k != 0 where xhat vanishes, at which det S reads inf."""
     m1, l1 = _xhat_from(V, k, P)
     m2, l2 = _xhat_from(V, -k, P)
-    k, m1, l1, m2, l2 = np.atleast_1d(k, m1, l1, m2, l2)
     absx = np.abs(m1)
     ref = np.maximum(np.abs(m2) * np.exp(np.minimum(l2 - l1, 700)),
                      (1 + np.abs(k)) * np.exp(np.clip(-l1, -700, 700)))
@@ -304,19 +319,21 @@ def _det_s_from(V, k, P):
     out = np.empty(k.shape, dtype=complex)
     ok = ~pole
     out[ok] = -m2[ok] / m1[ok] * np.exp(l2[ok] - l1[ok])
-    for i in np.nonzero(pole)[0]:
-        if k[i] == 0:
-            out[i] = _richardson_limit(lambda h: (complex(det_s(V, h)),))[0]
-        else:
-            raise PoleAtK("xhat vanishes at k = %s" % k[i])
-    return out
+    zero = pole & (k == 0)
+    if zero.any():
+        out[zero] = _richardson_limit(lambda h: (det_s(V, h),))[0]
+    pole &= ~zero
+    out[pole] = np.inf
+    return out, pole
 
 
 def det_s(V: Potential, k):
     """Scattering determinant -xhat(-k)/xhat(k) (the inverse-problem data)."""
-    k = np.asarray(k, dtype=complex)
-    out = _det_s_from(V, k, _scaled_transfer(V, k))
-    return complex(out[0]) if k.ndim == 0 else out
+    kk = _points(k)
+    out, pole = _det_s_from(V, kk, _scaled_transfer(V, kk))
+    if pole.any():
+        raise PoleAtK("xhat vanishes at k = %s" % kk[pole][0])
+    return _like(k, out)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +342,8 @@ def det_s(V: Potential, k):
 
 @dataclass(frozen=True)
 class ScatteringSample:
-    """Values of all scattering functions at one complex wavenumber."""
+    """Values of all scattering functions at one complex wavenumber, or at
+    each point of an array of them (every field then has the array's shape)."""
 
     k: complex
     xhat: complex
@@ -338,38 +356,24 @@ class ScatteringSample:
 
 
 def sample(V: Potential, k) -> ScatteringSample:
-    """Every scattering value at one complex k; all but the unitary residual
-    come from a single cell product."""
-    k = complex(k)
-    kk = np.asarray(k)
+    """Every scattering value at k, a scalar or an array; all but the unitary
+    residual come from a single cell product per point.  det S reads inf at
+    its poles."""
+    kk = _points(k)
     P = _scaled_transfer(V, kk)
-    jc = _jost_from(V, k, P)
-    try:
-        ds = complex(_det_s_from(V, kk, P)[0])
-    except PoleAtK:
-        ds = complex(np.inf)
-    return ScatteringSample(
-        k=k,
-        xhat=_collapse(*_xhat_from(V, kk, P), True),
-        yhat=_collapse(*_yhat_from(V, kk, P), True),
-        t=jc.t,
-        r_right=jc.r_right,
-        r_left=jc.r_left,
-        det_s=ds,
-        residual_u=unitary_residual(V, k),
-    )
+    fields = (kk, _collapse(*_xhat_from(V, kk, P)), _collapse(*_yhat_from(V, kk, P)),
+              *_jost_from(V, kk, P), _det_s_from(V, kk, P)[0], unitary_residual(V, kk))
+    return ScatteringSample(*(_like(k, f) for f in fields))
 
 
 def write_samples_csv(path, samples):
+    """One row per k-point of a ScatteringSample."""
+    cols = [np.ravel(getattr(samples, f)).tolist()
+            for f in ("k", "xhat", "yhat", "det_s", "residual_u")]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["k_re", "k_im", "xhat_re", "xhat_im", "yhat_re", "yhat_im",
-             "dets_re", "dets_im", "residual_U"]
-        )
-        for s in samples:
-            w.writerow(
-                [s.k.real, s.k.imag, s.xhat.real, s.xhat.imag,
-                 s.yhat.real, s.yhat.imag, s.det_s.real, s.det_s.imag,
-                 s.residual_u]
-            )
+        w.writerow(["k_re", "k_im", "xhat_re", "xhat_im", "yhat_re", "yhat_im",
+                    "dets_re", "dets_im", "residual_U"])
+        for k, x, y, ds, u in zip(*cols):
+            w.writerow([k.real, k.imag, x.real, x.imag, y.real, y.imag,
+                        ds.real, ds.imag, u])

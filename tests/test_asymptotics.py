@@ -1,6 +1,7 @@
 """Indicator fits, zero densities, Cartwright integral, Blaschke/Poisson checks."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from resonances1d.errors import (
     EvaluationAtZero,
     LowCountWarning,
     NonConvergentTail,
+    PhaseStepTooLarge,
     ZeroInLowerHalfPlane,
 )
 from resonances1d.potential import make_piecewise, square_well
@@ -190,6 +192,14 @@ def test_nevanlinna_trivial():
 def test_nevanlinna_pure_exponential():
     f = lambda z: np.exp(2j * np.asarray(z, dtype=complex))
     assert nevanlinna_residual(f, (), -2.0, 2j, 100.0) < 1e-8
+
+
+def test_nevanlinna_failed_zero_count_raises():
+    one = lambda z: np.ones_like(np.asarray(z, dtype=complex))
+    with mock.patch("resonances1d.asymptotics.winding_number",
+                    side_effect=PhaseStepTooLarge("phase step")):
+        with pytest.raises(PhaseStepTooLarge):
+            nevanlinna_residual(one, (), 0.0, 2j, 100.0)
 
 
 def test_nevanlinna_yhat_shallow_well():

@@ -2,11 +2,13 @@
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from resonances1d import cli
+from resonances1d.errors import BoundaryZero
 from resonances1d.inverse import synthesize_data
 from resonances1d.potential import Fragment, make_piecewise, square_well
 
@@ -165,6 +167,20 @@ def test_nevanlinna_check(tmp_path):
     assert d["pass"] and d["residual"] < 0.05
 
 
+def test_nevanlinna_check_zero_finder_failure_exits_2(tmp_path, capsys):
+    pot = tmp_path / "shallow.json"
+    square_well(-1.0, -0.5, 0.5).save(pot)
+    out = tmp_path / "nl.json"
+    with mock.patch("resonances1d.czeros.find_zeros",
+                    side_effect=BoundaryZero("zero on the contour")):
+        code = cli.main(
+            ["nevanlinna-check", "--potential", str(pot), "--out", str(out)]
+        )
+    assert code == cli.FAIL_EXIT
+    assert json.loads(capsys.readouterr().err)["error"] == "BoundaryZero"
+    assert not out.exists()
+
+
 def test_g_experiment(pair_files, tmp_path):
     p1, p2 = pair_files
     out = tmp_path / "g.json"
@@ -218,6 +234,21 @@ def test_inverse_recover_malformed_spec(tmp_path, capsys):
     bad.write_text('{"a": -1.0}')
     out = tmp_path / "rec.json"
     code = cli.main(["inverse-recover", "--spec", str(bad), "--out", str(out)])
+    assert code == cli.USAGE_EXIT
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_inverse_recover_rejects_other_loss_kinds(tmp_path, capsys):
+    right = Fragment((0.0, 1.0), (-2.0,))
+    truth = make_piecewise([-1.0, -0.5, 0.0, 1.0], [-3.0, 1.0, -2.0])
+    d = synthesize_data(right, -1.0, 2, truth, np.linspace(0.3, 10.0, 30)).to_json()
+    assert d["loss_kind"] == "det_s_grid"
+    d["loss_kind"] = "resonance_match"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(d))
+    out = tmp_path / "rec.json"
+    code = cli.main(["inverse-recover", "--spec", str(spec), "--out", str(out)])
     assert code == cli.USAGE_EXIT
     assert not out.exists()
     capsys.readouterr()

@@ -4,10 +4,13 @@ Every scattering quantity is assembled from one scaled cell product per
 k-point, used for both k and -k.  These properties check that the product
 is even in k to the bit, that the assembled quantities agree with their
 definitions through xhat and yhat, that `sample` is the public functions
-evaluated together, and that the unitary identity holds on every
-precision rung.
+evaluated together, that a scalar k gives the bits of the same k inside an
+array, and that the unitary identity holds on every precision rung.
 """
 
+import csv
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -15,17 +18,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resonances1d import scattering
+from resonances1d import cli, scattering
 from resonances1d.errors import PoleAtK
 from resonances1d.potential import Potential, make_piecewise
 from resonances1d.scattering import (
+    ScatteringSample,
     det_s,
     jost_coefficients,
+    log_abs_xhat,
+    log_abs_yhat,
     sample,
+    transfer_matrix,
     unitary_residual,
     xhat,
     yhat,
 )
+
+ARRAY_FUNCTIONS = (xhat, yhat, log_abs_xhat, log_abs_yhat, det_s, unitary_residual)
 
 
 @st.composite
@@ -46,6 +55,21 @@ def step_potentials(draw):
 
 def complex_k(im_lo=-3.0, im_hi=3.0):
     return st.builds(complex, st.floats(-30.0, 30.0), st.floats(im_lo, im_hi))
+
+
+@st.composite
+def k_arrays_with_zero(draw):
+    """1-6 complex k with a k = 0 entry somewhere among them."""
+    ks = draw(st.lists(complex_k(), min_size=1, max_size=6))
+    ks.insert(draw(st.integers(0, len(ks))), 0j)
+    return np.array(ks)
+
+
+def _or_pole(f, V, k):
+    try:
+        return f(V, k)
+    except PoleAtK:
+        return complex(np.inf)
 
 
 def _same_bits(x, y):
@@ -80,21 +104,58 @@ def test_det_s_and_left_reflection_from_xhat_yhat(V, k, sign):
     assert abs(r_left - expected) <= 1e-12 * abs(expected)
 
 
-@given(V=step_potentials(), k=complex_k())
+@given(V=step_potentials(), ks=k_arrays_with_zero())
 @settings(max_examples=40, deadline=None)
-def test_sample_fields_are_the_public_functions(V, k):
-    for kk in (k, 0.0):
-        s = sample(V, kk)
-        jc = jost_coefficients(V, kk)
+def test_sample_fields_are_the_public_functions(V, ks):
+    grid = sample(V, ks.reshape(1, -1))
+    assert all(np.shape(v) == (1, len(ks)) for v in vars(grid).values())
+    for i, k in enumerate(ks):
+        jc = jost_coefficients(V, k)
+        expect = [k, xhat(V, k), yhat(V, k), jc.t, jc.r_right, jc.r_left,
+                  _or_pole(det_s, V, k), unitary_residual(V, k)]
+        for s in (sample(V, k), ScatteringSample(*(v[0, i] for v in vars(grid).values()))):
+            assert all(_same_bits(got, want) for got, want in zip(vars(s).values(), expect))
+
+
+@given(V=step_potentials(), ks=k_arrays_with_zero())
+@settings(max_examples=40, deadline=None)
+def test_scalar_k_gives_the_bits_of_its_array_element(V, ks):
+    for f in ARRAY_FUNCTIONS:
         try:
-            ds = det_s(V, kk)
+            whole = f(V, ks)
         except PoleAtK:
-            ds = complex(np.inf)
-        assert _same_bits(s.xhat, xhat(V, kk))
-        assert _same_bits(s.yhat, yhat(V, kk))
-        assert _same_bits([s.t, s.r_right, s.r_left], [jc.t, jc.r_right, jc.r_left])
-        assert _same_bits(s.det_s, ds)
-        assert _same_bits(s.residual_u, unitary_residual(V, kk))
+            whole = [_or_pole(lambda V, k: f(V, np.array([k]))[0], V, k) for k in ks]
+        for k, w in zip(ks, whole):
+            one = _or_pole(f, V, k)
+            assert type(one) is (float if np.isrealobj(w) else complex)
+            assert _same_bits(one, w), (f.__name__, k)
+    s = sample(V, ks)
+    P = scattering._scaled_transfer(V, ks)
+    for i, k in enumerate(ks):
+        jc = jost_coefficients(V, k)
+        assert _same_bits([jc.t, jc.r_right, jc.r_left], [s.t[i], s.r_right[i], s.r_left[i]])
+        entries = np.array(P[:4])[:, i].reshape(2, 2) * np.exp(P[4][i])
+        assert _same_bits(transfer_matrix(V, k).entries, entries)
+
+
+@given(V=step_potentials(), kmax=st.floats(0.5, 30.0), n=st.integers(1, 40))
+@settings(max_examples=15, deadline=None)
+def test_scattering_grid_rows_are_sample_per_point(V, kmax, n):
+    with tempfile.TemporaryDirectory() as d:
+        pot, out = os.path.join(d, "v.json"), os.path.join(d, "grid.csv")
+        V.save(pot)
+        argv = ["scattering-grid", "--potential", pot, "--k-min", repr(-kmax),
+                "--k-max", repr(kmax), "--n", str(n), "--out", out]
+        assert cli.main(argv) == cli.PASS_EXIT
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    ks = np.linspace(-kmax, kmax, n)
+    assert len(rows) == n
+    for k, row in zip(ks, rows):
+        s = sample(V, k)
+        expect = [s.k.real, s.k.imag, s.xhat.real, s.xhat.imag, s.yhat.real,
+                  s.yhat.imag, s.det_s.real, s.det_s.imag, s.residual_u]
+        assert [float(v) for v in row.values()] == expect
 
 
 @pytest.mark.parametrize("band", [(0.0, 1.0), (1.0, 3.0), (3.0, 5.0)])

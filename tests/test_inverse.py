@@ -8,7 +8,6 @@ import pytest
 from resonances1d.errors import SharedPartMismatch
 from resonances1d.inverse import (
     InverseProblemSpec,
-    LossKind,
     distinguishability,
     loss,
     recover_left,

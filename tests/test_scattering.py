@@ -152,7 +152,7 @@ def test_jost_k_zero_limit():
 
 def test_sample_csv_round_trip(tmp_path, rng):
     V = square_well(-4.0, -1.0, 1.0)
-    samples = [sample(V, k) for k in (0.5, 1.0 + 0.3j, -2.0)]
+    samples = sample(V, np.array([0.5, 1.0 + 0.3j, -2.0]))
     path = tmp_path / "samples.csv"
     write_samples_csv(path, samples)
     rows = path.read_text().strip().split("\n")
