@@ -27,6 +27,7 @@ from .errors import (
     ZeroInLowerHalfPlane,
 )
 from .potential import Potential
+from .scattering import _like, _points, xhat
 from .wavekernel import Window, kernel_fourier, solve_kernels
 
 
@@ -49,14 +50,21 @@ class IndicatorReport:
         return self.fit_residual <= rel * (1.0 + abs(self.h))
 
 
-def _logabs_on_ray(f, theta, radii, logabs):
-    z = radii * np.exp(1j * theta)
-    vals = np.asarray(f(z))
+def _log_abs(f, z, logabs):
+    """ln|f| at z, a point or an array; -inf at an exact zero of f.
+
+    Set ``logabs`` when f already returns ln|f| (as its real part).  A point
+    takes Python's abs, which rounds unlike numpy's array loop.
+    """
+    vals = _like(z, np.asarray(f(_points(z))))
     if logabs:
-        L = np.asarray(vals, dtype=float)
-    else:
-        with np.errstate(divide="ignore"):
-            L = np.log(np.abs(vals))
+        return vals.real
+    with np.errstate(divide="ignore"):
+        return _like(z, np.log(abs(vals)))
+
+
+def _logabs_on_ray(f, theta, radii, logabs):
+    L = _log_abs(f, radii * np.exp(1j * theta), logabs)
     if not np.all(np.isfinite(L)):
         raise OverflowAtRadius(
             "log|f| not finite along theta=%g up to r=%g" % (theta, radii.max())
@@ -190,9 +198,7 @@ def cartwright_integral(f, cutoff: float, logabs: bool = False) -> CartwrightRep
     in log units raises NonConvergentTail (the growth is not polynomial).
     """
     def lp(x):
-        v = f(np.asarray([x], dtype=complex))[0]
-        L = float(v.real) if logabs else float(np.log(abs(v))) if v != 0 else -np.inf
-        return max(L, 0.0) / (1.0 + x * x)
+        return max(_log_abs(f, x, logabs), 0.0) / (1.0 + x * x)
 
     main, _ = quad(lp, -cutoff, cutoff, limit=400)
     tail = 0.0
@@ -230,26 +236,22 @@ def _blaschke_log_factors(upper_zeros, z):
 
 def blaschke(upper_zeros, z):
     """Product of (1 - z/conj(a_k)) / (1 - z/a_k), in log space, |a_k| ascending."""
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    zz = _points(z)
     if len(tuple(upper_zeros)) == 0:
-        out = np.ones_like(z)
-        return out[0] if scalar else out
-    num, den = _blaschke_log_factors(tuple(upper_zeros), z)
+        return _like(z, np.ones_like(zz))
+    num, den = _blaschke_log_factors(tuple(upper_zeros), zz)
     if np.any(den == 0):
         raise EvaluationAtZero("evaluation point coincides with a zero a_k")
     out = np.exp(np.sum(np.log(num) - np.log(den), axis=-1))
-    return out[0] if scalar else out
+    return _like(z, out)
 
 
 def blaschke_chi(upper_zeros, z):
     """The inverted product chi(z) = prod (1 - z/a_k)/(1 - z/conj(a_k)); chi(a_k) = 0."""
-    scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    zz = _points(z)
     if len(tuple(upper_zeros)) == 0:
-        out = np.ones_like(z)
-        return out[0] if scalar else out
-    num, den = _blaschke_log_factors(tuple(upper_zeros), z)
+        return _like(z, np.ones_like(zz))
+    num, den = _blaschke_log_factors(tuple(upper_zeros), zz)
     if np.any(num == 0):
         raise EvaluationAtZero("evaluation point coincides with conj(a_k)")
     out = np.where(
@@ -257,7 +259,7 @@ def blaschke_chi(upper_zeros, z):
         0.0,
         np.exp(np.sum(np.log(np.where(den == 0, 1.0, den)) - np.log(num), axis=-1)),
     )
-    return out[0] if scalar else out
+    return _like(z, out)
 
 
 def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
@@ -289,11 +291,7 @@ def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
                 % (n_true, R, supplied)
             )
 
-    def logf_line(t):
-        v = f(np.asarray([t], dtype=complex))[0]
-        return float(v.real) if logabs else float(np.log(abs(v)))
-
-    kern = lambda t: logf_line(t) * (y / np.pi) / ((t - x) ** 2 + y * y)
+    kern = lambda t: _log_abs(f, t, logabs) * (y / np.pi) / ((t - x) ** 2 + y * y)
     with warnings.catch_warnings():
         # integrable log singularities at real zeros of f trip the
         # subdivision limit without harming the converged value
@@ -309,9 +307,7 @@ def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
         tail += t_val
     chi = blaschke_chi(tuple(upper_zeros), z)
     log_chi = float(np.log(abs(chi))) if chi != 0 else -np.inf
-    lhs = float(f(np.asarray([z], dtype=complex))[0].real) if logabs else float(
-        np.log(abs(f(np.asarray([z], dtype=complex))[0]))
-    )
+    lhs = _log_abs(f, z, logabs)
     return abs(lhs - (main + tail) - sigma_plus * y - log_chi)
 
 
@@ -342,7 +338,6 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
     dropped); its indicator width and lower-half-plane zero density are
     measured alongside those of the first potential's full transform.
     """
-    from .scattering import xhat
     from .potential import _require_shared_right
     from .wavekernel import default_window_r
 

@@ -182,8 +182,8 @@ def _newton(f, z0, scale):
             # intended domain (windowed transforms guard large Im k)
             return z, np.inf, False
         h = 1e-6 * (1.0 + abs(z))
-        fp = (f(np.array([z + h])) - f(np.array([z - h])))[0] / (2 * h)
-        fz = f(np.array([z]))[0]
+        fplus, fminus, fz = f(np.array([z + h, z - h, z]))
+        fp = (fplus - fminus) / (2 * h)
         if fp == 0:
             return z, err, False
         step = fz / fp

@@ -22,6 +22,13 @@ differencing):
     Y_reg(s) =  u_eta(2b-s, s) = V(s/2)/4 + (1/4) int_0^{2b-s} V u d(xi').
 
 Supports are exact: X_reg lives on [-2(b-a), 0], Y_reg on [2a, 2b].
+
+V depends on x = (xi+eta)/2 alone, so it is constant on each anti-diagonal
+xi + eta = const of the grid.  The march advances one anti-diagonal at a
+time, reads only the two before it, and adds each one's V u into the X and
+Y quadratures as it goes: O(n) memory for an n-by-n triangle.  V is sampled
+once per anti-diagonal, at x_d = a + d (b-a)/n; the exit line x = b takes
+the last cell's value exactly, not a rounded (xi+eta)/2 that may land past b.
 """
 
 from __future__ import annotations
@@ -31,10 +38,11 @@ import enum
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.integrate import simpson, trapezoid
+from scipy.integrate import simpson
 
 from .errors import GridTooCoarse, ImaginaryPartTooLarge, SharedPartMismatch
 from .potential import Potential, _require_shared_right
+from .scattering import _like, _points
 
 
 class Window(enum.Enum):
@@ -89,60 +97,42 @@ class KernelField:
     truncation_error: float = dfield(default=0.0)
 
 
-def _value_hull_inner(V: Potential, x):
-    """V at x, but one-sided from inside at the hull endpoints.
+def _march(V: Potential, n: int):
+    """March the Goursat problem over the triangle xi + eta <= 2b.
 
-    Quadratures in this module stop exactly on the hull boundary; the
-    two-sided average of value_at would cost an order of accuracy there
-    (interior breakpoints keep the average -- those errors cancel in
-    pairs across the jump).
+    Anti-diagonal d holds u(xi_i, eta_{d-i}), i = 0..d, all at time x_d.
+    Returns (x_grid, X_reg, y_grid, Y_reg, y_leading).
     """
-    out = np.asarray(V.value_at(x), dtype=float)
-    out = np.where(np.asarray(x) == V.a, V.values[0], out)
-    out = np.where(np.asarray(x) == V.b, V.values[-1], out)
-    return out
-
-
-def _goursat(V: Potential, n: int):
-    """March the Goursat problem over the triangle xi + eta <= 2b."""
     a, b = V.hull
     h = 2.0 * (b - a) / n
-    xi = np.arange(n + 1) * h
-    eta = 2 * a + np.arange(n + 1) * h
-    arg = (xi[:, None] + eta[None, :]) / 2.0
-    Vg = _value_hull_inner(V, arg.ravel()).reshape(arg.shape)
-    u = np.zeros((n + 1, n + 1))
-    u[0, :] = 0.5 * V.cumulative_integral(eta / 2.0)
+    x = np.linspace(a, b, n + 1)
+    # one-sided from inside at the hull ends, where the quadratures stop;
+    # interior breakpoints keep the two-sided average (those errors cancel
+    # in pairs across the jump)
+    v = V.value_at(x)
+    v[0], v[-1] = V.values[0], V.values[-1]
+    edge = 0.5 * V.cumulative_integral(x)      # u on xi = 0
     c = h * h / 16.0
-    for d in range(2, n + 1):
-        i = np.arange(1, d)
-        j = d - i
-        rhs = (
-            u[i - 1, j] + u[i, j - 1] - u[i - 1, j - 1]
-            + c * (Vg[i - 1, j] * u[i - 1, j] + Vg[i, j - 1] * u[i, j - 1]
-                   + Vg[i - 1, j - 1] * u[i - 1, j - 1])
-        )
-        u[i, j] = rhs / (1.0 - c * Vg[i, j])
-    return h, xi, eta, u, Vg
-
-
-def _kernels_from_field(V: Potential, n: int):
-    h, xi, eta, u, Vg = _goursat(V, n)
-    integ = Vg * u
-    # X_reg at s_i = -xi_i: quadrature along the eta column up to eta_{n-i}
-    Xcol = np.zeros(n + 1)
-    for i in range(n + 1):
-        jm = n - i
-        Xcol[i] = -0.25 * trapezoid(integ[i, : jm + 1], dx=h)
-    # Y_reg at eta_j: quadrature along the xi row up to xi_{n-j}
-    ylead = _value_hull_inner(V, eta / 2.0) / 4.0
-    Ycol = np.zeros(n + 1)
-    for j in range(n + 1):
-        im = n - j
-        Ycol[j] = ylead[j] + 0.25 * trapezoid(integ[: im + 1, j], dx=h)
-    x_grid = -xi[::-1]
-    X_reg = Xcol[::-1]
-    return x_grid, X_reg, eta, Ycol, ylead
+    rows = np.zeros(n + 1)   # sum over eta of V u, per xi_i
+    cols = np.zeros(n + 1)   # sum over xi of V u, per eta_j
+    older = prev = np.zeros(0)
+    for d in range(n + 1):
+        u = np.zeros(d + 1)                    # u = 0 on eta = 2a
+        u[0] = edge[d]
+        if d >= 2:
+            u[1:d] = (
+                prev[:-1] + prev[1:] - older
+                + c * (v[d - 1] * prev[:-1] + v[d - 1] * prev[1:] + v[d - 2] * older)
+            ) / (1.0 - c * v[d])
+        w = v[d] * u
+        rows[: d + 1] += w
+        cols[d::-1] += w
+        older, prev = prev, u
+    # trapezoid end corrections: a row starts on eta = 2a, where u = 0, and
+    # ends on the exit line; a column starts on xi = 0 and ends there too
+    X = -0.25 * h * (rows - 0.5 * w)
+    Y = v / 4.0 + 0.25 * h * (cols - 0.5 * (v * edge + w[::-1]))
+    return -h * np.arange(n, -1, -1), X[::-1], 2 * a + h * np.arange(n + 1), Y, v / 4.0
 
 
 def solve_kernels(V: Potential, n_grid: int) -> KernelField:
@@ -154,8 +144,8 @@ def solve_kernels(V: Potential, n_grid: int) -> KernelField:
     if n_grid < 64:
         raise GridTooCoarse("n_grid must be at least 64")
     n = int(n_grid) + (int(n_grid) % 2)
-    x_grid, X_reg, y_grid, Y_reg, ylead = _kernels_from_field(V, n)
-    xg2, X2, yg2, Y2, _ = _kernels_from_field(V, n // 2)
+    x_grid, X_reg, y_grid, Y_reg, ylead = _march(V, n)
+    xg2, X2, yg2, Y2, _ = _march(V, n // 2)
     trunc = max(
         float(np.max(np.abs(X_reg[::2] - X2))),
         float(np.max(np.abs(Y_reg[::2] - Y2))),
@@ -199,42 +189,37 @@ def _windowed_quadrature(grid, values, w0, w1, k, h_native):
 def kernel_fourier(field: KernelField, window, k, r: float | None = None):
     """Fourier transform of a windowed kernel piece at complex k.
 
-    `window` is a Window member or a KernelWindow.  The FULL variants sum
-    the three windows and (for X) add the analytic transforms of the
-    singular parts: delta' -> ik, delta -> delta_coeff.
+    `window` is a Window member or its name.  The FULL variants sum the
+    three windows and (for X) add the analytic transforms of the singular
+    parts: delta' -> ik, delta -> delta_coeff.
     """
     V = field.potential
     a, b = V.hull
-    if isinstance(window, KernelWindow):
-        which, r = window.which, window.r
-    else:
-        which = Window(window)
-        if r is None:
-            r = default_window_r(V)
-    scalar = np.ndim(k) == 0
-    karr = np.atleast_1d(np.asarray(k, dtype=complex))
+    which = Window(window)
+    if r is None:
+        r = default_window_r(V)
+    kk = _points(k)
     h = field.x_grid[1] - field.x_grid[0]
-    if np.max(np.abs(karr.imag)) > 10.0 / h:
+    if np.max(np.abs(kk.imag)) > 10.0 / h:
         raise ImaginaryPartTooLarge(
             "|Im k| beyond the quadrature guard 10/h = %g" % (10.0 / h)
         )
     if which is Window.X_FULL:
-        out = 1j * karr + field.delta_coeff
+        out = 1j * kk + field.delta_coeff
         for piece in (Window.X1, Window.X2, Window.X3):
-            out = out + kernel_fourier(field, piece, karr, r=r)
-        return complex(out[0]) if scalar else out
-    if which is Window.Y_FULL:
-        out = np.zeros_like(karr)
+            out = out + kernel_fourier(field, piece, kk, r=r)
+    elif which is Window.Y_FULL:
+        out = np.zeros_like(kk)
         for piece in (Window.Y1, Window.Y2, Window.Y3):
-            out = out + kernel_fourier(field, piece, karr, r=r)
-        return complex(out[0]) if scalar else out
-    w0, w1 = KernelWindow(which, r).interval(a, b)
-    if which.value.startswith("X"):
-        grid, vals = field.x_grid, field.X_reg
+            out = out + kernel_fourier(field, piece, kk, r=r)
     else:
-        grid, vals = field.y_grid, field.Y_reg
-    out = _windowed_quadrature(grid, vals, w0, w1, karr, h)
-    return complex(out[0]) if scalar else out
+        w0, w1 = KernelWindow(which, r).interval(a, b)
+        if which.value.startswith("X"):
+            grid, vals = field.x_grid, field.X_reg
+        else:
+            grid, vals = field.y_grid, field.Y_reg
+        out = _windowed_quadrature(grid, vals, w0, w1, kk, h)
+    return _like(k, out)
 
 
 @dataclass(frozen=True)

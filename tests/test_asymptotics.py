@@ -26,6 +26,7 @@ from resonances1d.errors import (
 )
 from resonances1d.potential import make_piecewise, square_well
 from resonances1d.scattering import log_abs_xhat, log_abs_yhat, xhat, yhat
+from resonances1d.wavekernel import Window, kernel_fourier, solve_kernels
 
 
 # -- indicator function -----------------------------------------------------
@@ -169,6 +170,17 @@ def test_chi_vanishes_at_zero():
     a = np.array([1 + 1j, -2 + 0.5j])
     assert blaschke_chi(a, 1 + 1j) == 0.0
     assert abs(blaschke_chi(a, 10j)) < 1.0
+
+
+def test_scalar_z_gives_a_complex_with_the_bits_of_its_array_element():
+    a = (1.0 + 2.0j, -0.5 + 0.3j, 3.0 + 0.1j)
+    field = solve_kernels(square_well(-4.0, -1.0, 1.0), 128)
+    for f in (lambda z: blaschke(a, z), lambda z: blaschke_chi(a, z),
+              lambda z: kernel_fourier(field, Window.X_FULL, z)):
+        for z in (0.7 + 0.4j, -2.3 - 0.1j, 1.5 + 0.0j):
+            one = f(z)
+            assert type(one) is complex
+            assert np.array(one).tobytes() == f(np.array([z]))[0].tobytes()
 
 
 def test_blaschke_rejects_lower_zeros():

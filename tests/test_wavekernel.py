@@ -1,6 +1,7 @@
 """Characteristic kernel solver and its windowed Fourier transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,29 @@ def test_free_case_kernels_vanish():
     np.testing.assert_allclose(field.Y_reg, 0.0, atol=1e-14)
     assert field.delta_prime_coeff == 1.0
     assert field.delta_coeff == 0.0
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_kernels_are_translation_invariant(n):
+    """Moving the potential moves neither kernel: the exit line samples the
+    last cell exactly, wherever (xi + eta)/2 rounds to on that hull."""
+    f1 = solve_kernels(make_piecewise([-0.7, 0.3, 1.1], [1.5, -2.0]), n)
+    f2 = solve_kernels(make_piecewise([-0.9, 0.1, 0.9], [1.5, -2.0]), n)
+    scale = max(np.max(np.abs(f1.X_reg)), np.max(np.abs(f1.Y_reg)))
+    assert np.max(np.abs(f1.X_reg - f2.X_reg)) <= 1e-12 * scale
+    assert np.max(np.abs(f1.Y_reg - f2.Y_reg)) <= 1e-12 * scale
+
+
+def test_march_memory_is_linear_in_n():
+    """Two anti-diagonals and the quadrature sums: no (n+1)^2 array."""
+    V = square_well(-4.0, -1.0, 1.0)
+    tracemalloc.start()
+    try:
+        solve_kernels(V, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_grid_floor():
