@@ -9,6 +9,7 @@ errors (bad flags, missing or malformed files).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -287,6 +288,7 @@ def _cmd_inverse_recover(args):
 # argument parsing
 
 
+@functools.cache  # built once per process; parsing does not change it
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="resonances1d",

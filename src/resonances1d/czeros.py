@@ -1,9 +1,12 @@
 """Zeros of entire functions in rectangles via the argument principle.
 
 Counting is done by summing phase increments along the boundary with
-adaptive refinement (no step may exceed pi/2); location by recursive
-bisection on winding counts followed by Newton polish with a
+adaptive refinement (no step may exceed pi/2); the same samples give the
+first contour moment, the sum of the enclosed zeros.  Location is by
+recursive bisection on winding counts followed by Newton polish with a
 central-difference derivative, so any user-supplied entire function works.
+Newton starts at the box's first moment over its count (the zero itself
+for a one-zero box), or at the box centre when that point leaves the box.
 Rectangles, not disks: tiling a half-plane and dodging zero chains that hug
 the real axis is easier with axis-aligned subdivision.
 """
@@ -130,33 +133,37 @@ class ZeroSet:
 def _phase_winding(f, rect, n_boundary, max_evals=200_000):
     ts = np.linspace(0.0, 1.0, n_boundary, endpoint=False)
     ts = np.concatenate([ts, [1.0]])
-    fs = np.asarray(f(rect.boundary_points(ts)), dtype=complex)
+    zs = rect.boundary_points(ts)
+    fs = np.asarray(f(zs), dtype=complex)
     scale = np.max(np.abs(fs))
     if scale == 0 or np.min(np.abs(fs)) < 1e-9 * scale:
         raise BoundaryZero("function vanishes (or nearly) on the contour")
     for _ in range(60):
         with np.errstate(invalid="ignore", divide="ignore"):
-            steps = np.angle(fs[1:] / fs[:-1])
+            ratio = fs[1:] / fs[:-1]
+        steps = np.angle(ratio)
         bad = np.abs(steps) > np.pi / 2
         if not np.any(bad):
-            return int(np.round(np.sum(steps) / (2 * np.pi)))
+            # first moment (1/2 pi i) sum z_mid * dlog f; the closing point
+            # is the first, and log(ratio) = log|ratio| + i * steps
+            s1 = np.sum((zs[1:] + zs[:-1]) / 2 * np.log(ratio)) / (2j * np.pi)
+            return int(np.round(np.sum(steps) / (2 * np.pi))), complex(s1)
         if len(ts) > max_evals:
             raise PhaseStepTooLarge("phase refinement budget exhausted")
         mid_t = (ts[:-1][bad] + ts[1:][bad]) / 2
-        mid_f = np.asarray(f(rect.boundary_points(mid_t)), dtype=complex)
+        mid_z = rect.boundary_points(mid_t)
+        mid_f = np.asarray(f(mid_z), dtype=complex)
         if np.min(np.abs(mid_f)) < 1e-9 * scale:
             raise BoundaryZero("function vanishes (or nearly) on the contour")
-        ts = np.insert(ts, np.nonzero(bad)[0] + 1, mid_t)
-        fs = np.insert(fs, np.nonzero(bad)[0] + 1, mid_f)
+        at = np.nonzero(bad)[0] + 1
+        ts = np.insert(ts, at, mid_t)
+        zs = np.insert(zs, at, mid_z)
+        fs = np.insert(fs, at, mid_f)
     raise PhaseStepTooLarge("phase steps above pi/2 after maximum refinement")
 
 
-def winding_number(f, rect: Rect, n_boundary: int = 256) -> int:
-    """Zeros (with multiplicity) of f inside rect, by the argument principle.
-
-    A near-boundary zero triggers up to three dilation retries by a factor
-    1 + 1e-6 before BoundaryZero is raised.
-    """
+def _count(f, rect, n_boundary=256):
+    """(winding_number, first moment): the count and the sum of the zeros."""
     last = None
     for attempt in range(4):
         try:
@@ -165,6 +172,15 @@ def winding_number(f, rect: Rect, n_boundary: int = 256) -> int:
             last = exc
             rect = rect.dilated(1 + 1e-6)
     raise last
+
+
+def winding_number(f, rect: Rect, n_boundary: int = 256) -> int:
+    """Zeros (with multiplicity) of f inside rect, by the argument principle.
+
+    A near-boundary zero triggers up to three dilation retries by a factor
+    1 + 1e-6 before BoundaryZero is raised.
+    """
+    return _count(f, rect, n_boundary)[0]
 
 
 def _newton(f, z0, scale):
@@ -212,21 +228,24 @@ def _circle_winding(f, center, radius, n=64):
 def find_zeros(f, rect: Rect, max_zeros: int = 200,
                function_tag: str = "") -> ZeroSet:
     """Locate all zeros of f in rect: bisection on counts + Newton polish."""
-    total = winding_number(f, rect)
+    total, s1 = _count(f, rect)
     if total == 0:
         return ZeroSet((), function_tag)
     if total > max_zeros:
         raise MaxZerosExceeded("%d zeros counted, max_zeros=%d" % (total, max_zeros))
     scale0 = rect.diag
     found = []
-    stack = [(rect, total)]
+    stack = [(rect, total, s1)]
     while stack:
-        box, count = stack.pop()
+        box, count, s1 = stack.pop()
         if count == 0:
             continue
         tiny = box.diag < max(1e-9 * scale0, 1e-12)
         if count == 1 or tiny:
-            z, resid, ok = _newton(f, box.center, scale0)
+            z0 = s1 / count  # a NaN or infinite moment fails contains
+            if not box.contains(z0):
+                z0 = box.center
+            z, resid, ok = _newton(f, z0, scale0)
             # accept roots a hair past the box seam (the counting contours
             # are dilated by 1e-6, so a zero lying on a cut may be owned by
             # the box it just escaped) but nothing farther afield; once the
@@ -245,13 +264,16 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
                 found.append(Zero(box.center, count, resid, False))
                 continue
             # polish failed or left the box: keep bisecting
-        children = _split_counted(f, box, count)
-        stack.extend(children)
+        stack.extend(_split_counted(f, box, count, s1))
     return _finalize(found, function_tag, scale0)
 
 
-def _split_counted(f, box, count):
-    """Split the box in two; nudge the cut if a zero obstructs it."""
+def _split_counted(f, box, count, s1):
+    """Split the box in two; nudge the cut if a zero obstructs it.
+
+    Only the first child is counted: the shared cut runs both ways, so the
+    second child's count and moment are the parent's minus the first's.
+    """
     fracs = (0.5, 0.5 + 1.3e-3, 0.5 - 2.7e-3, 0.5 + 7.9e-3,
              0.5 - 1.7e-2, 0.5 + 4.3e-2, 0.37, 0.61)
     long_first = box.width >= box.height
@@ -259,13 +281,13 @@ def _split_counted(f, box, count):
         for frac in fracs:
             c0, c1 = _split_axis(box, frac, vertical_cut)
             try:
-                n0 = winding_number(f, c0)
+                n0, m0 = _count(f, c0)
             except (BoundaryZero, PhaseStepTooLarge):
                 continue
             n1 = count - n0
             if n1 < 0:
                 continue
-            return [(c0, n0), (c1, n1)]
+            return [(c0, n0, m0), (c1, n1, s1 - m0)]
     raise BoundaryZero("could not place a zero-free cut through the box")
 
 

@@ -136,7 +136,13 @@ def _march(V: Potential, n: int):
 
 
 def solve_kernels(V: Potential, n_grid: int) -> KernelField:
-    """Second-order characteristic solve of both kernels.
+    """Characteristic solve of both kernels.
+
+    Second order on a single cell; first order once V has interior
+    breakpoints off the grid lines.  The truncation estimate of the square
+    well falls 4x per doubling of n (1.8e-5, 4.5e-6, 1.1e-6 of the kernel
+    scale at n = 256, 512, 1024), that of make_piecewise([-0.7, 0.3, 1.1],
+    [1.5, -2.0]) 2x (4.3e-3, 2.1e-3, 1.1e-3).
 
     Also runs the half-resolution grid to estimate the truncation error;
     raises GridTooCoarse when that estimate exceeds 1% of the kernel scale.

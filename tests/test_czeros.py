@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from resonances1d import czeros
 from resonances1d.czeros import (
     Rect,
     bound_states,
@@ -49,6 +50,26 @@ def test_winding_survives_boundary_zero():
     assert n in (0, 1)
 
 
+def test_count_carries_the_first_moment():
+    # the moment is the sum of the enclosed zeros; z = 5 lies outside
+    rect = Rect(-1 - 1j, 1 + 1j)
+    n, s1 = czeros._count(lambda z: (z - 0.2 + 0.1j) * (z - 5), rect)
+    assert n == 1 and abs(s1 - (0.2 - 0.1j)) < 1e-4
+    n, s1 = czeros._count(
+        lambda z: (z - 0.2 + 0.1j) * (z + 0.5 - 0.6j) * (z - 5), rect)
+    assert n == 2 and abs(s1 - (0.2 - 0.1j) - (-0.5 + 0.6j)) < 1e-4
+
+
+def test_split_moment_is_the_parents_minus_the_counted_childs():
+    f = lambda z: (z - 0.2 + 0.1j) * (z + 0.5 - 0.6j) * (z - 5)
+    rect = Rect(-1 - 1j, 1 + 1j)
+    n, s1 = czeros._count(f, rect)
+    (c0, n0, m0), (c1, n1, m1) = czeros._split_counted(f, rect, n, s1)
+    direct = czeros._count(f, c1)
+    assert (n0, n1) == (1, 1) and direct[0] == n1
+    assert abs(m1 - direct[1]) < 1e-4
+
+
 def test_find_zeros_simple_pair():
     zs = find_zeros(lambda z: (z - 1) * (z + 1j), Rect(-2 - 2j, 2 + 2j))
     locs = sorted(zs.locations, key=lambda z: z.real)
@@ -82,6 +103,21 @@ def test_count_reconciliation_square_well():
     zs = find_zeros(f, rect, max_zeros=100)
     assert zs.total_multiplicity() == total
     assert total > 0
+
+
+def test_newton_starts_near_its_zero():
+    """Moment starts keep the polish to a few 3-point xhat calls per zero
+    (24 per zero from box centres)."""
+    V = square_well(-4.0, -1.0, 1.0)
+    calls = []
+
+    def f(k):
+        calls.append(np.shape(k))
+        return xhat(V, k)
+
+    zs = czeros._search_halfplane(f, 40.0, lower=True, tile=3.0, tag="xhat")
+    assert len(zs.zeros) > 40
+    assert calls.count((3,)) <= 5 * len(zs.zeros)
 
 
 def test_resonances_against_grid_scan():
