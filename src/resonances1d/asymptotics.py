@@ -99,11 +99,6 @@ def indicator_width(f, r_max: float, logabs: bool = False) -> float:
     return up.h + dn.h
 
 
-def indicator_profile(f, thetas, r_max: float, logabs: bool = False):
-    """Indicator reports for a sweep of directions."""
-    return [indicator_estimate(f, th, r_max, logabs=logabs) for th in thetas]
-
-
 # ---------------------------------------------------------------------------
 # zero density
 
@@ -228,7 +223,6 @@ def _blaschke_log_factors(upper_zeros, z):
     a = np.asarray(sorted(upper_zeros, key=abs), dtype=complex)
     if len(a) and np.any(a.imag <= 0):
         raise ZeroInLowerHalfPlane("Blaschke zeros must lie in the open upper half-plane")
-    z = np.asarray(z, dtype=complex)
     num = 1.0 - z[..., None] / np.conj(a)
     den = 1.0 - z[..., None] / a
     return num, den
@@ -236,10 +230,7 @@ def _blaschke_log_factors(upper_zeros, z):
 
 def blaschke(upper_zeros, z):
     """Product of (1 - z/conj(a_k)) / (1 - z/a_k), in log space, |a_k| ascending."""
-    zz = _points(z)
-    if len(tuple(upper_zeros)) == 0:
-        return _like(z, np.ones_like(zz))
-    num, den = _blaschke_log_factors(tuple(upper_zeros), zz)
+    num, den = _blaschke_log_factors(upper_zeros, _points(z))
     if np.any(den == 0):
         raise EvaluationAtZero("evaluation point coincides with a zero a_k")
     out = np.exp(np.sum(np.log(num) - np.log(den), axis=-1))
@@ -248,10 +239,7 @@ def blaschke(upper_zeros, z):
 
 def blaschke_chi(upper_zeros, z):
     """The inverted product chi(z) = prod (1 - z/a_k)/(1 - z/conj(a_k)); chi(a_k) = 0."""
-    zz = _points(z)
-    if len(tuple(upper_zeros)) == 0:
-        return _like(z, np.ones_like(zz))
-    num, den = _blaschke_log_factors(tuple(upper_zeros), zz)
+    num, den = _blaschke_log_factors(upper_zeros, _points(z))
     if np.any(num == 0):
         raise EvaluationAtZero("evaluation point coincides with conj(a_k)")
     out = np.where(
@@ -263,35 +251,30 @@ def blaschke_chi(upper_zeros, z):
 
 
 def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
-                        line_cutoff: float, logabs: bool = False) -> float:
+                        line_cutoff: float) -> float:
     """Defect of ln|f(z)| against Poisson integral + sigma+ * Im z + ln|chi(z)|.
 
     The boundary integral runs over [-line_cutoff, line_cutoff] with a
-    polynomial-growth tail correction.  When f is evaluable off the real
-    axis, the supplied zero list is reconciled against an argument-principle
-    count near z; a shortfall raises IncompleteZeroSet, and a count that
-    fails raises its own error.
+    polynomial-growth tail correction.  The supplied zero list is always
+    reconciled against an argument-principle count of the zeros of f in
+    Rect(-R + 0.05i, R + Ri), R = max(10, 2|z|): a shortfall raises
+    IncompleteZeroSet, and a count that fails raises its own error.
     """
     z = complex(z)
     x, y = z.real, z.imag
     if y <= 0:
         raise ValueError("Nevanlinna residual needs Im z > 0")
-    if not logabs:
-        R = max(10.0, 2.0 * abs(z))
-        # floor at Im = 0.05: zeros hugging the real axis have Blaschke
-        # factors ~1 and are already encoded in the boundary values
-        rect = Rect(complex(-R, 0.05), complex(R, R))
-        n_true = winding_number(f, rect)
-        supplied = sum(
-            1 for a in upper_zeros if rect.contains(complex(a), margin=-1e-6)
-        )
-        if n_true > supplied:
-            raise IncompleteZeroSet(
-                "%d upper-half-plane zeros inside |k|<%g, %d supplied"
-                % (n_true, R, supplied)
-            )
+    R = max(10.0, 2.0 * abs(z))
+    # floor at Im = 0.05: zeros hugging the real axis have Blaschke
+    # factors ~1 and are already encoded in the boundary values
+    rect = Rect(complex(-R, 0.05), complex(R, R))
+    n_true = winding_number(f, rect)
+    supplied = sum(1 for a in upper_zeros if rect.contains(complex(a), margin=-1e-6))
+    if n_true > supplied:
+        raise IncompleteZeroSet("%d upper-half-plane zeros inside |k|<%g, %d supplied"
+                                % (n_true, R, supplied))
 
-    kern = lambda t: _log_abs(f, t, logabs) * (y / np.pi) / ((t - x) ** 2 + y * y)
+    kern = lambda t: _log_abs(f, t, False) * (y / np.pi) / ((t - x) ** 2 + y * y)
     with warnings.catch_warnings():
         # integrable log singularities at real zeros of f trip the
         # subdivision limit without harming the converged value
@@ -300,14 +283,14 @@ def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
                        points=[x] if -line_cutoff < x < line_cutoff else None)
     tail = 0.0
     for sign in (+1.0, -1.0):
-        p, q, _ = _tail_fit(f, line_cutoff, sign, logabs)
+        p, q, _ = _tail_fit(f, line_cutoff, sign, False)
         model = lambda t: (p * np.log(abs(t)) + q) * (y / np.pi) / ((t - x) ** 2 + y * y)
         lo, hi = (line_cutoff, np.inf) if sign > 0 else (-np.inf, -line_cutoff)
         t_val, _ = quad(model, lo, hi, limit=400)
         tail += t_val
     chi = blaschke_chi(tuple(upper_zeros), z)
     log_chi = float(np.log(abs(chi))) if chi != 0 else -np.inf
-    lhs = _log_abs(f, z, logabs)
+    lhs = _log_abs(f, z, False)
     return abs(lhs - (main + tail) - sigma_plus * y - log_chi)
 
 

@@ -9,6 +9,7 @@ errors (bad flags, missing or malformed files).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -57,15 +58,16 @@ def _emit_json(path, obj):
         print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _load_potential(path):
+def _load(path, cls=Potential):
+    """A cls read from its JSON file; a missing file or content that does not
+    parse is a UsageError."""
     if not os.path.exists(path):
         raise UsageError("no such file: %s" % path)
     try:
         with open(path) as fh:
-            data = json.load(fh)
-        return Potential.from_json(data)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise UsageError("malformed potential file %s: %s" % (path, exc))
+            return cls.from_json(json.load(fh))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        raise UsageError("malformed %s file %s: %s" % (cls.__name__, path, exc))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +75,7 @@ def _load_potential(path):
 
 
 def _cmd_scattering_grid(args):
-    V = _load_potential(args.potential)
+    V = _load(args.potential)
     samples = scattering.sample(V, np.linspace(args.k_min, args.k_max, args.n))
     _atomic_via(args.out, lambda p: scattering.write_samples_csv(p, samples))
     if args.svg:
@@ -92,14 +94,14 @@ def _cmd_scattering_grid(args):
 
 
 def _cmd_kernels(args):
-    V = _load_potential(args.potential)
+    V = _load(args.potential)
     field = wavekernel.solve_kernels(V, args.ngrid)
     _atomic_via(args.out, lambda p: wavekernel.write_kernels_csv(field, p))
     return PASS_EXIT
 
 
 def _cmd_resonances(args):
-    V = _load_potential(args.potential)
+    V = _load(args.potential)
     zs = czeros.resonances(V, args.radius)
     _atomic_json(args.out, zs.to_json(radius=args.radius))
     if args.svg:
@@ -111,7 +113,7 @@ def _cmd_resonances(args):
 
 
 def _cmd_bound_states(args):
-    V = _load_potential(args.potential)
+    V = _load(args.potential)
     zs, energies = czeros.bound_states(V)
     out = zs.to_json()
     out["energies"] = energies
@@ -120,7 +122,7 @@ def _cmd_bound_states(args):
 
 
 def _cmd_density(args):
-    V = _load_potential(args.potential)
+    V = _load(args.potential)
     zs = czeros.resonances(V, args.radius)
     sector = (args.alpha, args.beta)
     with warnings.catch_warnings():
@@ -147,15 +149,12 @@ def _cmd_density(args):
 
 
 def _cmd_indicator(args):
-    V = _load_potential(args.potential)
-    thetas = np.linspace(-np.pi, np.pi, args.n_theta)
-    reps = asymptotics.indicator_profile(
-        lambda k: scattering.log_abs_xhat(V, k), thetas, args.r_max, logabs=True
-    )
+    V = _load(args.potential)
+    f = lambda k: scattering.log_abs_xhat(V, k)
+    reps = [asymptotics.indicator_estimate(f, th, args.r_max, logabs=True)
+            for th in np.linspace(-np.pi, np.pi, args.n_theta)]
     _atomic_via(args.out, lambda p: asymptotics.write_indicator_csv(reps, p))
-    width = asymptotics.indicator_width(
-        lambda k: scattering.log_abs_xhat(V, k), args.r_max, logabs=True
-    )
+    width = asymptotics.indicator_width(f, args.r_max, logabs=True)
     if args.report:
         _atomic_json(
             args.report,
@@ -166,13 +165,10 @@ def _cmd_indicator(args):
 
 
 def _cmd_cartwright_check(args):
-    V = _load_potential(args.potential)
-    cart = asymptotics.cartwright_integral(
-        lambda k: scattering.log_abs_xhat(V, k), args.radius, logabs=True
-    )
-    width = asymptotics.indicator_width(
-        lambda k: scattering.log_abs_xhat(V, k), args.radius, logabs=True
-    )
+    V = _load(args.potential)
+    f = lambda k: scattering.log_abs_xhat(V, k)
+    cart = asymptotics.cartwright_integral(f, args.radius, logabs=True)
+    width = asymptotics.indicator_width(f, args.radius, logabs=True)
     zs = czeros.resonances(V, args.radius)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowCountWarning)
@@ -198,7 +194,7 @@ def _cmd_cartwright_check(args):
 
 
 def _cmd_nevanlinna_check(args):
-    V = _load_potential(args.potential)
+    V = _load(args.potential)
     f = lambda k: scattering.yhat(V, k)
     vmin = min(V.values)
     kmax = float(np.sqrt(max(0.0, -vmin))) + 1.0
@@ -224,43 +220,25 @@ def _cmd_nevanlinna_check(args):
 
 
 def _cmd_g_experiment(args):
-    V1 = _load_potential(args.potential1)
-    V2 = _load_potential(args.potential2)
+    V1 = _load(args.potential1)
+    V2 = _load(args.potential2)
     rep = asymptotics.g_function_experiment(
         V1, V2, args.radius, r_window=args.r_window, n_grid=args.ngrid
     )
-    _atomic_json(
-        args.out,
-        {
-            "degenerate": rep.degenerate,
-            "width_g": rep.width_g,
-            "width_x": rep.width_x,
-            "width_margin": rep.width_margin,
-            "density_g": rep.density_g,
-            "density_x": rep.density_x,
-            "n_zeros_g": rep.n_zeros_g,
-            "n_zeros_x": rep.n_zeros_x,
-            "r_window": rep.r_window,
-        },
-    )
+    _atomic_json(args.out, dataclasses.asdict(rep))
     return PASS_EXIT
 
 
 def _cmd_distinguish(args):
-    V1 = _load_potential(args.potential1)
-    V2 = _load_potential(args.potential2)
+    V1 = _load(args.potential1)
+    V2 = _load(args.potential2)
     rep = inverse.uniqueness_report((V1, V2), args.radius)
     _emit_json(args.out, rep.to_json())
     return PASS_EXIT if rep.implication_pass else FAIL_EXIT
 
 
 def _cmd_inverse_recover(args):
-    if not os.path.exists(args.spec):
-        raise UsageError("no such file: %s" % args.spec)
-    try:
-        spec = inverse.InverseProblemSpec.load(args.spec)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError("malformed spec file %s: %s" % (args.spec, exc))
+    spec = _load(args.spec, inverse.InverseProblemSpec)
     rng = np.random.default_rng(args.seed)
     if args.init == "zeros":
         init = np.zeros(spec.n_params)
@@ -268,16 +246,10 @@ def _cmd_inverse_recover(args):
         init = rng.uniform(-1.0, 1.0, spec.n_params)
     result = inverse.recover_left(spec, init, max_iter=args.max_iter)
     if args.truth:
-        truth = _load_potential(args.truth)
-        tv = truth.value_at(
-            (np.linspace(spec.a, 0.0, spec.n_params + 1)[:-1]
-             + np.linspace(spec.a, 0.0, spec.n_params + 1)[1:]) / 2
-        )
+        edges = np.linspace(spec.a, 0.0, spec.n_params + 1)
+        tv = _load(args.truth).value_at((edges[:-1] + edges[1:]) / 2)
         err = float(np.linalg.norm(np.asarray(result.recovered_left) - tv))
-        result = inverse.RecoveryResult(
-            result.recovered_left, result.final_loss, result.iterations,
-            result.converged, err, result.loss_trace,
-        )
+        result = dataclasses.replace(result, l2_error_vs_truth=err)
     _atomic_json(args.out, result.to_json())
     if args.trace:
         _atomic_via(args.trace, lambda p: inverse.write_loss_trace_csv(result, p))

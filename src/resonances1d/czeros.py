@@ -26,6 +26,9 @@ from .errors import (
 from .potential import Potential
 from .scattering import xhat
 
+_N_BOUNDARY = 256  # initial samples per counting contour
+_MAX_EVALS = 200_000  # refinement budget per contour
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -130,8 +133,8 @@ class ZeroSet:
             json.dump(self.to_json(radius), fh, indent=2)
 
 
-def _phase_winding(f, rect, n_boundary, max_evals=200_000):
-    ts = np.linspace(0.0, 1.0, n_boundary, endpoint=False)
+def _phase_winding(f, rect):
+    ts = np.linspace(0.0, 1.0, _N_BOUNDARY, endpoint=False)
     ts = np.concatenate([ts, [1.0]])
     zs = rect.boundary_points(ts)
     fs = np.asarray(f(zs), dtype=complex)
@@ -148,7 +151,7 @@ def _phase_winding(f, rect, n_boundary, max_evals=200_000):
             # is the first, and log(ratio) = log|ratio| + i * steps
             s1 = np.sum((zs[1:] + zs[:-1]) / 2 * np.log(ratio)) / (2j * np.pi)
             return int(np.round(np.sum(steps) / (2 * np.pi))), complex(s1)
-        if len(ts) > max_evals:
+        if len(ts) > _MAX_EVALS:
             raise PhaseStepTooLarge("phase refinement budget exhausted")
         mid_t = (ts[:-1][bad] + ts[1:][bad]) / 2
         mid_z = rect.boundary_points(mid_t)
@@ -162,25 +165,25 @@ def _phase_winding(f, rect, n_boundary, max_evals=200_000):
     raise PhaseStepTooLarge("phase steps above pi/2 after maximum refinement")
 
 
-def _count(f, rect, n_boundary=256):
+def _count(f, rect):
     """(winding_number, first moment): the count and the sum of the zeros."""
     last = None
     for attempt in range(4):
         try:
-            return _phase_winding(f, rect, n_boundary)
+            return _phase_winding(f, rect)
         except BoundaryZero as exc:
             last = exc
             rect = rect.dilated(1 + 1e-6)
     raise last
 
 
-def winding_number(f, rect: Rect, n_boundary: int = 256) -> int:
+def winding_number(f, rect: Rect) -> int:
     """Zeros (with multiplicity) of f inside rect, by the argument principle.
 
     A near-boundary zero triggers up to three dilation retries by a factor
     1 + 1e-6 before BoundaryZero is raised.
     """
-    return _count(f, rect, n_boundary)[0]
+    return _count(f, rect)[0]
 
 
 def _newton(f, z0, scale):
@@ -210,7 +213,8 @@ def _newton(f, z0, scale):
     return z, err, err < 1e-11
 
 
-def _circle_winding(f, center, radius, n=64):
+def _circle_winding(f, center, radius):
+    n = 64
     for attempt in range(4):
         th = np.linspace(0, 2 * np.pi, n + 1)
         pts = center + radius * np.exp(1j * th)
@@ -310,11 +314,10 @@ def _finalize(found, function_tag, scale0):
     return ZeroSet(tuple(kept), function_tag)
 
 
-def resonances(V: Potential, radius: float, tile: float = 3.0) -> ZeroSet:
+def resonances(V: Potential, radius: float) -> ZeroSet:
     """All zeros of xhat with |k| <= radius in the open lower half-plane."""
-    f = lambda k: xhat(V, k)
-    zs = _search_halfplane(f, radius, lower=True, tile=tile, tag="xhat")
-    return zs
+    return _search_halfplane(lambda k: xhat(V, k), radius, lower=True, tile=3.0,
+                             tag="xhat")
 
 
 def bound_states(V: Potential):
@@ -347,18 +350,9 @@ def _search_halfplane(f, radius, lower, tile, tag):
                 continue
             zs = find_zeros(f, Rect(complex(x0, y0), complex(x1, y1)),
                             max_zeros=500, function_tag=tag)
-            zeros.extend(zs.zeros)
-    kept = []
-    for z in sorted(zeros, key=lambda z: (z.location.real, z.location.imag)):
-        if abs(z.location) > radius:
-            continue
-        if lower and not z.location.imag < -eps:
-            continue
-        if not lower and not z.location.imag > eps:
-            continue
-        if all(abs(z.location - w.location) > 1e-7 for w in kept):
-            kept.append(z)
-    return ZeroSet(tuple(kept), tag)
+            zeros.extend(z for z in zs.zeros if abs(z.location) <= radius
+                         and (z.location.imag < -eps if lower else z.location.imag > eps))
+    return _finalize(zeros, tag, 1.0)
 
 
 def conjugate_symmetry_defect(zs: ZeroSet) -> float:

@@ -8,6 +8,7 @@ left parts must produce visibly different determinants.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -28,8 +29,8 @@ class InverseProblemSpec:
     known_right: Fragment
     a: float
     n_params: int
-    k_samples: tuple = ()
-    det_s_values: tuple = ()
+    k_samples: tuple
+    det_s_values: tuple
 
     def __post_init__(self):
         if not self.a < 0:
@@ -141,12 +142,12 @@ def loss(spec: InverseProblemSpec, params) -> float:
     return float(np.dot(r, r))
 
 
-def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100,
-                 tol: float = 1e-18) -> RecoveryResult:
+def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100) -> RecoveryResult:
     """Damped least squares on the left-cell values.
 
     Finite-difference Jacobian with step 1e-6*(1+|param|); accepted steps
-    never increase the loss.  Raises DivergedLoss after 10 consecutive
+    never increase the loss.  Stops once the loss falls below 1e-18, and
+    reports convergence below 1e-10.  Raises DivergedLoss after 10 consecutive
     rejected steps and JacobianSingular when the damping exceeds 1e8.
     """
     p = np.asarray(init, dtype=float).copy()
@@ -159,7 +160,7 @@ def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100,
     rejected = 0
     it = 0
     for it in range(1, max_iter + 1):
-        if cur < tol:
+        if cur < 1e-18:
             break
         J = np.empty((len(r), len(p)))
         for j in range(len(p)):
@@ -197,7 +198,7 @@ def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100,
                     )
         if float(np.linalg.norm(delta)) < 1e-13 * (1 + float(np.linalg.norm(p))):
             break
-    return RecoveryResult(tuple(p), cur, it, cur < max(tol, 1e-10),
+    return RecoveryResult(tuple(p), cur, it, cur < 1e-10,
                           loss_trace=tuple(trace))
 
 
@@ -218,14 +219,7 @@ class UniquenessReport:
     implication_pass: bool
 
     def to_json(self):
-        return {
-            "distinguishability": self.distinguishability,
-            "sup_xhat_gap": self.sup_xhat_gap,
-            "sup_yhat_gap": self.sup_yhat_gap,
-            "resonance_hausdorff": self.resonance_hausdorff,
-            "identical_left": self.identical_left,
-            "implication_pass": self.implication_pass,
-        }
+        return dataclasses.asdict(self)
 
 
 def _hausdorff(z1, z2):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _W, _H, _PAD = 640, 480, 50
+_MAX_CELLS = 200
 
 
 def _header(parts):
@@ -113,13 +114,12 @@ def density_fit_svg(radii, counts, slope, path, title=""):
         fh.write(_header(parts))
 
 
-def heatmap_svg(values, extent, path, title="", max_cells=200):
-    """Grayscale raster of a real 2D field (clipped to max_cells per axis)."""
+def heatmap_svg(values, extent, path, title=""):
+    """Grayscale raster of a real 2D field (strided by n // _MAX_CELLS along
+    an axis of n > _MAX_CELLS cells)."""
     vals = np.asarray(values, dtype=float)
-    if vals.shape[0] > max_cells or vals.shape[1] > max_cells:
-        si = max(1, vals.shape[0] // max_cells)
-        sj = max(1, vals.shape[1] // max_cells)
-        vals = vals[::si, ::sj]
+    si, sj = (max(1, n // _MAX_CELLS) for n in vals.shape)
+    vals = vals[::si, ::sj]
     x0, x1, y0, y1 = (float(v) for v in extent)
     lo, hi = float(np.nanmin(vals)), float(np.nanmax(vals))
     span = hi - lo or 1.0

@@ -143,15 +143,8 @@ class Potential:
         """Cell value at x; at interior breakpoints the two-sided average."""
         x = np.asarray(x, dtype=float)
         bp = np.asarray(self.breakpoints)
-        vs = np.asarray(self.values)
-        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(vs) - 1)
-        out = np.where((x >= bp[0]) & (x <= bp[-1]), vs[idx], 0.0)
-        for m, xb in enumerate(bp):
-            on = x == xb
-            if np.any(on):
-                left = vs[m - 1] if m > 0 else 0.0
-                right = vs[m] if m < len(vs) else 0.0
-                out = np.where(on, 0.5 * (left + right), out)
+        vs = np.concatenate([[0.0], self.values, [0.0]])  # zero outside the hull
+        out = 0.5 * (vs[np.searchsorted(bp, x, "left")] + vs[np.searchsorted(bp, x, "right")])
         if np.ndim(x) == 0:
             return float(out)
         return out

@@ -98,10 +98,6 @@ class TransferMatrix:
     k: complex
     potential: Potential
 
-    def det(self):
-        e = self.entries
-        return e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-
 
 def _points(k):
     """k as a complex array of at least one dimension."""
@@ -264,10 +260,11 @@ class JostCoefficients:
     k_zero_limit: bool = False
 
 
-def _richardson_limit(g, h0=1e-2, n=4):
+def _richardson_limit(g):
     """Neville extrapolation to h = 0 of each entry of the tuple g(h),
-    sampled at h0 / 2^j."""
-    hs = [h0 / 2 ** j for j in range(n)]
+    sampled at h = 1e-2 / 2^j, j = 0..3."""
+    n = 4
+    hs = [1e-2 / 2 ** j for j in range(n)]
     out = []
     for vals in map(list, zip(*[g(h) for h in hs])):
         for m in range(1, n):

@@ -176,6 +176,13 @@ def solve_kernels(V: Potential, n_grid: int) -> KernelField:
     return field
 
 
+def _samples(field: KernelField, which: Window):
+    """(grid, values) of the kernel a window reads: X_reg or Y_reg."""
+    if which.value.startswith("X"):
+        return field.x_grid, field.X_reg
+    return field.y_grid, field.Y_reg
+
+
 def _windowed_quadrature(grid, values, w0, w1, k, h_native):
     """Simpson quadrature of values(s) e^{-iks} over [w0, w1] (interpolated)."""
     w0 = max(w0, grid[0])
@@ -220,11 +227,7 @@ def kernel_fourier(field: KernelField, window, k, r: float | None = None):
             out = out + kernel_fourier(field, piece, kk, r=r)
     else:
         w0, w1 = KernelWindow(which, r).interval(a, b)
-        if which.value.startswith("X"):
-            grid, vals = field.x_grid, field.X_reg
-        else:
-            grid, vals = field.y_grid, field.Y_reg
-        out = _windowed_quadrature(grid, vals, w0, w1, kk, h)
+        out = _windowed_quadrature(*_samples(field, which), w0, w1, kk, h)
     return _like(k, out)
 
 
@@ -261,14 +264,11 @@ def domain_of_influence_check(V1: Potential, V2: Potential, r: float,
     f2 = solve_kernels(V2, n_grid)
     a, b = V1.hull
     diffs = {}
-    for which in (Window.X1, Window.X2, Window.X3):
+    for which in (Window.X1, Window.X2, Window.X3, Window.Y1, Window.Y2, Window.Y3):
         w0, w1 = KernelWindow(which, r).interval(a, b)
-        m = (f1.x_grid >= w0) & (f1.x_grid <= w1)
-        diffs[which.value] = float(np.max(np.abs(f1.X_reg[m] - f2.X_reg[m])))
-    for which in (Window.Y1, Window.Y2, Window.Y3):
-        w0, w1 = KernelWindow(which, r).interval(a, b)
-        m = (f1.y_grid >= w0) & (f1.y_grid <= w1)
-        diffs[which.value] = float(np.max(np.abs(f1.Y_reg[m] - f2.Y_reg[m])))
+        (grid, v1), v2 = _samples(f1, which), _samples(f2, which)[1]
+        m = (grid >= w0) & (grid <= w1)
+        diffs[which.value] = float(np.max(np.abs(v1[m] - v2[m])))
     trunc = max(f1.truncation_error, f2.truncation_error)
     scale = max(
         np.max(np.abs(f1.X_reg)), np.max(np.abs(f1.Y_reg)),
