@@ -6,7 +6,9 @@ first contour moment, the sum of the enclosed zeros.  Location is by
 recursive bisection on winding counts followed by Newton polish with a
 central-difference derivative, so any user-supplied entire function works.
 Newton starts at the box's first moment over its count (the zero itself
-for a one-zero box), or at the box centre when that point leaves the box.
+for a one-zero box), or at the box centre when that point leaves the box,
+and has converged once a step is below 1e-11 (1 + |z|); after 60 steps it
+has not.
 Rectangles, not disks: tiling a half-plane and dodging zero chains that hug
 the real axis is easier with axis-aligned subdivision.
 """
@@ -189,9 +191,11 @@ def winding_number(f, rect: Rect) -> int:
 def _newton(f, z0, scale):
     """Polish a root; the residual is the relative size of the last step.
 
-    The last Newton correction estimates the remaining location error, so
-    the criterion stays meaningful even when |f| near the root bottoms out
-    at an evaluation-noise floor far above the true zero value.
+    Converged as soon as a step is below 1e-11 * (1 + |z|); not converged
+    after 60 steps.  The last Newton correction estimates the remaining
+    location error, so the criterion stays meaningful even when |f| near the
+    root bottoms out at an evaluation-noise floor far above the true zero
+    value, where the step stops shrinking.
     """
     z = complex(z0)
     err = np.inf
@@ -208,12 +212,14 @@ def _newton(f, z0, scale):
         step = fz / fp
         z = z - step
         err = abs(step) / (1.0 + abs(z))
-        if err < 1e-12:
+        if err < 1e-11:
             return z, err, True
-    return z, err, err < 1e-11
+    return z, err, False
 
 
 def _circle_winding(f, center, radius):
+    """Multiplicity of the zero at center: the winding of f on a small circle,
+    with finer sampling or a wider circle on failure, up to four tries."""
     n = 64
     for attempt in range(4):
         th = np.linspace(0, 2 * np.pi, n + 1)
@@ -226,7 +232,7 @@ def _circle_winding(f, center, radius):
             n *= 4
         else:
             radius *= 1.37
-    return 1
+    raise PhaseStepTooLarge("no clean winding on a circle about %s" % center)
 
 
 def find_zeros(f, rect: Rect, max_zeros: int = 200,
@@ -305,10 +311,18 @@ def _split_axis(box: Rect, frac, vertical_cut):
             Rect(complex(box.lo.real, ym), box.hi)]
 
 
+def _sort_key(z):
+    """Real part, then imaginary; a zero within 1e-9 (1 + |z|) of the
+    imaginary axis counts as on it, so axis zeros sort by Im alone."""
+    loc = z.location
+    on_axis = abs(loc.real) <= 1e-9 * (1.0 + abs(loc))
+    return (0.0 if on_axis else loc.real, loc.imag)
+
+
 def _finalize(found, function_tag, scale0):
-    # dedup by pairwise distance
+    """The one sort (by _sort_key) and dedup by pairwise distance."""
     kept = []
-    for z in sorted(found, key=lambda z: (z.location.real, z.location.imag)):
+    for z in sorted(found, key=_sort_key):
         if all(abs(z.location - w.location) > 1e-7 * scale0 for w in kept):
             kept.append(z)
     return ZeroSet(tuple(kept), function_tag)

@@ -48,13 +48,14 @@ def test_missing_potential_file(tmp_path, capsys):
 
 def test_malformed_potential_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
     out = str(tmp_path / "o.csv")
-    code = cli.main(
-        ["scattering-grid", "--potential", str(bad), "--out", out]
-    )
-    assert code == cli.USAGE_EXIT
-    assert not os.path.exists(out)
+    for content in ("{not json", '{"breakpoints": [-1.0, 1.0], "values": ["abc"]}'):
+        bad.write_text(content)
+        code = cli.main(
+            ["scattering-grid", "--potential", str(bad), "--out", out]
+        )
+        assert code == cli.USAGE_EXIT
+        assert not os.path.exists(out)
     capsys.readouterr()
 
 

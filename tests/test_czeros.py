@@ -14,7 +14,7 @@ from resonances1d.czeros import (
     resonances,
     winding_number,
 )
-from resonances1d.errors import MaxZerosExceeded
+from resonances1d.errors import MaxZerosExceeded, PhaseStepTooLarge
 from resonances1d.potential import make_piecewise, square_well
 from resonances1d.scattering import xhat
 
@@ -106,8 +106,8 @@ def test_count_reconciliation_square_well():
 
 
 def test_newton_starts_near_its_zero():
-    """Moment starts keep the polish to a few 3-point xhat calls per zero
-    (24 per zero from box centres)."""
+    """Moment starts and the one 1e-11 step test keep the polish to a few
+    3-point xhat calls per zero (24 per zero from box centres)."""
     V = square_well(-4.0, -1.0, 1.0)
     calls = []
 
@@ -117,7 +117,13 @@ def test_newton_starts_near_its_zero():
 
     zs = czeros._search_halfplane(f, 40.0, lower=True, tile=3.0, tag="xhat")
     assert len(zs.zeros) > 40
-    assert calls.count((3,)) <= 5 * len(zs.zeros)
+    assert calls.count((3,)) <= 3 * len(zs.zeros)
+
+
+def test_circle_winding_raises_when_it_gives_up():
+    """No silent multiplicity: a function that never winds cleanly raises."""
+    with pytest.raises(PhaseStepTooLarge):
+        czeros._circle_winding(lambda z: np.zeros_like(z), 0j, 1e-4)
 
 
 def test_resonances_against_grid_scan():
@@ -190,6 +196,14 @@ def test_bound_states_match_shooting(depth):
         assert abs(e - o) < 1e-8
     # all on the positive imaginary axis for a real potential
     assert np.max(np.abs(zs.locations.real)) < 1e-8
+
+
+@pytest.mark.parametrize("depth", [-30.0, -60.0, -100.0])
+def test_bound_state_energies_run_shallowest_to_deepest(depth):
+    """Axis zeros sort by Im alone, not by the sign of a rounding-level Re."""
+    energies = bound_states(square_well(depth, -1.0, 1.0))[1]
+    assert len(energies) > 3
+    assert all(e0 > e1 for e0, e1 in zip(energies, energies[1:]))
 
 
 @pytest.mark.parametrize("radius", [0.9, 1.0, 1.2])
