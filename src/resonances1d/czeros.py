@@ -219,7 +219,8 @@ def _newton(f, z0, scale):
 
 def _circle_winding(f, center, radius):
     """Multiplicity of the zero at center: the winding of f on a small circle,
-    with finer sampling or a wider circle on failure, up to four tries."""
+    with finer sampling or a wider circle on failure; after four tries,
+    PhaseStepTooLarge."""
     n = 64
     for attempt in range(4):
         th = np.linspace(0, 2 * np.pi, n + 1)
@@ -311,18 +312,16 @@ def _split_axis(box: Rect, frac, vertical_cut):
             Rect(complex(box.lo.real, ym), box.hi)]
 
 
-def _sort_key(z):
-    """Real part, then imaginary; a zero within 1e-9 (1 + |z|) of the
-    imaginary axis counts as on it, so axis zeros sort by Im alone."""
-    loc = z.location
-    on_axis = abs(loc.real) <= 1e-9 * (1.0 + abs(loc))
-    return (0.0 if on_axis else loc.real, loc.imag)
-
-
 def _finalize(found, function_tag, scale0):
-    """The one sort (by _sort_key) and dedup by pairwise distance."""
+    """The one sort, and dedup by pairwise distance.  Zeros sort by real part,
+    then imaginary; one within 1e-9 (1 + |z|) of the imaginary axis counts as
+    on it, so axis zeros sort by Im alone."""
+    def key(z):
+        on_axis = abs(z.location.real) <= 1e-9 * (1.0 + abs(z.location))
+        return (0.0 if on_axis else z.location.real, z.location.imag)
+
     kept = []
-    for z in sorted(found, key=_sort_key):
+    for z in sorted(found, key=key):
         if all(abs(z.location - w.location) > 1e-7 * scale0 for w in kept):
             kept.append(z)
     return ZeroSet(tuple(kept), function_tag)

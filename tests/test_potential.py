@@ -164,3 +164,37 @@ def test_construction_is_idempotent(edges, seed):
     assert W.values == V.values
     # serialization round-trips exactly
     assert Potential.from_json(V.to_json()) == V
+
+
+def _value_at_by_cells(V, x):
+    """Reference: the cell value inside a cell, the average of the two
+    neighbouring values (0 beyond the hull) on a breakpoint, else 0."""
+    bp, vs = V.breakpoints, (0.0,) + V.values + (0.0,)
+    for m, xb in enumerate(bp):
+        if x == xb:
+            return 0.5 * (vs[m] + vs[m + 1])
+    for x0, x1, v in zip(bp, bp[1:], V.values):
+        if x0 < x < x1:
+            return v
+    return 0.0
+
+
+@given(
+    widths=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=12),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_value_at_matches_cell_by_cell_reference(widths, seed):
+    rng = np.random.default_rng(seed)
+    bp = np.concatenate([[0.0], np.cumsum(widths)]) - rng.uniform(0.0, sum(widths))
+    if not bp[0] < 0.0 < bp[-1]:
+        return
+    V = Potential._unchecked(bp, rng.uniform(-1e3, 1e3, len(widths)))
+    b = np.asarray(V.breakpoints)
+    xs = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                         (b[1:] + b[:-1]) / 2, rng.uniform(b[0] - 1, b[-1] + 1, 50)])
+    want = np.array([_value_at_by_cells(V, x) for x in xs])
+    got = V.value_at(xs)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert all(type(V.value_at(x)) is float and V.value_at(x) == w
+               for x, w in zip(xs[:8], want))
