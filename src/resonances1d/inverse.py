@@ -8,9 +8,8 @@ left parts must produce visibly different determinants.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -146,9 +145,10 @@ def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100) -> Recover
     """Damped least squares on the left-cell values.
 
     Finite-difference Jacobian with step 1e-6*(1+|param|); accepted steps
-    never increase the loss.  Stops once the loss falls below 1e-18, and
-    reports convergence below 1e-10.  Raises DivergedLoss after 10 consecutive
-    rejected steps and JacobianSingular when the damping exceeds 1e8.
+    never increase the loss.  Stops once the loss falls below 1e-18 and
+    reports convergence below 1e-10.  Raises DivergedLoss after 10
+    consecutive rejected steps and JacobianSingular when the damping
+    exceeds 1e8.
     """
     p = np.asarray(init, dtype=float).copy()
     if len(p) != spec.n_params:
@@ -219,7 +219,7 @@ class UniquenessReport:
     implication_pass: bool
 
     def to_json(self):
-        return dataclasses.asdict(self)
+        return asdict(self)
 
 
 def _hausdorff(z1, z2):

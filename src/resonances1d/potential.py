@@ -144,7 +144,8 @@ class Potential:
         x = np.asarray(x, dtype=float)
         bp = np.asarray(self.breakpoints)
         vs = np.concatenate([[0.0], self.values, [0.0]])  # zero outside the hull
-        out = 0.5 * (vs[np.searchsorted(bp, x, "left")] + vs[np.searchsorted(bp, x, "right")])
+        out = 0.5 * (vs[np.searchsorted(bp, x, "left")]
+                     + vs[np.searchsorted(bp, x, "right")])
         if np.ndim(x) == 0:
             return float(out)
         return out

@@ -266,7 +266,7 @@ def domain_of_influence_check(V1: Potential, V2: Potential, r: float,
     diffs = {}
     for which in (Window.X1, Window.X2, Window.X3, Window.Y1, Window.Y2, Window.Y3):
         w0, w1 = KernelWindow(which, r).interval(a, b)
-        (grid, v1), v2 = _samples(f1, which), _samples(f2, which)[1]
+        (grid, v1), (_, v2) = _samples(f1, which), _samples(f2, which)
         m = (grid >= w0) & (grid <= w1)
         diffs[which.value] = float(np.max(np.abs(v1[m] - v2[m])))
     trunc = max(f1.truncation_error, f2.truncation_error)
