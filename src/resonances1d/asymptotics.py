@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .czeros import Rect, ZeroSet, _search_halfplane, winding_number
 from .errors import (
@@ -192,6 +191,8 @@ def cartwright_integral(f, cutoff: float, logabs: bool = False) -> CartwrightRep
     model tail is integrated out to infinity.  A model misfit beyond 0.5
     in log units raises NonConvergentTail (the growth is not polynomial).
     """
+    from scipy.integrate import quad  # deferred: it dominates import time
+
     def lp(x):
         return max(_log_abs(f, x, logabs), 0.0) / (1.0 + x * x)
 
@@ -260,6 +261,8 @@ def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
     Rect(-R + 0.05i, R + Ri), R = max(10, 2|z|): a shortfall raises
     IncompleteZeroSet, and a count that fails raises its own error.
     """
+    from scipy.integrate import quad
+
     z = complex(z)
     x, y = z.real, z.imag
     if y <= 0:

@@ -23,6 +23,13 @@ function therefore builds the product once per k-point and assembles the
 values at k and at -k from it: det S, the Jost coefficients and the
 unitary residual all need both signs.
 
+The cell propagators are computed in one array pass, on a leading cell
+axis; only the 2x2 product runs cell by cell, from the identity and in
+cell order, so the bits are those of a loop that computes each cell on its
+own.  The same per-cell arrays give det S's exact derivatives in the cell
+values (`det_s_jacobian`), from the products of the cells before and after
+each cell.
+
 A scalar k is evaluated as a one-element array and handed back as a Python
 scalar, so a value has the same bits alone or inside an array of any shape.
 
@@ -43,10 +50,68 @@ from .potential import Potential
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _D_EPS = float(np.finfo(np.float64).eps)
+# cells x points per pass of the cell-axis core; larger products take their
+# cells in blocks, so that the per-cell arrays stay in cache
+_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
 # scaled transfer-matrix products
+
+
+def _cells(V: Potential, k, dtype=np.complex128, cells=slice(None)):
+    """The propagators of the cells V.values[cells] at once, on a leading
+    cell axis.
+
+    Returns (kappa^2, z, t, c, m12, m21), each of shape (cells,) + k.shape:
+    kappa_j^2 = k^2 - V_j, z = kappa_j w_j, t = |Im z|, and the scaled cell
+    [[c, m12], [m21, c]] = [[cos z, sin z / kappa], [-kappa sin z, cos z]] e^{-t}.
+    Below |z| = 1e-6 the entries come from their Taylor series.
+    """
+    k = np.asarray(k, dtype=dtype)
+    real = np.longdouble if dtype == np.complex256 else np.float64
+    cell_axis = (slice(None),) + (None,) * k.ndim
+    bp = np.asarray(V.breakpoints, dtype=real)
+    vs = np.asarray(V.values, dtype=real)[cells][cell_axis]
+    w = (bp[1:] - bp[:-1])[cells][cell_axis]
+    kap2 = k * k - vs
+    kap = np.sqrt(kap2)
+    z = kap * w
+    t = np.abs(z.imag)
+    p = np.exp(1j * z - t)
+    q = np.exp(-1j * z - t)
+    c = (p + q) / 2                     # cos(z) e^{-t}
+    s = (p - q) / 2j                    # sin(z) e^{-t}
+    small = np.abs(z) < 1e-6
+    if not small.any():
+        return kap2, z, t, c, s / kap, -kap * s
+    et = np.exp(-t)
+    series = w * (1 - z * z / 6 * (1 - z * z / 20)) * et
+    m12 = np.where(small, series, s / np.where(small, 1, kap))
+    m21 = np.where(small, -kap2 * series, -kap * s)
+    c = np.where(small, (1 - z * z / 2 * (1 - z * z / 12)) * et, c)
+    return kap2, z, t, c, m12, m21
+
+
+def _product(c, m12, m21, M=None, prefixes=False):
+    """The product A_{n-1} ... A_0 M of the cells A_j = [[c_j, m12_j], [m21_j, c_j]],
+    with the matrix axes first; M is the identity unless given.
+
+    With prefixes, also returns the product of the cells before each cell,
+    stacked on a cell axis after the matrix axes.
+    """
+    left = np.stack([c, m21], axis=1)[:, :, None]
+    right = np.stack([m12, c], axis=1)[:, :, None]
+    if M is None:
+        M = np.zeros((2, 2) + c.shape[1:], dtype=c.dtype)
+        M[0, 0] = M[1, 1] = 1
+    before = []
+    for j in range(len(c)):
+        if prefixes:
+            before.append(M)
+        # rows (c M11 + m12 M21, c M12 + m12 M22), (m21 M11 + c M21, ...)
+        M = left[j] * M[0] + right[j] * M[1]
+    return (M, np.stack(before, axis=2)) if prefixes else M
 
 
 def _scaled_transfer(V: Potential, k, dtype=np.complex128):
@@ -58,36 +123,18 @@ def _scaled_transfer(V: Potential, k, dtype=np.complex128):
     assembled from the product.  The result is the same at k and -k.
     """
     k = np.asarray(k, dtype=dtype)
-    real = np.longdouble if dtype == np.complex256 else np.float64
-    one = np.ones_like(k)
-    M11, M12, M21, M22 = one.copy(), 0 * one, 0 * one, one.copy()
-    logscale = np.zeros(k.shape, dtype=real)
-    bp = np.asarray(V.breakpoints, dtype=real)
-    vs = np.asarray(V.values, dtype=real)
-    for j in range(len(vs)):
-        w = bp[j + 1] - bp[j]
-        kap2 = k * k - vs[j]
-        kap = np.sqrt(kap2)
-        z = kap * w
-        t = np.abs(z.imag)
-        p = np.exp(1j * z - t)
-        q = np.exp(-1j * z - t)
-        c = (p + q) / 2                     # cos(z) e^{-t}
-        s = (p - q) / 2j                    # sin(z) e^{-t}
-        small = np.abs(z) < 1e-6
-        et = np.exp(-t)
-        series = w * (1 - z * z / 6 * (1 - z * z / 20)) * et
-        m12 = np.where(small, series, s / np.where(small, one, kap))
-        m21 = np.where(small, -kap2 * series, -kap * s)
-        c = np.where(small, (1 - z * z / 2 * (1 - z * z / 12)) * et, c)
-        M11, M12, M21, M22 = (
-            c * M11 + m12 * M21,
-            c * M12 + m12 * M22,
-            m21 * M11 + c * M21,
-            m21 * M12 + c * M22,
-        )
-        logscale = logscale + t
-    return M11, M12, M21, M22, logscale
+    step = max(1, _BLOCK // max(k.size, 1))
+    M, logscale = None, np.zeros(k.shape, dtype=k.real.dtype)
+    for lo in range(0, len(V.values), step):
+        _, _, t, c, m12, m21 = _cells(V, k, dtype, slice(lo, lo + step))
+        M = _product(c, m12, m21, M)
+        logscale = _add_cells(logscale, t)
+    return M[0, 0], M[0, 1], M[1, 0], M[1, 1], logscale
+
+
+def _add_cells(logscale, t):
+    """logscale plus the cells' t, added in cell order as a cell loop does."""
+    return np.cumsum(np.concatenate([logscale[None], t]), axis=0)[-1]
 
 
 @dataclass(frozen=True)
@@ -121,12 +168,16 @@ def transfer_matrix(V: Potential, k) -> TransferMatrix:
 # the entire functions
 
 
+def _bracket(k, P):
+    """ik(M11+M22) + k^2 M12 - M21, the factor of xhat that holds its zeros."""
+    M11, M12, M21, M22 = P[:4]
+    return 1j * k * (M11 + M22) + k * k * M12 - M21
+
+
 def _xhat_from(V, k, P):
     """(mantissa, log-modulus scale) of xhat at k, from the product P at +-k."""
-    M11, M12, M21, M22, ls = P
     L = V.breakpoints[-1] - V.breakpoints[0]
-    mant = np.exp(1j * k.real * L) * (1j * k * (M11 + M22) + k * k * M12 - M21) / 2
-    return mant, ls - k.imag * L
+    return np.exp(1j * k.real * L) * _bracket(k, P) / 2, P[4] - k.imag * L
 
 
 def _yhat_from(V, k, P):
@@ -306,31 +357,81 @@ def jost_coefficients(V: Potential, k) -> JostCoefficients:
 
 def _det_s_from(V, k, P):
     """det S at the array k from the product P there, and the mask of its
-    poles: the k != 0 where xhat vanishes, at which det S reads inf."""
+    poles, where det S reads inf.
+
+    k != 0 is a pole when xhat's bracket is below 1e6 eps times the sum of
+    its terms' moduli, that is within rounding of zero.  At k = 0 the
+    bracket is -M21 alone and that bound is void; there det S is the limit
+    from nearby real k when |xhat(0)| < 1e-13.
+    """
+    M11, M12, M21, M22 = P[:4]
     m1, l1 = _xhat_from(V, k, P)
     m2, l2 = _xhat_from(V, -k, P)
-    absx = np.abs(m1)
-    ref = np.maximum(np.abs(m2) * np.exp(np.minimum(l2 - l1, 700)),
-                     (1 + np.abs(k)) * np.exp(np.clip(-l1, -700, 700)))
-    pole = absx < 1e-13 * ref
+    terms = np.abs(k) * np.abs(M11 + M22) + np.abs(k) ** 2 * np.abs(M12) + np.abs(M21)
+    limit = (k == 0) & (np.abs(m1) < 1e-13 * np.exp(np.clip(-l1, -700, 700)))
+    pole = (2 * np.abs(m1) < 1e6 * _D_EPS * terms) & (k != 0)
     out = np.empty(k.shape, dtype=complex)
-    ok = ~pole
+    ok = ~pole & ~limit
     out[ok] = -m2[ok] / m1[ok] * np.exp(l2[ok] - l1[ok])
-    zero = pole & (k == 0)
-    if zero.any():
-        out[zero] = _richardson_limit(lambda h: (det_s(V, h),))[0]
-    pole &= ~zero
+    if limit.any():
+        out[limit] = _richardson_limit(lambda h: (det_s(V, h),))[0]
     out[pole] = np.inf
     return out, pole
+
+
+def _det_s_checked(V, k, P):
+    """det S from _det_s_from; raises PoleAtK at a pole."""
+    out, pole = _det_s_from(V, k, P)
+    if pole.any():
+        raise PoleAtK("xhat vanishes at k = %s" % k[pole][0])
+    return out
 
 
 def det_s(V: Potential, k):
     """Scattering determinant -xhat(-k)/xhat(k) (the inverse-problem data)."""
     kk = _points(k)
-    out, pole = _det_s_from(V, kk, _scaled_transfer(V, kk))
-    if pole.any():
-        raise PoleAtK("xhat vanishes at k = %s" % kk[pole][0])
-    return _like(k, out)
+    return _like(k, _det_s_checked(V, kk, _scaled_transfer(V, kk)))
+
+
+def det_s_jacobian(V: Potential, k, n: int):
+    """det S at k and its derivatives with respect to the values of the
+    first n cells, from one pass over the cells.
+
+    Returns (det S, J) with J of shape k.shape + (n,).  Each scaled cell
+    has closed-form derivatives: dc/dV = (w/2) m12,
+    dm12/dV = (m12 - w c) / (2 kappa^2), by its series near kappa = 0, and
+    dm21/dV = (m12 + w c) / 2.  The derivative of the product is
+    (cells after j) dA_j (cells before j), and
+    d det S/dV_j = det S (x'(-k)/x(-k) - x'(k)/x(k)), with x' the xhat
+    bracket of that derivative.  Raises PoleAtK where det_s does.  At a
+    k = 0 where det S is a limit from nearby k, J is not defined.
+    """
+    kk = _points(k)
+    kap2, z, t, c, m12, m21 = _cells(V, kk)
+    # one loop multiplies two chains: the cells, and the reversed chain of
+    # transposed cells, whose product before its cell N-1-j is the
+    # transpose of the product after cell j
+    chains = lambda a, b: np.stack([a, b[::-1]], axis=1)
+    M, before = _product(chains(c, c), chains(m12, m21), chains(m21, m12),
+                         prefixes=True)
+    P = (*M[0, :, 0], *M[1, :, 0], _add_cells(np.zeros(kk.shape), t))
+    ds = _det_s_checked(V, kk, P)
+    after = before[:, :, ::-1, 1][:, :, :n].swapaxes(0, 1)
+    B = before[:, :, :n, 0]
+    w = np.diff(V.breakpoints)[:n].reshape((n,) + (1,) * kk.ndim)
+    c, m12, z, kap2 = c[:n], m12[:n], z[:n], kap2[:n]
+    small = np.abs(z) < 1e-2
+    series = w ** 3 / 6 * (1 - z * z / 10) * np.exp(-t[:n])
+    dm12 = np.where(small, series, (m12 - w * c) / (2 * np.where(small, 1, kap2)))
+    dc, dm21 = w / 2 * m12, (m12 + w * c) / 2
+    dA_B = np.stack([dc * B[0] + dm12 * B[1], dm21 * B[0] + dc * B[1]])
+    dM = after[:, 0, None] * dA_B[0] + after[:, 1, None] * dA_B[1]
+    dP = (*dM[0], *dM[1])
+    plus, minus = _bracket(kk, P), _bracket(-kk, P)
+    d_plus, d_minus = _bracket(kk, dP), _bracket(-kk, dP)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = np.moveaxis(ds * (d_minus / minus - d_plus / plus), 0, -1)
+    return _like(k, ds), jac.reshape(np.shape(k) + (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ import enum
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import GridTooCoarse, ImaginaryPartTooLarge, SharedPartMismatch
 from .potential import Potential, _require_shared_right
@@ -185,6 +184,8 @@ def _samples(field: KernelField, which: Window):
 
 def _windowed_quadrature(grid, values, w0, w1, k, h_native):
     """Simpson quadrature of values(s) e^{-iks} over [w0, w1] (interpolated)."""
+    from scipy.integrate import simpson  # deferred: it dominates import time
+
     w0 = max(w0, grid[0])
     w1 = min(w1, grid[-1])
     if w1 <= w0:

@@ -5,7 +5,9 @@ k-point, used for both k and -k.  These properties check that the product
 is even in k to the bit, that the assembled quantities agree with their
 definitions through xhat and yhat, that `sample` is the public functions
 evaluated together, that a scalar k gives the bits of the same k inside an
-array, and that the unitary identity holds on every precision rung.
+array, and that the unitary identity holds on every precision rung.  The
+core computes every cell at once on a cell axis; a cell-by-cell loop is
+kept here as its bitwise reference.
 """
 
 import csv
@@ -90,6 +92,59 @@ def test_cell_product_is_even_in_k_bitwise(V, k):
             plus = scattering._scaled_transfer(V, kk, dtype)
             minus = scattering._scaled_transfer(V, -kk, dtype)
             assert all(_same_bits(p, m) for p, m in zip(plus, minus))
+
+
+def _cell_by_cell(V, k, dtype):
+    """Reference: the scaled cell product with each cell computed on its
+    own, in the order and by the formulas of the cell-axis core."""
+    k = np.asarray(k, dtype=dtype)
+    real = np.longdouble if dtype == np.complex256 else np.float64
+    one = np.ones_like(k)
+    M11, M12, M21, M22 = one.copy(), 0 * one, 0 * one, one.copy()
+    logscale = np.zeros(k.shape, dtype=real)
+    bp = np.asarray(V.breakpoints, dtype=real)
+    vs = np.asarray(V.values, dtype=real)
+    for j in range(len(vs)):
+        w = bp[j + 1] - bp[j]
+        kap2 = k * k - vs[j]
+        kap = np.sqrt(kap2)
+        z = kap * w
+        t = np.abs(z.imag)
+        p = np.exp(1j * z - t)
+        q = np.exp(-1j * z - t)
+        c = (p + q) / 2
+        s = (p - q) / 2j
+        small = np.abs(z) < 1e-6
+        et = np.exp(-t)
+        series = w * (1 - z * z / 6 * (1 - z * z / 20)) * et
+        m12 = np.where(small, series, s / np.where(small, one, kap))
+        m21 = np.where(small, -kap2 * series, -kap * s)
+        c = np.where(small, (1 - z * z / 2 * (1 - z * z / 12)) * et, c)
+        M11, M12, M21, M22 = (
+            c * M11 + m12 * M21,
+            c * M12 + m12 * M22,
+            m21 * M11 + c * M21,
+            m21 * M12 + c * M22,
+        )
+        logscale = logscale + t
+    return M11, M12, M21, M22, logscale
+
+
+@given(V=step_potentials(), ks=st.lists(complex_k(-5.0, 5.0), min_size=1, max_size=40),
+       j=st.integers(0, 7))
+@settings(max_examples=60, deadline=None)
+def test_cell_axis_core_gives_the_bits_of_the_cell_loop(V, ks, j):
+    # k^2 = V_j to rounding puts |kappa_j w_j| below 1e-6, in the series branch
+    ks.append(complex(np.sqrt(complex(V.values[j % len(V.values)]))))
+    for dtype in (np.complex128, np.complex256):
+        for k in (np.array(ks, dtype=dtype), np.array(ks, dtype=dtype).reshape(1, -1)):
+            assert np.min(np.abs(scattering._cells(V, k, dtype)[1])) < 1e-6
+            want = _cell_by_cell(V, k, dtype)
+            # all cells in one block, one cell per block, and blocks of three
+            for block in (scattering._BLOCK, 1, 3 * k.size):
+                with mock.patch.object(scattering, "_BLOCK", block):
+                    got = scattering._scaled_transfer(V, k, dtype)
+                assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
 @given(V=step_potentials(), k=st.floats(0.05, 30.0), sign=st.sampled_from([1, -1]))

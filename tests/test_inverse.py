@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resonances1d.errors import SharedPartMismatch
+from resonances1d import inverse
+from resonances1d.czeros import bound_states
+from resonances1d.errors import PoleAtK, SharedPartMismatch
 from resonances1d.inverse import (
     InverseProblemSpec,
     distinguishability,
@@ -15,7 +19,8 @@ from resonances1d.inverse import (
     uniqueness_report,
     write_loss_trace_csv,
 )
-from resonances1d.potential import Fragment, make_piecewise
+from resonances1d.potential import Fragment, Potential, make_piecewise
+from resonances1d.scattering import det_s, det_s_jacobian
 
 
 RIGHT = Fragment((0.0, 0.5, 1.0), (-2.0, 1.5))
@@ -96,6 +101,68 @@ def test_recovery_result_json():
     d = res.to_json()
     assert d["converged"] is True
     assert len(d["recovered_left"]) == 2
+
+
+def _central_difference_jacobian(spec, params, h=1e-5):
+    """Oracle: central differences of the residual vector, one left cell at
+    a time."""
+    cols = []
+    for j in range(len(params)):
+        step = np.zeros(len(params))
+        step[j] = h * (1.0 + abs(params[j]))
+        up = inverse._residual_vector(spec, params + step)
+        down = inverse._residual_vector(spec, params - step)
+        cols.append((up - down) / (2 * step[j]))
+    return np.column_stack(cols)
+
+
+@given(
+    left=st.lists(st.floats(-4.0, 2.0), min_size=1, max_size=8),
+    ks=st.lists(st.floats(0.1, 12.0), min_size=1, max_size=30, unique=True),
+    at_k2=st.tuples(st.integers(0, 7), st.integers(0, 29)),
+    shift=st.floats(-3.0, 3.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_jacobian_matches_central_differences(left, ks, at_k2, shift):
+    n = len(left)
+    spec = InverseProblemSpec(RIGHT, -1.0, n, k_samples=tuple(sorted(ks)),
+                              det_s_values=(0j,) * len(ks))
+    params = np.asarray(left) + shift
+    # one cell at V = k^2 for one sample k: kappa = 0 there, the series branch
+    j, i = at_k2[0] % n, at_k2[1] % len(ks)
+    params[j] = ks[i] ** 2
+    J = inverse._jacobian(spec, params)
+    oracle = _central_difference_jacobian(spec, params)
+    err = np.linalg.norm(J - oracle, axis=0)
+    assert np.all(err <= 1e-6 * np.linalg.norm(oracle, axis=0))
+
+
+def _raises_pole(f):
+    try:
+        f()
+    except PoleAtK:
+        return True
+    return False
+
+
+@given(
+    values=st.lists(st.floats(-30.0, -0.5), min_size=1, max_size=4),
+    width=st.floats(0.5, 2.0),
+    ks=st.lists(st.builds(complex, st.floats(-5.0, 5.0), st.floats(-3.0, 3.0)),
+                max_size=4),
+)
+@settings(max_examples=20, deadline=None)
+def test_jacobian_raises_where_det_s_does(values, width, ks):
+    n = len(values)
+    V = Potential._unchecked(np.linspace(-width, width, n + 1), values)
+    # unconverged phantoms on the search rectangle's top edge are no poles
+    states = [z.location for z in bound_states(V)[0].zeros if z.converged]
+    assert states, "every well has a bound state"
+    for k in states + ks:
+        for kk in (k, np.array([0.7, k])):
+            assert (_raises_pole(lambda: det_s_jacobian(V, kk, n))
+                    == _raises_pole(lambda: det_s(V, kk)))
+    assert all(_raises_pole(lambda: det_s(V, k)) for k in states)
 
 
 def test_distinguishability_zero_iff_identical():

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from resonances1d import scattering
+from resonances1d.czeros import bound_states
 from resonances1d.errors import PoleAtK
-from resonances1d.potential import make_piecewise, square_well
+from resonances1d.potential import Potential, make_piecewise, square_well
 from resonances1d.scattering import (
     det_s,
     jost_coefficients,
@@ -112,13 +114,40 @@ def test_det_s_unimodular_on_reals(rng):
 
 def test_det_s_pole_detection():
     V = square_well(-4.0, -1.0, 1.0)
-    # bound state: a zero of the denominator on the upper imaginary axis
-    from resonances1d.czeros import bound_states
-
+    # bound states: zeros of the denominator on the upper imaginary axis
     zs, _ = bound_states(V)
-    k0 = zs.zeros[0].location
-    with pytest.raises(PoleAtK):
-        det_s(V, k0)
+    assert len(zs.zeros) == 2
+    for z in zs.zeros:
+        with pytest.raises(PoleAtK):
+            det_s(V, z.location)
+        with pytest.raises(PoleAtK):
+            det_s(V, np.array([1.0, z.location]))
+
+
+def _det_s_mp(V, k):
+    x1, _, x2, _ = scattering._xy_mp(V, k, 40)
+    return complex(-x2 / x1)
+
+
+def test_det_s_far_up_the_upper_half_plane_is_not_a_pole():
+    """|xhat(k)| = 8.6 at k = 0.5 + 12i, 3e17 times below |xhat(-k)|, with
+    no cancellation among its own terms."""
+    V = square_well(-4.0, -1.0, 1.0)
+    k = 0.5 + 12j
+    want = _det_s_mp(V, k)
+    assert abs(det_s(V, k) - want) <= 1e-10 * abs(want)
+
+
+def test_det_s_near_zero_of_a_nearly_free_potential_is_not_a_pole():
+    """k = 2.2e-313i: xhat is -M21/2 = -4e-180 to all digits, far from zero
+    on the scale of its terms."""
+    V = Potential((-1.0, 1.0), (4.06e-180,))
+    k = 2.2e-313j
+    assert det_s(V, k) == pytest.approx(_det_s_mp(V, k), rel=1e-12)
+    d = det_s(V, np.array([0.0, k]))
+    assert d[1] == det_s(V, k)
+    # the exact k = 0 keeps the limit from nearby real k
+    assert d[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_det_s_at_zero_is_finite():
