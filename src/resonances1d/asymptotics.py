@@ -23,6 +23,7 @@ from .errors import (
     LowCountWarning,
     NonConvergentTail,
     OverflowAtRadius,
+    UnconvergedZeroWarning,
     ZeroInLowerHalfPlane,
 )
 from .potential import Potential
@@ -45,8 +46,8 @@ class IndicatorReport:
     log_coef: float
     const_coef: float
 
-    def passes(self, rel=0.05):
-        return self.fit_residual <= rel * (1.0 + abs(self.h))
+    def passes(self):
+        return self.fit_residual <= 0.05 * (1.0 + abs(self.h))
 
 
 def _log_abs(f, z, logabs):
@@ -120,16 +121,20 @@ def zero_density(zs: ZeroSet, sector) -> DensityReport:
 
     The slope is a through-origin least-squares fit over the top half of
     radii; 2*pi*Delta is reported as the implied indicator width.  Fewer
-    than 30 zeros in the sector triggers LowCountWarning.
+    than 30 zeros in the sector triggers LowCountWarning.  Zeros whose
+    polish did not converge are left out, with an UnconvergedZeroWarning.
     """
     alpha, beta = float(sector[0]), float(sector[1])
-    locs = zs.locations
+    dropped = sum(not z.converged for z in zs.zeros)
+    if dropped:
+        warnings.warn("%d unconverged zeros left out" % dropped, UnconvergedZeroWarning)
+    locs = np.array([z.location for z in zs.zeros if z.converged], dtype=complex)
     if len(locs) == 0:
         warnings.warn("no zeros supplied", LowCountWarning)
         return DensityReport((alpha, beta), (), (), 0.0, 0.0, 0.0, 0)
     ang = np.angle(locs)
     ang = alpha + (ang - alpha) % (2 * np.pi)
-    mults = np.array([z.multiplicity for z in zs.zeros])
+    mults = np.array([z.multiplicity for z in zs.zeros if z.converged])
     inside = ang <= beta
     n_in = int(np.sum(mults[inside]))
     if n_in < 30:
@@ -352,9 +357,8 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
     r_fit = radius
     width_g = indicator_width(G, r_fit)
     width_x = indicator_width(lambda k: xhat(V1, k), r_fit)
-    zg = _search_halfplane(G, radius, lower=True, tile=2.0, tag="G")
-    zx = _search_halfplane(lambda k: xhat(V1, k), radius, lower=True,
-                           tile=2.0, tag="xhat")
+    zg = _search_halfplane(G, radius, tile=2.0, tag="G")
+    zx = _search_halfplane(lambda k: xhat(V1, k), radius, tile=2.0, tag="xhat")
     sector = (-np.pi + 0.05, -0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowCountWarning)

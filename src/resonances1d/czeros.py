@@ -329,8 +329,7 @@ def _finalize(found, function_tag, scale0):
 
 def resonances(V: Potential, radius: float) -> ZeroSet:
     """All zeros of xhat with |k| <= radius in the open lower half-plane."""
-    return _search_halfplane(lambda k: xhat(V, k), radius, lower=True, tile=3.0,
-                             tag="xhat")
+    return _search_halfplane(lambda k: xhat(V, k), radius, tile=3.0, tag="xhat")
 
 
 def bound_states(V: Potential):
@@ -346,15 +345,12 @@ def bound_states(V: Potential):
     return zs, energies
 
 
-def _search_halfplane(f, radius, lower, tile, tag):
+def _search_halfplane(f, radius, tile, tag):
+    """Zeros of f with |k| <= radius in the open lower half-plane, tile by tile."""
     zeros = []
     eps = 1e-9
     x_edges = np.arange(-radius - 0.137, radius + tile, tile)
-    if lower:
-        y_edges = np.arange(-radius - 0.137, 0.0, tile)
-        y_edges = np.append(y_edges, -eps)
-    else:
-        y_edges = np.arange(eps, radius + tile, tile)
+    y_edges = np.append(np.arange(-radius - 0.137, 0.0, tile), -eps)
     for x0, x1 in zip(x_edges, x_edges[1:]):
         for y0, y1 in zip(y_edges, y_edges[1:]):
             # skip a tile only when even its point nearest the origin is off the disk
@@ -363,8 +359,8 @@ def _search_halfplane(f, radius, lower, tile, tag):
                 continue
             zs = find_zeros(f, Rect(complex(x0, y0), complex(x1, y1)),
                             max_zeros=500, function_tag=tag)
-            zeros.extend(z for z in zs.zeros if abs(z.location) <= radius
-                         and (z.location.imag < -eps if lower else z.location.imag > eps))
+            zeros.extend(z for z in zs.zeros
+                         if abs(z.location) <= radius and z.location.imag < -eps)
     return _finalize(zeros, tag, 1.0)
 
 

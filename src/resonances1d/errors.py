@@ -101,3 +101,7 @@ class UsageError(Resonances1DError):
 
 class LowCountWarning(UserWarning):
     """Too few zeros in a sector for a trustworthy density fit."""
+
+
+class UnconvergedZeroWarning(UserWarning):
+    """Zeros whose Newton polish did not converge were left out of a fit."""

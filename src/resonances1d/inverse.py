@@ -2,9 +2,9 @@
 
 The right part on [0, b] is assumed known; the left part on [a, 0] is
 parameterized by equal-width cells and fitted to det S samples by damped
-least squares with the exact Jacobian of det S.  A companion report
-quantifies distinguishability: distinct left parts must produce visibly
-different determinants.
+least squares; one ``det_s_jacobian`` pass per evaluated point gives det S
+and its exact Jacobian.  A companion report quantifies distinguishability:
+distinct left parts must produce visibly different determinants.
 """
 
 from __future__ import annotations
@@ -131,38 +131,34 @@ def synthesize_data(spec_like_right, a, n_params, truth: Potential,
                               k_samples=tuple(k_samples), det_s_values=vals)
 
 
-def _residual_vector(spec, params):
-    model = det_s(spec.candidate(params), np.asarray(spec.k_samples, dtype=float))
+def _residual(spec, params):
+    """Residual (real parts, then imaginary), its exact Jacobian in the
+    left-cell values and the loss, from one det_s_jacobian pass."""
+    model, J = det_s_jacobian(spec.candidate(params),
+                              np.asarray(spec.k_samples, dtype=float), spec.n_params)
     diff = model - np.asarray(spec.det_s_values, dtype=complex)
-    return np.concatenate([diff.real, diff.imag])
-
-
-def _jacobian(spec, params):
-    """Exact Jacobian of the residual vector in the left-cell values."""
-    _, J = det_s_jacobian(spec.candidate(params),
-                          np.asarray(spec.k_samples, dtype=float), spec.n_params)
-    return np.concatenate([J.real, J.imag])
+    r = np.concatenate([diff.real, diff.imag])
+    return r, np.concatenate([J.real, J.imag]), float(np.dot(r, r))
 
 
 def loss(spec: InverseProblemSpec, params) -> float:
-    r = _residual_vector(spec, params)
-    return float(np.dot(r, r))
+    return _residual(spec, params)[2]
 
 
 def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100) -> RecoveryResult:
     """Damped least squares on the left-cell values.
 
-    The Jacobian is exact (``det_s_jacobian``, one pass over the cells per
-    iteration); accepted steps never increase the loss.  Stops once the
-    loss falls below 1e-18 and reports convergence below 1e-10.  Raises
-    DivergedLoss after 10 consecutive rejected steps and JacobianSingular
-    when the damping exceeds 1e8.
+    One ``det_s_jacobian`` pass per evaluated point (the start and each
+    trial step) gives the residual and its exact Jacobian; the accepted
+    trial's Jacobian serves the next iteration, and accepted steps never
+    increase the loss.  Stops once the loss falls below 1e-18 and reports
+    convergence below 1e-10.  Raises DivergedLoss after 10 consecutive
+    rejected steps and JacobianSingular when the damping exceeds 1e8.
     """
     p = np.asarray(init, dtype=float).copy()
     if len(p) != spec.n_params:
         raise ValueError("init length %d != n_params %d" % (len(p), spec.n_params))
-    r = _residual_vector(spec, p)
-    cur = float(np.dot(r, r))
+    r, J, cur = _residual(spec, p)
     trace = [cur]
     lam = 1e-3
     rejected = 0
@@ -170,7 +166,6 @@ def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100) -> Recover
     for it in range(1, max_iter + 1):
         if cur < 1e-18:
             break
-        J = _jacobian(spec, p)
         JtJ = J.T @ J
         g = J.T @ r
         stepped = False
@@ -183,11 +178,10 @@ def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100) -> Recover
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
-            r_new = _residual_vector(spec, p + delta)
-            new = float(np.dot(r_new, r_new))
+            r_new, J_new, new = _residual(spec, p + delta)
             if new < cur:
                 p = p + delta
-                r, cur = r_new, new
+                r, J, cur = r_new, J_new, new
                 trace.append(cur)
                 lam = max(lam / 3.0, 1e-12)
                 rejected = 0

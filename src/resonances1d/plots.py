@@ -47,14 +47,19 @@ def _axes(x0, x1, y0, y1):
     return sx, sy, frame + labels
 
 
-def _bounds(v, lo_pad=0.05):
+def _title(text):
+    return ('<text x="%d" y="25" font-size="14" text-anchor="middle">%s</text>\n'
+            % (_W // 2, text))
+
+
+def _bounds(v):
     v = np.asarray(v, dtype=float)
     lo, hi = float(v.min()), float(v.max())
     span = hi - lo or 1.0
-    return lo - lo_pad * span, hi + lo_pad * span
+    return lo - 0.05 * span, hi + 0.05 * span
 
 
-def zero_scatter_svg(locations, path, title=""):
+def zero_scatter_svg(locations, path, title):
     """Scatter of complex zeros in the plane."""
     locs = np.asarray(locations, dtype=complex)
     if locs.size == 0:
@@ -62,12 +67,7 @@ def zero_scatter_svg(locations, path, title=""):
     x0, x1 = _bounds(locs.real)
     y0, y1 = _bounds(locs.imag)
     sx, sy, ax = _axes(x0, x1, y0, y1)
-    parts = [ax]
-    if title:
-        parts.append(
-            '<text x="%d" y="25" font-size="14" text-anchor="middle">%s'
-            "</text>\n" % (_W // 2, title)
-        )
+    parts = [ax, _title(title)]
     if y0 < 0 < y1:
         parts.append(
             '<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#bbbbbb"/>\n'
@@ -82,7 +82,7 @@ def zero_scatter_svg(locations, path, title=""):
         fh.write(_header(parts))
 
 
-def density_fit_svg(radii, counts, slope, path, title=""):
+def density_fit_svg(radii, counts, slope, path, title):
     """Counting function n(r) with the fitted line slope*r."""
     radii = np.asarray(radii, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -91,12 +91,7 @@ def density_fit_svg(radii, counts, slope, path, title=""):
     x0, x1 = 0.0, float(radii.max()) * 1.05
     y0, y1 = 0.0, max(float(counts.max()), slope * x1, 1.0) * 1.05
     sx, sy, ax = _axes(x0, x1, y0, y1)
-    parts = [ax]
-    if title:
-        parts.append(
-            '<text x="%d" y="25" font-size="14" text-anchor="middle">%s'
-            "</text>\n" % (_W // 2, title)
-        )
+    parts = [ax, _title(title)]
     steps = " ".join("%.2f,%.2f" % (sx(r), sy(n)) for r, n in zip(radii, counts))
     parts.append(
         '<polyline points="%s" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>\n'
@@ -114,7 +109,7 @@ def density_fit_svg(radii, counts, slope, path, title=""):
         fh.write(_header(parts))
 
 
-def heatmap_svg(values, extent, path, title=""):
+def heatmap_svg(values, extent, path, title):
     """Grayscale raster of a real 2D field (strided by n // _MAX_CELLS along
     an axis of n > _MAX_CELLS cells)."""
     vals = np.asarray(values, dtype=float)
@@ -137,11 +132,6 @@ def heatmap_svg(values, extent, path, title=""):
                    ch + 0.5, g, g)
             )
     sx, sy, ax = _axes(x0, x1, y0, y1)
-    parts.append(ax)
-    if title:
-        parts.append(
-            '<text x="%d" y="25" font-size="14" text-anchor="middle">%s'
-            "</text>\n" % (_W // 2, title)
-        )
+    parts += [ax, _title(title)]
     with open(path, "w") as fh:
         fh.write(_header(parts))

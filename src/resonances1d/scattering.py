@@ -259,18 +259,9 @@ def _xy_mp(V, k, dps):
         return xy(kk) + xy(-kk)
 
 
-def unitary_residual(V: Potential, k):
-    """|xhat(k)xhat(-k) - k^2 - yhat(k)yhat(-k)| / (1 + |k|^2).
-
-    Evaluates the four function values in float64, 80-bit, or mpmath
-    depending on the cancellation scale at each k, so the result reflects
-    the identity rather than rounding noise.  The scale is the largest
-    intermediate term, of log-modulus 2 logscale + 2 log(2 + |k|), read off
-    the float64 cell product that the float64 rung then reuses.
-    """
-    k_in, k = k, _points(k).ravel()
+def _unitary_from(V, k, P):
+    """unitary_residual at the array k, from the float64 cell product P there."""
     out = np.empty(k.shape, dtype=float)
-    P = _scaled_transfer(V, k)
     expo = 2 * P[4] + 2 * np.log(2 + np.abs(k))
     target = np.log(1e-11 * (1 + np.abs(k) ** 2))
     use_d = expo + np.log(_D_EPS) < target
@@ -290,13 +281,26 @@ def unitary_residual(V: Potential, k):
             x1 * x2 * np.exp(lx1 + lx2) - ks * ks - y1 * y2 * np.exp(ly1 + ly2)
         )
         out[sel] = (resid / (1 + np.abs(ks) ** 2)).astype(float)
-    for i in np.nonzero(use_mp)[0]:
+    for i in zip(*np.nonzero(use_mp)):
         dps = int(np.ceil((expo[i] - target[i]) / np.log(10))) + 16
         with mp.workdps(max(dps, 30)):
             x1, y1, x2, y2 = _xy_mp(V, k[i], dps)
             r = abs(x1 * x2 - mp.mpc(k[i]) ** 2 - y1 * y2)
             out[i] = float(r / (1 + abs(k[i]) ** 2))
-    return _like(k_in, out.reshape(np.shape(k_in)))
+    return out
+
+
+def unitary_residual(V: Potential, k):
+    """|xhat(k)xhat(-k) - k^2 - yhat(k)yhat(-k)| / (1 + |k|^2).
+
+    Evaluates the four function values in float64, 80-bit, or mpmath
+    depending on the cancellation scale at each k, so the result reflects
+    the identity rather than rounding noise.  The scale is the largest
+    intermediate term, of log-modulus 2 logscale + 2 log(2 + |k|), read off
+    the float64 cell product that the float64 rung then reuses.
+    """
+    kk = _points(k)
+    return _like(k, _unitary_from(V, kk, _scaled_transfer(V, kk)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +458,13 @@ class ScatteringSample:
 
 
 def sample(V: Potential, k) -> ScatteringSample:
-    """Every scattering value at k, a scalar or an array; all but the unitary
-    residual come from a single cell product per point.  det S reads inf at
-    its poles."""
+    """Every scattering value at k, a scalar or an array, from one cell
+    product per point (the unitary residual's 80-bit and mpmath rungs build
+    their own).  det S reads inf at its poles."""
     kk = _points(k)
     P = _scaled_transfer(V, kk)
     fields = (kk, _collapse(*_xhat_from(V, kk, P)), _collapse(*_yhat_from(V, kk, P)),
-              *_jost_from(V, kk, P), _det_s_from(V, kk, P)[0], unitary_residual(V, kk))
+              *_jost_from(V, kk, P), _det_s_from(V, kk, P)[0], _unitary_from(V, kk, P))
     return ScatteringSample(*(_like(k, f) for f in fields))
 
 

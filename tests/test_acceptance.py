@@ -216,11 +216,12 @@ def test_acceptance_07_domain_of_influence():
 def test_acceptance_08_nevanlinna_residual():
     V = square_well(-1.0, -0.5, 0.5)
     f = lambda k: yhat(V, k)
-    zs = _search_halfplane(f, 12.0, lower=False, tile=3.0, tag="yhat")
+    # the upper zeros of yhat are the lower zeros of yhat(-k), negated
+    zs = _search_halfplane(lambda k: f(-k), 12.0, tile=3.0, tag="yhat")
     sigma = indicator_estimate(
         lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
     ).h
-    resid = nevanlinna_residual(f, tuple(zs.locations), sigma, 2j, 200.0)
+    resid = nevanlinna_residual(f, tuple(-zs.locations), sigma, 2j, 200.0)
     ok = resid < 0.05
     _report(8, ok, "residual %.4f at z=2i, sigma+ %.4f" % (resid, sigma))
     assert resid < 0.05

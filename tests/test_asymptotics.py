@@ -22,6 +22,7 @@ from resonances1d.errors import (
     LowCountWarning,
     NonConvergentTail,
     PhaseStepTooLarge,
+    UnconvergedZeroWarning,
     ZeroInLowerHalfPlane,
 )
 from resonances1d.potential import make_piecewise, square_well
@@ -110,6 +111,15 @@ def test_low_count_warning():
     zs = ZeroSet((Zero(1 - 1j, 1, 0.0),), "tiny")
     with pytest.warns(LowCountWarning):
         zero_density(zs, (-np.pi, 0.0))
+
+
+def test_density_leaves_out_unconverged_zeros():
+    zs = _synthetic_chain()
+    phantom = Zero(complex(0.3, -40.0), 1, 1.0, converged=False)
+    with pytest.warns(UnconvergedZeroWarning):
+        rep = zero_density(ZeroSet(zs.zeros + (phantom,), "synthetic"),
+                           (-np.pi, 0.0))
+    assert rep == zero_density(zs, (-np.pi, 0.0))
 
 
 def test_density_of_square_well_resonances():
@@ -217,11 +227,12 @@ def test_nevanlinna_failed_zero_count_raises():
 def test_nevanlinna_yhat_shallow_well():
     V = square_well(-1.0, -0.5, 0.5)
     f = lambda k: yhat(V, k)
-    zs = _search_halfplane(f, 12.0, lower=False, tile=3.0, tag="yhat")
+    # the upper zeros of yhat are the lower zeros of yhat(-k), negated
+    zs = _search_halfplane(lambda k: f(-k), 12.0, tile=3.0, tag="yhat")
     sigma = indicator_estimate(
         lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
     ).h
-    resid = nevanlinna_residual(f, tuple(zs.locations), sigma, 2j, 200.0)
+    resid = nevanlinna_residual(f, tuple(-zs.locations), sigma, 2j, 200.0)
     assert resid < 0.05
 
 

@@ -115,7 +115,7 @@ def test_newton_starts_near_its_zero():
         calls.append(np.shape(k))
         return xhat(V, k)
 
-    zs = czeros._search_halfplane(f, 40.0, lower=True, tile=3.0, tag="xhat")
+    zs = czeros._search_halfplane(f, 40.0, tile=3.0, tag="xhat")
     assert len(zs.zeros) > 40
     assert calls.count((3,)) <= 3 * len(zs.zeros)
 

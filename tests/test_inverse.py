@@ -103,6 +103,13 @@ def test_recovery_result_json():
     assert len(d["recovered_left"]) == 2
 
 
+def _det_s_residual(spec, params):
+    """The residual vector from the public det_s, apart from det_s_jacobian."""
+    model = det_s(spec.candidate(params), np.asarray(spec.k_samples, dtype=float))
+    diff = model - np.asarray(spec.det_s_values, dtype=complex)
+    return np.concatenate([diff.real, diff.imag])
+
+
 def _central_difference_jacobian(spec, params, h=1e-5):
     """Oracle: central differences of the residual vector, one left cell at
     a time."""
@@ -110,8 +117,8 @@ def _central_difference_jacobian(spec, params, h=1e-5):
     for j in range(len(params)):
         step = np.zeros(len(params))
         step[j] = h * (1.0 + abs(params[j]))
-        up = inverse._residual_vector(spec, params + step)
-        down = inverse._residual_vector(spec, params - step)
+        up = _det_s_residual(spec, params + step)
+        down = _det_s_residual(spec, params - step)
         cols.append((up - down) / (2 * step[j]))
     return np.column_stack(cols)
 
@@ -131,10 +138,35 @@ def test_exact_jacobian_matches_central_differences(left, ks, at_k2, shift):
     # one cell at V = k^2 for one sample k: kappa = 0 there, the series branch
     j, i = at_k2[0] % n, at_k2[1] % len(ks)
     params[j] = ks[i] ** 2
-    J = inverse._jacobian(spec, params)
+    _, J, _ = inverse._residual(spec, params)
     oracle = _central_difference_jacobian(spec, params)
     err = np.linalg.norm(J - oracle, axis=0)
     assert np.all(err <= 1e-6 * np.linalg.norm(oracle, axis=0))
+
+
+def test_recover_left_evaluates_each_point_once(monkeypatch):
+    """The start and each trial step cost one det_s_jacobian call, and an
+    accepted trial's Jacobian serves the next iteration."""
+    spec, _ = _spec([-2.5, 0.8, -1.2, 2.0])
+    points, trials = [], []
+    jacobian, solve = inverse.det_s_jacobian, np.linalg.solve
+
+    def counted_jacobian(V, k, n):
+        points.append(V.values)
+        return jacobian(V, k, n)
+
+    def counted_solve(A, b):
+        out = solve(A, b)
+        trials.append(out)
+        return out
+
+    monkeypatch.setattr(inverse, "det_s", lambda *a: pytest.fail("det_s called"))
+    monkeypatch.setattr(inverse, "det_s_jacobian", counted_jacobian)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    res = recover_left(spec, np.zeros(4))
+    assert res.converged and res.iterations > 2
+    assert len(points) == 1 + len(trials)
+    assert len(set(points)) == len(points)
 
 
 def _raises_pole(f):

@@ -189,3 +189,21 @@ def test_sample_csv_round_trip(tmp_path, rng):
         "k_re,k_im,xhat_re,xhat_im,yhat_re,yhat_im,dets_re,dets_im,residual_U"
     )
     assert len(rows) == 4
+
+
+def test_sample_multiplies_the_cells_once(monkeypatch):
+    """On a grid held on the float64 rung, every field of sample, the
+    unitary residual included, comes from one cell product."""
+    V = square_well(-4.0, -1.0, 1.0)
+    ks = np.linspace(0.05, 10.0, 64)
+    calls = []
+    transfer = scattering._scaled_transfer
+
+    def counted(*args):
+        calls.append(args)
+        return transfer(*args)
+
+    monkeypatch.setattr(scattering, "_scaled_transfer", counted)
+    s = sample(V, ks)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(s.residual_u, unitary_residual(V, ks))
