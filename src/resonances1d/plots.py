@@ -14,14 +14,15 @@ _W, _H, _PAD = 640, 480, 50
 _MAX_CELLS = 200
 
 
+_OPEN = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+    'viewBox="0 0 %d %d">\n' % (_W, _H, _W, _H)
+    + '<rect width="%d" height="%d" fill="white"/>\n' % (_W, _H)
+)
+
+
 def _header(parts):
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">\n' % (_W, _H, _W, _H)
-        + '<rect width="%d" height="%d" fill="white"/>\n' % (_W, _H)
-        + "".join(parts)
-        + "</svg>\n"
-    )
+    return _OPEN + "".join(parts) + "</svg>\n"
 
 
 def _axes(x0, x1, y0, y1):
@@ -111,7 +112,8 @@ def density_fit_svg(radii, counts, slope, path, title):
 
 def heatmap_svg(values, extent, path, title):
     """Grayscale raster of a real 2D field (strided by n // _MAX_CELLS along
-    an axis of n > _MAX_CELLS cells)."""
+    an axis of n > _MAX_CELLS cells), written row by row.  A non-finite cell
+    raises ValueError."""
     vals = np.asarray(values, dtype=float)
     si, sj = (max(1, n // _MAX_CELLS) for n in vals.shape)
     vals = vals[::si, ::sj]
@@ -121,17 +123,16 @@ def heatmap_svg(values, extent, path, title):
     ny, nx = vals.shape
     cw = (_W - 2 * _PAD) / nx
     ch = (_H - 2 * _PAD) / ny
-    parts = []
-    for i in range(ny):
-        for j in range(nx):
-            g = int(255 * (1.0 - (vals[i, j] - lo) / span))
-            parts.append(
-                '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
-                'fill="rgb(%d,%d,255)"/>\n'
-                % (_PAD + j * cw, _H - _PAD - (i + 1) * ch, cw + 0.5,
-                   ch + 0.5, g, g)
-            )
+    gray = 255 * (1.0 - (vals - lo) / span)
+    if not np.isfinite(gray).all():
+        raise ValueError("heatmap of a non-finite field")
+    xs = ["%.2f" % (_PAD + j * cw) for j in range(nx)]
     sx, sy, ax = _axes(x0, x1, y0, y1)
-    parts += [ax, _title(title)]
     with open(path, "w") as fh:
-        fh.write(_header(parts))
+        fh.write(_OPEN)
+        for i, row in enumerate(gray.astype(int).tolist()):
+            rect = ('<rect x="%%s" y="%.2f" width="%.2f" height="%.2f" '
+                    'fill="rgb(%%d,%%d,255)"/>\n'
+                    % (_H - _PAD - (i + 1) * ch, cw + 0.5, ch + 0.5))
+            fh.write("".join(rect % (x, g, g) for x, g in zip(xs, row)))
+        fh.write(ax + _title(title) + "</svg>\n")

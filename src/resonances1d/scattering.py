@@ -15,7 +15,8 @@ the right-incident one; this is the choice whose Fourier support is
 [2a, 2b] (verified by an indicator-width test on an asymmetric well).
 Algebraically  xhat(k) xhat(-k) - k^2 - yhat(k) yhat(-k) = k^2 (det M - 1),
 so the unitary identity holds exactly up to rounding; the residual routine
-escalates working precision where rounding would dominate.
+escalates working precision where rounding would dominate: float64, 80-bit,
+double-double (one array pass, to 1e-28), and past that mpmath point by point.
 
 M depends on k only through k^2, so M(-k) = M(k), and the scaled cell
 product is bitwise the same at k and -k (negation is exact).  Every public
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import astuple, dataclass
+from functools import reduce
 
 import mpmath as mp
 import numpy as np
@@ -50,8 +52,9 @@ from .potential import Potential
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _D_EPS = float(np.finfo(np.float64).eps)
+_DD_EPS = 1e-28   # the double-double rung's working accuracy, with margin
 # cells x points per pass of the cell-axis core; larger products take their
-# cells in blocks, so that the per-cell arrays stay in cache
+# cells (and points, above _BLOCK) in blocks, so per-cell arrays stay in cache
 _BLOCK = 8192
 
 
@@ -123,6 +126,10 @@ def _scaled_transfer(V: Potential, k, dtype=np.complex128):
     assembled from the product.  The result is the same at k and -k.
     """
     k = np.asarray(k, dtype=dtype)
+    if k.size > _BLOCK:
+        chunks = np.array_split(k.ravel(), -(-k.size // _BLOCK))
+        parts = zip(*(_scaled_transfer(V, c, dtype) for c in chunks))
+        return tuple(np.concatenate(p).reshape(k.shape) for p in parts)
     step = max(1, _BLOCK // max(k.size, 1))
     M, logscale = None, np.zeros(k.shape, dtype=k.real.dtype)
     for lo in range(0, len(V.values), step):
@@ -259,6 +266,117 @@ def _xy_mp(V, k, dps):
         return xy(kk) + xy(-kk)
 
 
+# ---------------------------------------------------------------------------
+# double-double rung
+
+
+def _two_sum(a, b):
+    """s + e = a + b exactly, part by part."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """p + e = a b exactly for real a, b, by Dekker's splitting (numpy has no fma)."""
+    p, c, d = a * b, 134217729.0 * a, 134217729.0 * b
+    a1, b1 = c - (c - a), d - (d - b)
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+class _DD:
+    """A complex array in double-double, hi + lo to about 32 digits (Dekker,
+    Numer. Math. 18 (1971); Hida, Li & Bailey, ARITH-15 (2001)).  Every
+    operation works element by element with fixed parameters."""
+
+    def __init__(self, hi, lo=None):
+        self.hi = np.asarray(hi, dtype=complex)
+        self.lo = np.zeros_like(self.hi) if lo is None else lo
+
+    def __getitem__(self, i):
+        return _DD(self.hi[i], self.lo[i])
+
+    def __add__(self, b):
+        s, e = _two_sum(self.hi, b.hi)
+        return _DD(*_two_sum(s, e + (self.lo + b.lo)))
+
+    def __sub__(self, b):
+        return self + b * -1
+
+    def __mul__(self, b):
+        """The product; a plain factor must be 2^n i^m, which scales exactly."""
+        if not isinstance(b, _DD):
+            return _DD(self.hi * b, self.lo * b)
+        (ah, al), (bh, bl) = (self.hi, self.lo), (b.hi, b.lo)
+        (rr, e1), (ii, e2) = _two_prod(ah.real, bh.real), _two_prod(ah.imag, bh.imag)
+        (ri, e3), (ir, e4) = _two_prod(ah.real, bh.imag), _two_prod(ah.imag, bh.real)
+        (re, e5), (im, e6), lo = _two_sum(rr, -ii), _two_sum(ri, ir), ah * bl + al * bh
+        return _DD(*_two_sum(re + 1j * im, (e5 + e1 - e2 + lo.real)
+                             + 1j * (e6 + e3 + e4 + lo.imag)))
+
+    def rsqrt(self):
+        """1 / sqrt(self), principal, from np.sqrt by one Newton step; 1 at 0."""
+        r = _DD(1 / np.sqrt(np.where(self.hi == 0, 1, self.hi)))
+        return r + r * (_DD(1) - self * r * r) * 0.5
+
+    def series(self, coefs):
+        """sum_j coefs[j] self^j by Horner's rule."""
+        return reduce(lambda s, c: s * self + c, coefs[-2::-1], coefs[-1])
+
+    def exp(self):
+        """2^n i^m e^r for self = r + n ln 2 + m i pi/2, with e^r from the
+        Taylor series of r / 32 squared 5 times."""
+        n, m = np.round(self.hi.real / _LN2.hi.real), np.round(self.hi.imag / _PI_2.hi.real)
+        s = ((self - _DD(n) * _LN2 - _DD(1j * m) * _PI_2) * (1 / 32)).series(_EXP_SERIES)
+        for _ in range(5):
+            s = s * s
+        return s * (np.exp2(n) * np.array([1, 1j, -1, -1j])[m.astype(int) % 4])
+
+
+with mp.workdps(40):
+    _dd = lambda x: _DD(float(x), float(x - float(x)))
+    _LN2, _PI_2 = _dd(mp.ln2), _dd(mp.pi / 2)
+    _EXP_SERIES = [_dd(1 / mp.factorial(j)) for j in range(14)]
+    _SINC_SERIES = [_dd((-1) ** j / mp.factorial(2 * j + 1)) for j in range(9)]
+
+
+def _xy_dd(V, k):
+    """B(k), C(k), B(-k), C(-k) at the 1-D array k in double-double, as an
+    array of (bracket, hi/lo, point): xhat's bracket B = ik(M11+M22) +
+    k^2 M12 - M21 and yhat's C = ik(M11-M22) + k^2 M12 + M21, of the
+    unscaled M (logscale < 20 on this rung).  The cells follow `_cells`, with
+    sin z / kappa by its series below |z| = 0.1, and are multiplied pairwise
+    over the cell axis, in blocks of at most _BLOCK cells x points."""
+    step = max(1, _BLOCK // len(V.values))
+    if k.size > step:
+        chunks = np.array_split(k, -(-k.size // step))
+        return np.concatenate([_xy_dd(V, c) for c in chunks], axis=-1)
+    # zero-width cells are the identity; they pad the cells to a power of 2
+    pad = (1 << (len(V.values) - 1).bit_length()) - len(V.values)
+    bp = np.asarray(V.breakpoints + V.breakpoints[-1:] * pad, dtype=float)
+    w, k2 = _DD(*_two_sum(bp[1:], -bp[:-1])), _DD(k) * _DD(k)
+    kap2 = k2 - _DD(np.append(V.values, [0.0] * pad)[:, None])
+    r = kap2.rsqrt()
+    kap = kap2 * r
+    z = kap * w[:, None]
+    pq = _DD(*(np.stack([1j * x, -1j * x]) for x in (z.hi, z.lo))).exp()
+    c, s = (pq[0] + pq[1]) * 0.5, (pq[0] - pq[1]) * -0.5j
+    m12, m21, small = s * r, kap * s * -1, np.abs(z.hi) < 0.1
+    if small.any():
+        sinc = w[np.nonzero(small)[0]] * (z[small] * z[small]).series(_SINC_SERIES)
+        m12.hi[small], m12.lo[small] = sinc.hi, sinc.lo
+    M = _DD(*(np.array([[a, b], [d, a]]) for a, b, d in
+              ((c.hi, m12.hi, m21.hi), (c.lo, m12.lo, m21.lo))))
+    while M.hi.shape[2] > 1:
+        # A_{2i+1} A_{2i}: column j of the odd cells times row j of the even
+        M = M[:, :1, 1::2] * M[:1, :, ::2] + M[:, 1:, 1::2] * M[1:, :, ::2]
+    ik, k2m12 = _DD(1j * k), k2 * M[0, 1, 0]
+    tr, skew = ik * (M[0, 0, 0] + M[1, 1, 0]), ik * (M[0, 0, 0] - M[1, 1, 0])
+    bx, by = k2m12 - M[1, 0, 0], k2m12 + M[1, 0, 0]
+    return np.array([(b.hi, b.lo) for b in (bx + tr, by + skew, bx - tr, by - skew)])
+
+
 def _unitary_from(V, k, P):
     """unitary_residual at the array k, from the float64 cell product P there."""
     out = np.empty(k.shape, dtype=float)
@@ -266,7 +384,14 @@ def _unitary_from(V, k, P):
     target = np.log(1e-11 * (1 + np.abs(k) ** 2))
     use_d = expo + np.log(_D_EPS) < target
     use_ld = ~use_d & (expo + np.log(_LD_EPS) < target)
-    use_mp = ~use_d & ~use_ld
+    use_dd = ~use_d & ~use_ld & (expo + np.log(_DD_EPS) < target)
+    use_mp = ~use_d & ~use_ld & ~use_dd
+    if use_dd.any():
+        # x(k)x(-k) - y(k)y(-k) = (B(k)B(-k) - C(k)C(-k)) / 4: the phases cancel
+        ks = k[use_dd]
+        bx, by, bx2, by2 = (_DD(*b) for b in _xy_dd(V, ks))
+        r = bx * bx2 - by * by2 - _DD(4 * ks) * _DD(ks)
+        out[use_dd] = np.abs(r.hi) / 4 / (1 + np.abs(ks) ** 2)
     for sel, dtype in ((use_d, np.complex128), (use_ld, np.complex256)):
         if not np.any(sel):
             continue
@@ -293,8 +418,9 @@ def _unitary_from(V, k, P):
 def unitary_residual(V: Potential, k):
     """|xhat(k)xhat(-k) - k^2 - yhat(k)yhat(-k)| / (1 + |k|^2).
 
-    Evaluates the four function values in float64, 80-bit, or mpmath
-    depending on the cancellation scale at each k, so the result reflects
+    Evaluates the four function values in float64, 80-bit, double-double
+    (eps 1e-28) or mpmath: at each k the first whose eps times the
+    cancellation scale is below 1e-11 (1 + |k|^2), so the result reflects
     the identity rather than rounding noise.  The scale is the largest
     intermediate term, of log-modulus 2 logscale + 2 log(2 + |k|), read off
     the float64 cell product that the float64 rung then reuses.
@@ -459,8 +585,8 @@ class ScatteringSample:
 
 def sample(V: Potential, k) -> ScatteringSample:
     """Every scattering value at k, a scalar or an array, from one cell
-    product per point (the unitary residual's 80-bit and mpmath rungs build
-    their own).  det S reads inf at its poles."""
+    product per point (the unitary residual's 80-bit, double-double and
+    mpmath rungs build their own).  det S reads inf at its poles."""
     kk = _points(k)
     P = _scaled_transfer(V, kk)
     fields = (kk, _collapse(*_xhat_from(V, kk, P)), _collapse(*_yhat_from(V, kk, P)),

@@ -19,6 +19,7 @@ from resonances1d.asymptotics import (
 from resonances1d.czeros import Zero, ZeroSet, _search_halfplane, resonances
 from resonances1d.errors import (
     EvaluationAtZero,
+    IncompleteZeroSet,
     LowCountWarning,
     NonConvergentTail,
     PhaseStepTooLarge,
@@ -234,6 +235,21 @@ def test_nevanlinna_yhat_shallow_well():
     ).h
     resid = nevanlinna_residual(f, tuple(-zs.locations), sigma, 2j, 200.0)
     assert resid < 0.05
+
+
+def test_nevanlinna_yhat_with_upper_zeros():
+    # yhat of this asymmetric step has 7 upper zeros within radius 12, so the
+    # Blaschke factor and the count reconciliation both see a non-empty list
+    V = make_piecewise([-1.0, 0.0, 1.0], [-3.0, 2.0])
+    f = lambda k: yhat(V, k)
+    zs = _search_halfplane(lambda k: f(-k), 12.0, tile=3.0, tag="yhat")
+    assert len(zs.locations) == 7
+    sigma = indicator_estimate(
+        lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
+    ).h
+    assert nevanlinna_residual(f, tuple(-zs.locations), sigma, 2j, 200.0) < 0.05
+    with pytest.raises(IncompleteZeroSet):
+        nevanlinna_residual(f, (), sigma, 2j, 200.0)
 
 
 # -- windowed-difference experiment -----------------------------------------

@@ -15,6 +15,7 @@ import os
 import tempfile
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,17 @@ def test_cell_axis_core_gives_the_bits_of_the_cell_loop(V, ks, j):
                 assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
+def test_points_beyond_block_are_taken_in_chunks_with_the_same_bits():
+    V = make_piecewise(np.linspace(-1.5, 1.0, 6), [-40.0, 3.0, -7.5, 12.0, -90.0])
+    k = np.linspace(-20, 20, 9)[None, :] + 1j * np.linspace(-5, 5, 7)[:, None]
+    want = scattering._scaled_transfer(V, k)
+    with mock.patch.object(scattering, "_BLOCK", 10), \
+            mock.patch.object(scattering, "_cells", wraps=scattering._cells) as cells:
+        got = scattering._scaled_transfer(V, k)
+    assert max(call.args[1].size for call in cells.call_args_list) <= 10
+    assert all(g.shape == k.shape and _same_bits(g, w) for g, w in zip(got, want))
+
+
 @given(V=step_potentials(), k=st.floats(0.05, 30.0), sign=st.sampled_from([1, -1]))
 @settings(max_examples=60, deadline=None)
 def test_det_s_and_left_reflection_from_xhat_yhat(V, k, sign):
@@ -234,3 +246,78 @@ def test_top_band_reaches_the_mpmath_rung():
         res = unitary_residual(V, np.array([1.0 + 4.5j, -3.0 - 4.0j]))
     assert mp_rung.call_count == 2
     assert np.max(res) < 1e-8
+
+
+def _seeded_potential(rng, cells, hull, values=(-100.0, 20.0)):
+    """cells steps with values in the given range on a hull of the given width."""
+    a = -rng.uniform(0.0, hull)
+    inner = np.sort(rng.uniform(a, a + hull, cells - 1))
+    return Potential((a, *inner, a + hull), tuple(rng.uniform(*values, cells)))
+
+
+def test_double_double_brackets_match_mpmath():
+    """B = 2 xhat e^{-ik(b-a)} and C = 2 yhat e^{ik(a+b)} at k and -k, against
+    50 digits, within _DD_EPS of their scale e^{logscale} (2 + |k|)^2."""
+    rng = np.random.default_rng(12)
+    largest_z = 0.0
+    for cells, hull in ((1, 4.0), (2, 3.0), (5, 0.5), (11, 2.0), (32, 4.0)):
+        V = _seeded_potential(rng, cells, hull)
+        k = rng.uniform(-60, 60, 4) + 1j * rng.uniform(-5, 5, 4)
+        # k^2 = V_0 puts the first cell on the sin z / kappa series
+        k = np.append(k, [60 - 5j, np.sqrt(complex(V.values[0]))])
+        a, b = V.breakpoints[0], V.breakpoints[-1]
+        dd = scattering._xy_dd(V, k)
+        ls = scattering._scaled_transfer(V, k)[4]
+        z = np.sqrt(k[None] ** 2 - np.array(V.values)[:, None]) * np.diff(V.breakpoints)[:, None]
+        largest_z = max(largest_z, np.abs(z).max())
+        for i, kk in enumerate(k):
+            with mp.workdps(50):
+                x1, y1, x2, y2 = scattering._xy_mp(V, kk, 50)
+                s = mp.mpc(kk)
+                want = (2 * x1 * mp.exp(-1j * s * (b - a)), 2 * y1 * mp.exp(1j * s * (a + b)),
+                        2 * x2 * mp.exp(1j * s * (b - a)), 2 * y2 * mp.exp(-1j * s * (a + b)))
+                scale = mp.exp(ls[i]) * (2 + abs(kk)) ** 2
+                for (hi, lo), w in zip(dd[:, :, i], want):
+                    assert abs(mp.mpc(hi) + mp.mpc(lo) - w) < scattering._DD_EPS * scale
+    assert largest_z > 200
+
+
+def _deck_hi_band(rng, cells):
+    """A well of 1.5-3 width at 64 points with 3 <= |Im k| <= 5."""
+    V = _seeded_potential(rng, cells, rng.uniform(1.5, 3.0), (-100.0, -20.0))
+    k = rng.uniform(-20, 20, 64) + 1j * rng.choice((-1, 1), 64) * rng.uniform(3, 5, 64)
+    return V, k
+
+
+def test_high_band_points_past_80_bit_stay_off_mpmath():
+    rng = np.random.default_rng(4)
+    on_dd = 0
+    for cells in (1, 2, 4, 8, 16, 32):
+        V, k = _deck_hi_band(rng, cells)
+        with mock.patch.object(scattering, "_xy_mp", wraps=scattering._xy_mp) as mp_rung, \
+                mock.patch.object(scattering, "_xy_dd", wraps=scattering._xy_dd) as dd_rung:
+            res = unitary_residual(V, k)
+        assert mp_rung.call_count == 0
+        on_dd += sum(call.args[1].size for call in dd_rung.call_args_list)
+        assert np.max(res) < 1e-11
+    assert on_dd > 30
+
+
+def test_double_double_point_has_the_same_bits_in_any_company():
+    V, k = _deck_hi_band(np.random.default_rng(5), 16)
+    with mock.patch.object(scattering, "_xy_dd", wraps=scattering._xy_dd) as dd_rung:
+        unitary_residual(V, k)
+    on_dd = dd_rung.call_args.args[1]
+    # the first double-double point, and the one of largest |k| after it
+    one, far = on_dd[0], on_dd[1:][np.argmax(np.abs(on_dd[1:]))]
+    alone_b, alone_r = scattering._xy_dd(V, np.array([one])), unitary_residual(V, one)
+    pair = np.array([one, far])
+    with mock.patch.object(scattering, "_xy_dd", wraps=scattering._xy_dd) as dd_rung:
+        pair_r = unitary_residual(V, pair)
+    assert dd_rung.call_args.args[1].size == 2
+    for block in (scattering._BLOCK, 1, 40):
+        with mock.patch.object(scattering, "_BLOCK", block):
+            assert _same_bits(scattering._xy_dd(V, pair)[..., :1], alone_b)
+            assert _same_bits(scattering._xy_dd(V, on_dd)[..., :1], alone_b)
+            assert _same_bits(unitary_residual(V, pair)[0], alone_r)
+    assert _same_bits(pair_r[0], alone_r)
