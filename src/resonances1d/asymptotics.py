@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czeros import Rect, ZeroSet, _search_halfplane, winding_number
+from .czeros import Rect, ZeroSet, _converged, _search_halfplane, winding_number
 from .errors import (
     EvaluationAtZero,
     IncompleteZeroSet,
     LowCountWarning,
     NonConvergentTail,
     OverflowAtRadius,
-    UnconvergedZeroWarning,
     ZeroInLowerHalfPlane,
 )
 from .potential import Potential
@@ -125,16 +124,14 @@ def zero_density(zs: ZeroSet, sector) -> DensityReport:
     polish did not converge are left out, with an UnconvergedZeroWarning.
     """
     alpha, beta = float(sector[0]), float(sector[1])
-    dropped = sum(not z.converged for z in zs.zeros)
-    if dropped:
-        warnings.warn("%d unconverged zeros left out" % dropped, UnconvergedZeroWarning)
-    locs = np.array([z.location for z in zs.zeros if z.converged], dtype=complex)
+    kept = _converged(zs)
+    locs = np.array([z.location for z in kept], dtype=complex)
     if len(locs) == 0:
         warnings.warn("no zeros supplied", LowCountWarning)
         return DensityReport((alpha, beta), (), (), 0.0, 0.0, 0.0, 0)
     ang = np.angle(locs)
     ang = alpha + (ang - alpha) % (2 * np.pi)
-    mults = np.array([z.multiplicity for z in zs.zeros if z.converged])
+    mults = np.array([z.multiplicity for z in kept])
     inside = ang <= beta
     n_in = int(np.sum(mults[inside]))
     if n_in < 30:

@@ -16,6 +16,7 @@ the real axis is easier with axis-aligned subdivision.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     BoundaryZero,
     MaxZerosExceeded,
     PhaseStepTooLarge,
+    UnconvergedZeroWarning,
 )
 from .potential import Potential
 from .scattering import xhat
@@ -168,22 +170,21 @@ def _phase_winding(f, rect):
 
 
 def _count(f, rect):
-    """(winding_number, first moment): the count and the sum of the zeros."""
-    last = None
-    for attempt in range(4):
+    """(winding_number, sum of the zeros, rect counted): after BoundaryZero the
+    rect counted is rect dilated by 1 + 1e-6, up to three times."""
+    for attempt in range(3):
         try:
-            return _phase_winding(f, rect)
-        except BoundaryZero as exc:
-            last = exc
+            return (*_phase_winding(f, rect), rect)
+        except BoundaryZero:
             rect = rect.dilated(1 + 1e-6)
-    raise last
+    return (*_phase_winding(f, rect), rect)
 
 
 def winding_number(f, rect: Rect) -> int:
     """Zeros (with multiplicity) of f inside rect, by the argument principle.
 
-    A near-boundary zero triggers up to three dilation retries by a factor
-    1 + 1e-6 before BoundaryZero is raised.
+    A near-boundary zero makes it count rect dilated by 1 + 1e-6, up to
+    three times, before BoundaryZero is raised.
     """
     return _count(f, rect)[0]
 
@@ -238,8 +239,9 @@ def _circle_winding(f, center, radius):
 
 def find_zeros(f, rect: Rect, max_zeros: int = 200,
                function_tag: str = "") -> ZeroSet:
-    """Locate all zeros of f in rect: bisection on counts + Newton polish."""
-    total, s1 = _count(f, rect)
+    """Locate all zeros of f in rect, or in the dilated rect that was counted
+    when a zero sits on its boundary: bisection on counts + Newton polish."""
+    total, s1, rect = _count(f, rect)
     if total == 0:
         return ZeroSet((), function_tag)
     if total > max_zeros:
@@ -257,15 +259,15 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
             if not box.contains(z0):
                 z0 = box.center
             z, resid, ok = _newton(f, z0, scale0)
-            # accept roots a hair past the box seam (the counting contours
-            # are dilated by 1e-6, so a zero lying on a cut may be owned by
-            # the box it just escaped) but nothing farther afield; once the
-            # box has shrunk to rounding scale the polished root is the
-            # best locator even a few diameters out
+            # accept roots a hair past the box seam (a zero within rounding
+            # of a cut is counted by one child but may polish to just across
+            # it) but nothing farther afield; once the box has shrunk to
+            # rounding scale the polished root is the best locator even a
+            # few diameters out
             margin = 3.0 * box.diag if tiny else 1e-5 * box.diag
             inside = (box.contains(z, margin=margin)
                       and rect.contains(z, margin=1e-9 * scale0))
-            if ok and inside and resid < 1e-9:
+            if ok and inside:
                 mult = count if tiny and count > 1 else _circle_winding(
                     f, z, max(1e-4, 1e-6 * scale0)
                 )
@@ -282,8 +284,8 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
 def _split_counted(f, box, count, s1):
     """Split the box in two; nudge the cut if a zero obstructs it.
 
-    Only the first child is counted: the shared cut runs both ways, so the
-    second child's count and moment are the parent's minus the first's.
+    Only the first child is counted, undilated; the second child's count and
+    moment are the parent's minus the first's, since the cut runs both ways.
     """
     fracs = (0.5, 0.5 + 1.3e-3, 0.5 - 2.7e-3, 0.5 + 7.9e-3,
              0.5 - 1.7e-2, 0.5 + 4.3e-2, 0.37, 0.61)
@@ -292,7 +294,7 @@ def _split_counted(f, box, count, s1):
         for frac in fracs:
             c0, c1 = _split_axis(box, frac, vertical_cut)
             try:
-                n0, m0 = _count(f, c0)
+                n0, m0 = _phase_winding(f, c0)
             except (BoundaryZero, PhaseStepTooLarge):
                 continue
             n1 = count - n0
@@ -310,6 +312,14 @@ def _split_axis(box: Rect, frac, vertical_cut):
     ym = box.lo.imag + frac * box.height
     return [Rect(box.lo, complex(box.hi.real, ym)),
             Rect(complex(box.lo.real, ym), box.hi)]
+
+
+def _converged(zs):
+    """Converged zeros of zs; an UnconvergedZeroWarning counts the others."""
+    dropped = sum(not z.converged for z in zs.zeros)
+    if dropped:
+        warnings.warn("%d unconverged zeros left out" % dropped, UnconvergedZeroWarning)
+    return [z for z in zs.zeros if z.converged]
 
 
 def _finalize(found, function_tag, scale0):
@@ -333,7 +343,8 @@ def resonances(V: Potential, radius: float) -> ZeroSet:
 
 
 def bound_states(V: Potential):
-    """Zeros of xhat in the open upper half-plane and the energies -kappa^2."""
+    """Zeros of xhat in the open upper half-plane and the energies -kappa^2;
+    unconverged zeros stay in the ZeroSet but give no energy (with a warning)."""
     vmin = min(V.values)
     kmax = float(np.sqrt(max(0.0, -vmin))) + 1.0
     f = lambda k: xhat(V, k)
@@ -341,7 +352,7 @@ def bound_states(V: Potential):
     # where every bound-state zero of a real potential sits
     rect = Rect(complex(-kmax - 0.0137, 1e-7), complex(kmax, kmax))
     zs = find_zeros(f, rect, max_zeros=500, function_tag="xhat")
-    energies = [-(z.location.imag ** 2) for z in zs.zeros]
+    energies = [-(z.location.imag ** 2) for z in _converged(zs)]
     return zs, energies
 
 

@@ -50,7 +50,7 @@ class SharedPartMismatch(Resonances1DError):
 # -- zero finding
 
 class BoundaryZero(Resonances1DError):
-    """A zero sits on (or hugs) the contour even after dilation retries."""
+    """A zero hugs the contour even after dilation retries; cuts get none."""
 
 
 class PhaseStepTooLarge(Resonances1DError):

@@ -1,5 +1,7 @@
 """Argument-principle zero finding: counting, location, resonances, bound states."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -14,9 +16,13 @@ from resonances1d.czeros import (
     resonances,
     winding_number,
 )
-from resonances1d.errors import MaxZerosExceeded, PhaseStepTooLarge
+from resonances1d.errors import (
+    MaxZerosExceeded,
+    PhaseStepTooLarge,
+    UnconvergedZeroWarning,
+)
 from resonances1d.potential import make_piecewise, square_well
-from resonances1d.scattering import xhat
+from resonances1d.scattering import xhat, yhat
 
 from conftest import make_zero_potential
 
@@ -53,9 +59,9 @@ def test_winding_survives_boundary_zero():
 def test_count_carries_the_first_moment():
     # the moment is the sum of the enclosed zeros; z = 5 lies outside
     rect = Rect(-1 - 1j, 1 + 1j)
-    n, s1 = czeros._count(lambda z: (z - 0.2 + 0.1j) * (z - 5), rect)
+    n, s1, _ = czeros._count(lambda z: (z - 0.2 + 0.1j) * (z - 5), rect)
     assert n == 1 and abs(s1 - (0.2 - 0.1j)) < 1e-4
-    n, s1 = czeros._count(
+    n, s1, _ = czeros._count(
         lambda z: (z - 0.2 + 0.1j) * (z + 0.5 - 0.6j) * (z - 5), rect)
     assert n == 2 and abs(s1 - (0.2 - 0.1j) - (-0.5 + 0.6j)) < 1e-4
 
@@ -63,11 +69,26 @@ def test_count_carries_the_first_moment():
 def test_split_moment_is_the_parents_minus_the_counted_childs():
     f = lambda z: (z - 0.2 + 0.1j) * (z + 0.5 - 0.6j) * (z - 5)
     rect = Rect(-1 - 1j, 1 + 1j)
-    n, s1 = czeros._count(f, rect)
+    n, s1, _ = czeros._count(f, rect)
     (c0, n0, m0), (c1, n1, m1) = czeros._split_counted(f, rect, n, s1)
     direct = czeros._count(f, c1)
     assert (n0, n1) == (1, 1) and direct[0] == n1
     assert abs(m1 - direct[1]) < 1e-4
+
+
+def test_find_zeros_bisects_the_rectangle_it_counted():
+    """yhat of the square well has real zeros at +-2.4227, 1e-7 below the
+    bottom edge, so the count dilates the rectangle.  Bisecting the undilated
+    one left an unconverged phantom on the top edge, total 2 against 3."""
+    V = square_well(-4.0, -1.0, 1.0)
+    f = lambda k: yhat(V, k)
+    rect = Rect(complex(-4.0, 1e-7), complex(4.0, 4.0))
+    zs = find_zeros(f, rect)
+    assert all(z.converged for z in zs.zeros)
+    assert zs.total_multiplicity() == winding_number(f, rect) == 3
+    np.testing.assert_allclose(
+        zs.locations, [-2.422726645969, 1.237981784893j, 2.422726645969],
+        atol=1e-9)
 
 
 def test_find_zeros_simple_pair():
@@ -196,6 +217,23 @@ def test_bound_states_match_shooting(depth):
         assert abs(e - o) < 1e-8
     # all on the positive imaginary axis for a real potential
     assert np.max(np.abs(zs.locations.real)) < 1e-8
+
+
+def test_bound_states_give_energies_for_converged_zeros_only():
+    """An unconverged zero on the search rectangle's top edge gave the energy
+    -16.0, below min V = -9, where no bound state lies.  Every energy listed
+    is one of the four that _shooting_eigenvalues(V, 400) finds."""
+    V = make_piecewise(np.linspace(-2.0, 2.0, 4), [-9.0, -1.0, -9.0])
+    oracle = [-6.720213207991, -6.611634032660, -1.461325484907, -0.616381727881]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        zs, energies = bound_states(V)
+    converged = [z for z in zs.zeros if z.converged]
+    assert energies == [-(z.location.imag ** 2) for z in converged]
+    assert len(energies) >= 3
+    assert all(np.min(np.abs(np.subtract(oracle, e))) < 1e-8 for e in energies)
+    warned = any(issubclass(w.category, UnconvergedZeroWarning) for w in caught)
+    assert warned == (len(converged) < len(zs.zeros))
 
 
 @pytest.mark.parametrize("depth", [-30.0, -60.0, -100.0])

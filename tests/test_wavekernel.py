@@ -1,11 +1,18 @@
 """Characteristic kernel solver and its windowed Fourier transforms."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import simpson
 
+import resonances1d
 from resonances1d.errors import (
     GridTooCoarse,
     ImaginaryPartTooLarge,
@@ -16,6 +23,7 @@ from resonances1d.scattering import xhat, yhat
 from resonances1d.wavekernel import (
     KernelWindow,
     Window,
+    _windowed_quadrature,
     default_window_r,
     domain_of_influence_check,
     kernel_fourier,
@@ -136,6 +144,74 @@ def test_window_additivity_is_exact():
     np.testing.assert_allclose(
         ysum, kernel_fourier(field, Window.Y_FULL, k), atol=1e-10
     )
+
+
+def _scipy_windowed_quadrature(grid, values, w0, w1, k, h_native):
+    """Reference: scipy's simpson on the points _windowed_quadrature resamples."""
+    w0, w1 = max(w0, grid[0]), min(w1, grid[-1])
+    npts = max(int(np.ceil((w1 - w0) / h_native)), 32)
+    npts += npts % 2
+    s = np.linspace(w0, w1, npts + 1)
+    ph = np.exp(-1j * np.multiply.outer(k, s))
+    return simpson(np.interp(s, grid, values) * ph, x=s, axis=-1)
+
+
+@given(
+    which=st.sampled_from([Window.X1, Window.Y1]),
+    ends=st.floats(-0.3, 0.9).flatmap(lambda e0: st.tuples(
+        st.just(e0), st.floats(max(e0, 0.0) + 0.05, 1.3))),
+    re=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=12),
+    im=st.sampled_from([0.0, 0.7, -2.5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_simpson_weights_match_scipy(which, ends, re, im):
+    """The weight vector is scipy's composite Simpson rule on the same
+    resampled points, for windows inside the grid and clipped by it."""
+    field = solve_kernels(make_piecewise([-0.7, 0.3, 1.1], [1.5, -2.0]), 256)
+    grid, values = (field.x_grid, field.X_reg) if which is Window.X1 else (
+        field.y_grid, field.Y_reg)
+    span = grid[-1] - grid[0]
+    w0, w1 = grid[0] + span * np.array(ends)
+    k = np.array(re) + 1j * im
+    h = grid[1] - grid[0]
+    ref = _scipy_windowed_quadrature(grid, values, w0, w1, k, h)
+    out = _windowed_quadrature(grid, values, w0, w1, k, h)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_kernel_paths_load_no_scipy(tmp_path):
+    """The kernels CLI, both FULL transforms, the influence check and the G
+    experiment run on numpy alone, in a fresh interpreter."""
+    code = """
+import sys
+import numpy as np
+from resonances1d import cli
+from resonances1d.asymptotics import g_function_experiment
+from resonances1d.potential import make_piecewise, square_well
+from resonances1d.wavekernel import (
+    Window, domain_of_influence_check, kernel_fourier, solve_kernels)
+
+V = square_well(-4.0, -1.0, 1.0)
+V.save(sys.argv[1] + "/well.json")
+assert cli.main(["kernels", "--potential", sys.argv[1] + "/well.json",
+                 "--ngrid", "128", "--out", sys.argv[1] + "/k.csv"]) == 0
+field = solve_kernels(V, 256)
+ks = np.linspace(-5.0, 5.0, 9) + 0.3j
+kernel_fourier(field, Window.X_FULL, ks)
+kernel_fourier(field, Window.Y_FULL, ks)
+V1 = make_piecewise([-1.0, 0.0, 1.0], [-1.5, -2.0])
+V2 = make_piecewise([-1.0, 0.0, 1.0], [-1.0, -2.0])
+domain_of_influence_check(V1, V2, 0.1, 256)
+assert not g_function_experiment(V1, V2, 3.0, n_grid=256).degenerate
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(resonances1d.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_window_intervals():
