@@ -25,9 +25,9 @@ from .errors import (
     OverflowAtRadius,
     ZeroInLowerHalfPlane,
 )
-from .potential import Potential
+from .potential import Potential, _require_shared_right
 from .scattering import _like, _points, xhat
-from .wavekernel import Window, kernel_fourier, solve_kernels
+from .wavekernel import Window, default_window_r, kernel_fourier, solve_kernels
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +326,6 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
     dropped); its indicator width and lower-half-plane zero density are
     measured alongside those of the first potential's full transform.
     """
-    from .potential import _require_shared_right
-    from .wavekernel import default_window_r
-
     if r_window is None:
         r_window = default_window_r(V1)
     _require_shared_right(V1, V2)

@@ -196,8 +196,7 @@ def _cmd_cartwright_check(args):
 def _cmd_nevanlinna_check(args):
     V = _load(args.potential)
     f = lambda k: scattering.yhat(V, k)
-    vmin = min(V.values)
-    kmax = float(np.sqrt(max(0.0, -vmin))) + 1.0
+    kmax = czeros._bound_state_height(V)
     upper = tuple(czeros.find_zeros(
         f, czeros.Rect(complex(-kmax - 1, 1e-7), complex(kmax + 1, kmax + 1)),
         max_zeros=200, function_tag="yhat",

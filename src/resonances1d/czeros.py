@@ -1,14 +1,16 @@
 """Zeros of entire functions in rectangles via the argument principle.
 
-Counting is done by summing phase increments along the boundary with
-adaptive refinement (no step may exceed pi/2); the same samples give the
-first contour moment, the sum of the enclosed zeros.  Location is by
-recursive bisection on winding counts followed by Newton polish with a
-central-difference derivative, so any user-supplied entire function works.
-Newton starts at the box's first moment over its count (the zero itself
-for a one-zero box), or at the box centre when that point leaves the box,
+Counting sums phase increments along the boundary with adaptive refinement
+(no step may exceed pi/2 or sit in a dip of |f|, where close zeros could
+alias its turn); the same samples give the first contour moment, the sum of
+the enclosed zeros.  Location is by recursive bisection on winding counts
+followed by Newton polish with a central-difference derivative, so any
+user-supplied entire function works.  Newton starts at the box's first
+moment over its count, or at the box centre when that point leaves the box,
 and has converged once a step is below 1e-11 (1 + |z|); after 60 steps it
-has not.
+has not.  A polished zero takes its box's count as its multiplicity; polishes
+from two boxes within 1e-7 of the search scale merge, adding their counts.
+Split counts are exact, so the multiplicities of one search sum to its count.
 Rectangles, not disks: tiling a half-plane and dodging zero chains that hug
 the real axis is easier with axis-aligned subdivision.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,10 +148,15 @@ def _phase_winding(f, rect):
     if scale == 0 or np.min(np.abs(fs)) < 1e-9 * scale:
         raise BoundaryZero("function vanishes (or nearly) on the contour")
     for _ in range(60):
+        dt = np.diff(ts)
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = fs[1:] / fs[:-1]
+            slope = np.log(np.abs(ratio)) / dt  # of log|f|, per unit t
         steps = np.angle(ratio)
-        bad = np.abs(steps) > np.pi / 2
+        # log|f| bending up by over 1 across a step marks close zeros; with two
+        # or more the step's turn may pass 3 pi / 2 and alias (slopes wrap round)
+        slope = np.concatenate((slope[-1:], slope, slope[:1]))
+        bad = (np.abs(steps) > np.pi / 2) | ((slope[2:] - slope[:-2]) * dt > 1.0)
         if not np.any(bad):
             # first moment (1/2 pi i) sum z_mid * dlog f; the closing point
             # is the first, and log(ratio) = log|ratio| + i * steps
@@ -218,29 +225,15 @@ def _newton(f, z0, scale):
     return z, err, False
 
 
-def _circle_winding(f, center, radius):
-    """Multiplicity of the zero at center: the winding of f on a small circle,
-    with finer sampling or a wider circle on failure; after four tries,
-    PhaseStepTooLarge."""
-    n = 64
-    for attempt in range(4):
-        th = np.linspace(0, 2 * np.pi, n + 1)
-        pts = center + radius * np.exp(1j * th)
-        fs = np.asarray(f(pts), dtype=complex)
-        if np.min(np.abs(fs)) > 1e-12 * np.max(np.abs(fs)):
-            steps = np.angle(fs[1:] / fs[:-1])
-            if np.all(np.abs(steps) <= np.pi / 2):
-                return int(np.round(np.sum(steps) / (2 * np.pi)))
-            n *= 4
-        else:
-            radius *= 1.37
-    raise PhaseStepTooLarge("no clean winding on a circle about %s" % center)
-
-
 def find_zeros(f, rect: Rect, max_zeros: int = 200,
                function_tag: str = "") -> ZeroSet:
     """Locate all zeros of f in rect, or in the dilated rect that was counted
-    when a zero sits on its boundary: bisection on counts + Newton polish."""
+    when a zero sits on its boundary: bisection on counts + Newton polish.
+
+    Each zero's multiplicity is the count of the box it was polished in;
+    zeros within 1e-7 rect.diag of each other merge, adding their counts, so
+    the multiplicities sum to winding_number(f, rect).
+    """
     total, s1, rect = _count(f, rect)
     if total == 0:
         return ZeroSet((), function_tag)
@@ -268,17 +261,14 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
             inside = (box.contains(z, margin=margin)
                       and rect.contains(z, margin=1e-9 * scale0))
             if ok and inside:
-                mult = count if tiny and count > 1 else _circle_winding(
-                    f, z, max(1e-4, 1e-6 * scale0)
-                )
-                found.append(Zero(z, max(mult, 1), resid, True))
+                found.append(Zero(z, count, resid, True))
                 continue
             if tiny:
                 found.append(Zero(box.center, count, resid, False))
                 continue
             # polish failed or left the box: keep bisecting
         stack.extend(_split_counted(f, box, count, s1))
-    return _finalize(found, function_tag, scale0)
+    return _finalize(found, function_tag, scale0, add=True)
 
 
 def _split_counted(f, box, count, s1):
@@ -322,18 +312,23 @@ def _converged(zs):
     return [z for z in zs.zeros if z.converged]
 
 
-def _finalize(found, function_tag, scale0):
+def _finalize(found, function_tag, scale0, add=False):
     """The one sort, and dedup by pairwise distance.  Zeros sort by real part,
     then imaginary; one within 1e-9 (1 + |z|) of the imaginary axis counts as
-    on it, so axis zeros sort by Im alone."""
+    on it, so axis zeros sort by Im alone.  A zero within 1e-7 scale0 of a
+    kept one is dropped or, with add, adds its multiplicity to it."""
     def key(z):
         on_axis = abs(z.location.real) <= 1e-9 * (1.0 + abs(z.location))
         return (0.0 if on_axis else z.location.real, z.location.imag)
 
     kept = []
     for z in sorted(found, key=key):
-        if all(abs(z.location - w.location) > 1e-7 * scale0 for w in kept):
+        i = next((i for i, w in enumerate(kept)
+                  if abs(z.location - w.location) <= 1e-7 * scale0), None)
+        if i is None:
             kept.append(z)
+        elif add:
+            kept[i] = replace(kept[i], multiplicity=kept[i].multiplicity + z.multiplicity)
     return ZeroSet(tuple(kept), function_tag)
 
 
@@ -342,11 +337,15 @@ def resonances(V: Potential, radius: float) -> ZeroSet:
     return _search_halfplane(lambda k: xhat(V, k), radius, tile=3.0, tag="xhat")
 
 
+def _bound_state_height(V: Potential) -> float:
+    """An Im k bound above every bound state: sqrt(-min V) + 1."""
+    return float(np.sqrt(max(0.0, -min(V.values)))) + 1.0
+
+
 def bound_states(V: Potential):
     """Zeros of xhat in the open upper half-plane and the energies -kappa^2;
     unconverged zeros stay in the ZeroSet but give no energy (with a warning)."""
-    vmin = min(V.values)
-    kmax = float(np.sqrt(max(0.0, -vmin))) + 1.0
+    kmax = _bound_state_height(V)
     f = lambda k: xhat(V, k)
     # slightly asymmetric so midpoint cuts avoid the imaginary axis,
     # where every bound-state zero of a real potential sits
