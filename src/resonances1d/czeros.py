@@ -11,6 +11,8 @@ and has converged once a step is below 1e-11 (1 + |z|); after 60 steps it
 has not.  A polished zero takes its box's count as its multiplicity; polishes
 from two boxes within 1e-7 of the search scale merge, adding their counts.
 Split counts are exact, so the multiplicities of one search sum to its count.
+A half-plane search counts its tiles in groups, with one call of f for the
+first samples of a group's contours.
 Rectangles, not disks: tiling a half-plane and dodging zero chains that hug
 the real axis is easier with axis-aligned subdivision.
 """
@@ -30,10 +32,11 @@ from .errors import (
     UnconvergedZeroWarning,
 )
 from .potential import Potential
-from .scattering import xhat
+from .scattering import _BLOCK, xhat
 
 _N_BOUNDARY = 256  # initial samples per counting contour
 _MAX_EVALS = 200_000  # refinement budget per contour
+_NEAR_ZERO = 1e-9  # |f| below this share of its largest contour sample: BoundaryZero
 
 
 @dataclass(frozen=True)
@@ -75,22 +78,19 @@ class Rect:
 
     def boundary_points(self, ts):
         """Map parameters in [0,1) to boundary points, counterclockwise."""
-        ts = np.asarray(ts) % 1.0
-        x0, x1 = self.lo.real, self.hi.real
-        y0, y1 = self.lo.imag, self.hi.imag
-        w, h = x1 - x0, y1 - y0
-        per = 2 * (w + h)
-        s = ts * per
-        out = np.empty(s.shape, dtype=complex)
-        m0 = s < w
-        out[m0] = x0 + s[m0] + 1j * y0
-        m1 = (s >= w) & (s < w + h)
-        out[m1] = x1 + 1j * (y0 + (s[m1] - w))
-        m2 = (s >= w + h) & (s < 2 * w + h)
-        out[m2] = x1 - (s[m2] - w - h) + 1j * y1
-        m3 = s >= 2 * w + h
-        out[m3] = x0 + 1j * (y1 - (s[m3] - 2 * w - h))
-        return out
+        return _perimeter(self.lo.real, self.hi.real, self.lo.imag, self.hi.imag, ts)
+
+
+def _perimeter(x0, x1, y0, y1, ts):
+    """Points at parameters ts (mod 1) on the boundary of [x0, x1] x [y0, y1],
+    counterclockwise from the lower-left corner; the corners broadcast
+    against ts, so one call maps the contours of many rectangles."""
+    w, h = x1 - x0, y1 - y0
+    s = (np.asarray(ts) % 1.0) * (2 * (w + h))
+    return np.select(
+        [s < w, s < w + h, s < 2 * w + h],
+        [x0 + s + 1j * y0, x1 + 1j * (y0 + (s - w)), x1 - (s - w - h) + 1j * y1],
+        x0 + 1j * (y1 - (s - 2 * w - h)))
 
 
 @dataclass(frozen=True)
@@ -139,41 +139,106 @@ class ZeroSet:
             json.dump(self.to_json(radius), fh, indent=2)
 
 
+# parameters of a counting contour's first samples; the last closes it
+_TS = np.append(np.linspace(0.0, 1.0, _N_BOUNDARY, endpoint=False), 1.0)
+# tiles whose first samples _count_tiles takes in one call of f: a call of
+# at most the forward core's block, so xhat takes it in one pass
+_GROUP = _BLOCK // len(_TS)
+
+
 def _phase_winding(f, rect):
-    ts = np.linspace(0.0, 1.0, _N_BOUNDARY, endpoint=False)
-    ts = np.concatenate([ts, [1.0]])
-    zs = rect.boundary_points(ts)
-    fs = np.asarray(f(zs), dtype=complex)
+    zs = rect.boundary_points(_TS)
+    return _refine(f, rect, _TS, zs, np.asarray(f(zs), dtype=complex))
+
+
+def _steps(ts, fs):
+    """(ratios, phase steps, bad steps) of the closed contours sampled along
+    the last axis of fs, at parameters ts.  A step is bad when its phase
+    turns by more than pi/2 or it sits in a dip of |f|."""
+    dt = np.diff(ts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = fs[..., 1:] / fs[..., :-1]
+        slope = np.log(np.abs(ratio)) / dt  # of log|f|, per unit t
+    steps = np.angle(ratio)
+    # log|f| bending up by over 1 across a step marks close zeros; with two
+    # or more the step's turn may pass 3 pi / 2 and alias (slopes wrap round)
+    slope = np.concatenate((slope[..., -1:], slope, slope[..., :1]), axis=-1)
+    bad = (np.abs(steps) > np.pi / 2) | ((slope[..., 2:] - slope[..., :-2]) * dt > 1.0)
+    return ratio, steps, bad
+
+
+def _turns(steps):
+    """Zeros counted along the last axis, from phase steps none of which is bad."""
+    return np.round(np.sum(steps, axis=-1) / (2 * np.pi))
+
+
+def _moment(zs, ratio):
+    """First contour moment along the last axis: the sum of the zeros inside."""
+    # (1/2 pi i) sum z_mid * dlog f; the closing point is the first,
+    # and log(ratio) = log|ratio| + i * steps
+    return np.sum((zs[..., 1:] + zs[..., :-1]) / 2 * np.log(ratio), axis=-1) / (2j * np.pi)
+
+
+def _refine(f, rect, ts, zs, fs):
+    """(count, first moment) of rect from samples fs = f(zs) at parameters ts
+    of its contour, halving each bad step until none is left."""
     scale = np.max(np.abs(fs))
-    if scale == 0 or np.min(np.abs(fs)) < 1e-9 * scale:
+    if scale == 0 or np.min(np.abs(fs)) < _NEAR_ZERO * scale:
         raise BoundaryZero("function vanishes (or nearly) on the contour")
     for _ in range(60):
-        dt = np.diff(ts)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = fs[1:] / fs[:-1]
-            slope = np.log(np.abs(ratio)) / dt  # of log|f|, per unit t
-        steps = np.angle(ratio)
-        # log|f| bending up by over 1 across a step marks close zeros; with two
-        # or more the step's turn may pass 3 pi / 2 and alias (slopes wrap round)
-        slope = np.concatenate((slope[-1:], slope, slope[:1]))
-        bad = (np.abs(steps) > np.pi / 2) | ((slope[2:] - slope[:-2]) * dt > 1.0)
+        ratio, steps, bad = _steps(ts, fs)
         if not np.any(bad):
-            # first moment (1/2 pi i) sum z_mid * dlog f; the closing point
-            # is the first, and log(ratio) = log|ratio| + i * steps
-            s1 = np.sum((zs[1:] + zs[:-1]) / 2 * np.log(ratio)) / (2j * np.pi)
-            return int(np.round(np.sum(steps) / (2 * np.pi))), complex(s1)
+            return int(_turns(steps)), complex(_moment(zs, ratio))
         if len(ts) > _MAX_EVALS:
             raise PhaseStepTooLarge("phase refinement budget exhausted")
         mid_t = (ts[:-1][bad] + ts[1:][bad]) / 2
         mid_z = rect.boundary_points(mid_t)
         mid_f = np.asarray(f(mid_z), dtype=complex)
-        if np.min(np.abs(mid_f)) < 1e-9 * scale:
+        if np.min(np.abs(mid_f)) < _NEAR_ZERO * scale:
             raise BoundaryZero("function vanishes (or nearly) on the contour")
         at = np.nonzero(bad)[0] + 1
         ts = np.insert(ts, at, mid_t)
         zs = np.insert(zs, at, mid_z)
         fs = np.insert(fs, at, mid_f)
     raise PhaseStepTooLarge("phase steps above pi/2 after maximum refinement")
+
+
+def _count_tiles(f, rects):
+    """Yield (rect, count, first moment) for each rect in turn, as
+    _phase_winding counts it, or (rect, None, None) where it raises
+    BoundaryZero.
+
+    One call of f samples every contour.  The near-zero test, the steps and
+    the counts and moments of contours with no bad step are taken over all
+    of them at once; a contour with a bad step goes on through _refine from
+    its samples when its turn comes.  So errors arise in rect order, and
+    every count, and the moment of every nonzero count, keeps the bits
+    _phase_winding gives it.
+    """
+    x0, x1, y0, y1 = np.array([(r.lo.real, r.hi.real, r.lo.imag, r.hi.imag)
+                               for r in rects]).T[:, :, None]
+    zs = _perimeter(x0, x1, y0, y1, _TS)
+    fs = np.asarray(f(zs.ravel()), dtype=complex).reshape(zs.shape)
+    absf = np.abs(fs)
+    scale = np.max(absf, axis=-1)
+    ratio, steps, bad = _steps(_TS, fs)
+    n = _turns(steps)
+    # a NaN fails every comparison, so its contour goes to _refine too
+    done = ((scale > 0) & (np.min(absf, axis=-1) >= _NEAR_ZERO * scale)
+            & ~np.any(bad, axis=-1))
+    # a contour counted 0 has moment 0; _bisect stops before reading it
+    held = done & (n != 0)
+    s1 = np.zeros(len(rects), dtype=complex)
+    s1[held] = _moment(zs[held], ratio[held])
+    for i, rect in enumerate(rects):
+        if done[i]:
+            yield rect, int(n[i]), complex(s1[i])
+            continue
+        try:
+            count = _refine(f, rect, _TS, zs[i], fs[i])
+        except BoundaryZero:
+            count = (None, None)
+        yield (rect, *count)
 
 
 def _count(f, rect):
@@ -228,13 +293,19 @@ def _newton(f, z0, scale):
 def find_zeros(f, rect: Rect, max_zeros: int = 200,
                function_tag: str = "") -> ZeroSet:
     """Locate all zeros of f in rect, or in the dilated rect that was counted
-    when a zero sits on its boundary: bisection on counts + Newton polish.
+    when a zero sits on its boundary: a count, then _bisect.
 
     Each zero's multiplicity is the count of the box it was polished in;
     zeros within 1e-7 rect.diag of each other merge, adding their counts, so
     the multiplicities sum to winding_number(f, rect).
     """
     total, s1, rect = _count(f, rect)
+    return _bisect(f, rect, total, s1, max_zeros, function_tag)
+
+
+def _bisect(f, rect, total, s1, max_zeros, function_tag):
+    """The zeros of f in rect, counted total with first moment s1: bisection
+    on counts + Newton polish, each box polished from moment / count."""
     if total == 0:
         return ZeroSet((), function_tag)
     if total > max_zeros:
@@ -356,19 +427,31 @@ def bound_states(V: Potential):
 
 
 def _search_halfplane(f, radius, tile, tag):
-    """Zeros of f with |k| <= radius in the open lower half-plane, tile by tile."""
-    zeros = []
+    """Zeros of f with |k| <= radius in the open lower half-plane, tile by tile.
+
+    _count_tiles counts up to _GROUP tiles from one call of f.  A tile counted
+    0 stops there, one with a count goes to _bisect, and one whose contour
+    raised BoundaryZero to find_zeros, which counts it again with dilation
+    retries.  Each tile keeps its own contour, so an edge shared by two
+    tiles is sampled twice and every count is the one find_zeros would make.
+    """
     eps = 1e-9
     x_edges = np.arange(-radius - 0.137, radius + tile, tile)
     y_edges = np.append(np.arange(-radius - 0.137, 0.0, tile), -eps)
+    tiles = []
     for x0, x1 in zip(x_edges, x_edges[1:]):
         for y0, y1 in zip(y_edges, y_edges[1:]):
             # skip a tile only when even its point nearest the origin is off the disk
             nearest = complex(min(max(0.0, x0), x1), min(max(0.0, y0), y1))
-            if abs(nearest) > radius * 1.05:
-                continue
-            zs = find_zeros(f, Rect(complex(x0, y0), complex(x1, y1)),
-                            max_zeros=500, function_tag=tag)
+            if abs(nearest) <= radius * 1.05:
+                tiles.append(Rect(complex(x0, y0), complex(x1, y1)))
+    zeros = []
+    for i in range(0, len(tiles), _GROUP):
+        for rect, total, s1 in _count_tiles(f, tiles[i:i + _GROUP]):
+            if total is None:
+                zs = find_zeros(f, rect, max_zeros=500, function_tag=tag)
+            else:
+                zs = _bisect(f, rect, total, s1, 500, tag)
             zeros.extend(z for z in zs.zeros
                          if abs(z.location) <= radius and z.location.imag < -eps)
     return _finalize(zeros, tag, 1.0)

@@ -43,6 +43,11 @@ from .errors import GridTooCoarse, ImaginaryPartTooLarge, SharedPartMismatch
 from .potential import Potential, _require_shared_right
 from .scattering import _like, _points
 
+# k per exp(-i k s) block of a windowed transform, so no matrix holds more
+# than O(len(s)) rows.  257 is one czeros counting contour: a G search that
+# samples many contours in one call gives each the product it had alone
+_K_ROWS = 257
+
 
 class Window(enum.Enum):
     X1 = "X1"
@@ -184,7 +189,8 @@ def _samples(field: KernelField, which: Window):
 
 def _windowed_quadrature(grid, values, w0, w1, k, h_native):
     """Simpson quadrature of values(s) e^{-iks} over [w0, w1] (interpolated):
-    one product exp(-i k s) @ (f w), with w = (1, 4, 2, ..., 4, 1) ds/3."""
+    products exp(-i k s) @ (f w), with w = (1, 4, 2, ..., 4, 1) ds/3, over
+    _K_ROWS k at a time."""
     w0 = max(w0, grid[0])
     w1 = min(w1, grid[-1])
     if w1 <= w0:
@@ -196,7 +202,12 @@ def _windowed_quadrature(grid, values, w0, w1, k, h_native):
     w = np.where(np.arange(npts + 1) % 2, 4.0, 2.0)
     w[[0, -1]] = 1.0
     fw = np.interp(s, grid, values) * w * ((w1 - w0) / (3 * npts))
-    return np.exp(-1j * np.multiply.outer(np.asarray(k, dtype=complex), s)) @ fw
+    k = np.asarray(k, dtype=complex)
+    flat = k.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for i in range(0, flat.size, _K_ROWS):
+        out[i:i + _K_ROWS] = np.exp(-1j * np.multiply.outer(flat[i:i + _K_ROWS], s)) @ fw
+    return out.reshape(k.shape)
 
 
 def kernel_fourier(field: KernelField, window, k, r: float | None = None):

@@ -1,5 +1,6 @@
 """Indicator fits, zero densities, Cartwright integral, Blaschke/Poisson checks."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -269,3 +270,18 @@ def test_g_experiment_distinct_pair():
     assert rep.width_x == pytest.approx(4.0, rel=0.06)
     assert np.isfinite(rep.width_g)
     assert rep.n_zeros_x > 0
+
+
+def test_g_experiment_memory_stays_small():
+    """The G search samples up to 31 tile contours per call of G; the
+    transforms take those k in blocks, so no exp(-i k s) matrix holds them
+    all at once."""
+    V1 = make_piecewise([-1.0, 0.0, 1.0], [-1.5, -2.0])
+    V2 = make_piecewise([-1.0, 0.0, 1.0], [-1.0, -2.0])
+    tracemalloc.start()
+    try:
+        g_function_experiment(V1, V2, 10.0, r_window=0.1, n_grid=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

@@ -21,6 +21,7 @@ from resonances1d.czeros import (
 from resonances1d.errors import (
     BoundaryZero,
     MaxZerosExceeded,
+    PhaseStepTooLarge,
     UnconvergedZeroWarning,
 )
 from resonances1d.potential import make_piecewise, square_well
@@ -141,6 +142,102 @@ def test_newton_starts_near_its_zero():
     zs = czeros._search_halfplane(f, 40.0, tile=3.0, tag="xhat")
     assert len(zs.zeros) > 40
     assert calls.count((3,)) <= 3 * len(zs.zeros)
+
+
+def _tile_by_tile(f, radius, tile, tag):
+    """_search_halfplane as one find_zeros call per tile, in tile order."""
+    zeros = []
+    for rect in _tiles(radius, tile):
+        zs = find_zeros(f, rect, max_zeros=500, function_tag=tag)
+        zeros.extend(z for z in zs.zeros
+                     if abs(z.location) <= radius and z.location.imag < -1e-9)
+    return czeros._finalize(zeros, tag, 1.0)
+
+
+def _tiles(radius, tile):
+    """The tiles _search_halfplane counts, in its order."""
+    x_edges = np.arange(-radius - 0.137, radius + tile, tile)
+    y_edges = np.append(np.arange(-radius - 0.137, 0.0, tile), -1e-9)
+    return [Rect(complex(x0, y0), complex(x1, y1))
+            for x0, x1 in zip(x_edges, x_edges[1:])
+            for y0, y1 in zip(y_edges, y_edges[1:])
+            if abs(complex(min(max(0.0, x0), x1), min(max(0.0, y0), y1))) <= radius * 1.05]
+
+
+def _outcome(search, f, radius):
+    """The repr of the zeros found, or of the error raised: equal reprs
+    mean equal bits (floats print their shortest round-trip form)."""
+    try:
+        return repr(search(f, radius, 3.0, "xhat").zeros)
+    except (BoundaryZero, PhaseStepTooLarge, MaxZerosExceeded) as exc:
+        return repr(exc)
+
+
+@st.composite
+def step_potentials(draw):
+    """1-8 cells, values in [-8, 4] away from 0, hull width 0.3-3 or 3-4
+    (where the near-zero test often raises BoundaryZero)."""
+    n = draw(st.integers(1, 8))
+    width = draw(st.one_of(st.floats(0.3, 3.0), st.floats(3.0, 4.0)))
+    cells = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    values = draw(st.lists(st.one_of(st.floats(-8.0, -0.05), st.floats(0.05, 4.0)),
+                           min_size=n, max_size=n))
+    edges = width * (np.concatenate(([0.0], np.cumsum(cells) / np.sum(cells))) - 0.5)
+    return make_piecewise(edges, values)
+
+
+@given(step_potentials(), st.floats(1.5, 12.0))
+@settings(max_examples=60, deadline=None)
+def test_search_matches_a_find_zeros_loop(V, radius):
+    """Counting a group of tiles from one call of xhat gives, bit for bit,
+    the zeros (or the error) of one find_zeros call per tile."""
+    f = lambda k: xhat(V, k)
+    assert _outcome(czeros._search_halfplane, f, radius) == _outcome(_tile_by_tile, f, radius)
+
+
+def test_search_matches_a_find_zeros_loop_where_a_tile_raises():
+    """A zero on a corner of four tiles: the first samples of each vanish
+    there, so each is counted again, dilated, by find_zeros."""
+    radius = 4.0
+    tiles = _tiles(radius, 3.0)
+    corner = tiles[3].lo
+    f = lambda z: (z - corner) * (z - 2.5 + 0.7j) * (z + 0.2 + 2.9j)
+    assert sum(t.contains(corner) for t in tiles) == 4
+    for t in tiles:
+        if t.contains(corner):
+            with pytest.raises(BoundaryZero):
+                czeros._phase_winding(f, t)
+    got = _outcome(czeros._search_halfplane, f, radius)
+    assert got == _outcome(_tile_by_tile, f, radius)
+    assert len(czeros._search_halfplane(f, radius, 3.0, "").zeros) == 3
+
+
+def test_search_matches_a_find_zeros_loop_where_a_tile_refines():
+    """A zero 1e-3 below a tile's top edge turns the phase by nearly pi in
+    one of its first steps; the tile is refined from its group's samples."""
+    radius = 4.0
+    tile = _tiles(radius, 3.0)[1]
+    z0 = complex(tile.center.real, tile.hi.imag - 1e-3)
+    f = lambda z: (z - z0) * (z - 2.5 + 0.7j)
+    _, _, bad = czeros._steps(czeros._TS, f(tile.boundary_points(czeros._TS)))
+    assert np.any(bad)
+    assert _outcome(czeros._search_halfplane, f, radius) == _outcome(_tile_by_tile, f, radius)
+    assert len(czeros._search_halfplane(f, radius, 3.0, "").zeros) == 2
+
+
+def test_search_counts_its_tiles_in_a_few_calls():
+    """The 336 tiles of a radius-40 search take 11 calls of f for their
+    first samples, not one each; the points evaluated stay the same."""
+    V = square_well(-4.0, -1.0, 1.0)
+    sizes = []
+
+    def f(k):
+        sizes.append(np.size(k))
+        return xhat(V, k)
+
+    czeros._search_halfplane(f, 40.0, tile=3.0, tag="xhat")
+    assert sum(n > 3 for n in sizes) <= 40
+    assert sum(sizes) == 92_587
 
 
 def test_close_pair_takes_one_each():

@@ -179,6 +179,23 @@ def test_simpson_weights_match_scipy(which, ends, re, im):
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_transforms_take_k_in_blocks():
+    """k runs in blocks of 257: a contour of 257 k keeps its bits when it
+    comes in a stack of contours, a 2-D k keeps its shape, and 700 k in
+    three blocks match scipy's Simpson rule."""
+    field = solve_kernels(make_piecewise([-0.7, 0.3, 1.1], [1.5, -2.0]), 256)
+    grid, values = field.x_grid, field.X_reg
+    h = grid[1] - grid[0]
+    whole = lambda k: _windowed_quadrature(grid, values, grid[0], grid[-1], k, h)
+    k = np.linspace(-20.0, 20.0, 3 * 257).reshape(3, 257) - 0.6j
+    out = whole(k)
+    assert out.shape == k.shape
+    assert all(np.array_equal(row, whole(kk)) for row, kk in zip(out, k))
+    k = np.linspace(-30.0, 30.0, 700) + 0.7j
+    ref = _scipy_windowed_quadrature(grid, values, grid[0], grid[-1], k, h)
+    assert np.max(np.abs(whole(k) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_kernel_paths_load_no_scipy(tmp_path):
     """The kernels CLI, both FULL transforms, the influence check and the G
     experiment run on numpy alone, in a fresh interpreter."""
