@@ -36,7 +36,6 @@ from .scattering import _BLOCK, xhat
 
 _N_BOUNDARY = 256  # initial samples per counting contour
 _MAX_EVALS = 200_000  # refinement budget per contour
-_NEAR_ZERO = 1e-9  # |f| below this share of its largest contour sample: BoundaryZero
 
 
 @dataclass(frozen=True)
@@ -173,28 +172,28 @@ def _turns(steps):
 
 
 def _moment(zs, ratio):
-    """First contour moment along the last axis: the sum of the zeros inside."""
+    """First moment of a contour with no bad step: the sum of the zeros inside."""
     # (1/2 pi i) sum z_mid * dlog f; the closing point is the first,
     # and log(ratio) = log|ratio| + i * steps
-    return np.sum((zs[..., 1:] + zs[..., :-1]) / 2 * np.log(ratio), axis=-1) / (2j * np.pi)
+    return complex(np.sum((zs[1:] + zs[:-1]) / 2 * np.log(ratio)) / (2j * np.pi))
 
 
 def _refine(f, rect, ts, zs, fs):
     """(count, first moment) of rect from samples fs = f(zs) at parameters ts
     of its contour, halving each bad step until none is left."""
     scale = np.max(np.abs(fs))
-    if scale == 0 or np.min(np.abs(fs)) < _NEAR_ZERO * scale:
+    if scale == 0 or np.min(np.abs(fs)) < 1e-9 * scale:
         raise BoundaryZero("function vanishes (or nearly) on the contour")
     for _ in range(60):
         ratio, steps, bad = _steps(ts, fs)
         if not np.any(bad):
-            return int(_turns(steps)), complex(_moment(zs, ratio))
+            return int(_turns(steps)), _moment(zs, ratio)
         if len(ts) > _MAX_EVALS:
             raise PhaseStepTooLarge("phase refinement budget exhausted")
         mid_t = (ts[:-1][bad] + ts[1:][bad]) / 2
         mid_z = rect.boundary_points(mid_t)
         mid_f = np.asarray(f(mid_z), dtype=complex)
-        if np.min(np.abs(mid_f)) < _NEAR_ZERO * scale:
+        if np.min(np.abs(mid_f)) < 1e-9 * scale:
             raise BoundaryZero("function vanishes (or nearly) on the contour")
         at = np.nonzero(bad)[0] + 1
         ts = np.insert(ts, at, mid_t)
@@ -208,36 +207,26 @@ def _count_tiles(f, rects):
     _phase_winding counts it, or (rect, None, None) where it raises
     BoundaryZero.
 
-    One call of f samples every contour.  The near-zero test, the steps and
-    the counts and moments of contours with no bad step are taken over all
-    of them at once; a contour with a bad step goes on through _refine from
-    its samples when its turn comes.  So errors arise in rect order, and
-    every count, and the moment of every nonzero count, keeps the bits
-    _phase_winding gives it.
+    One call of f takes the first samples of every contour.  Contours with
+    no bad step and no near-zero sample are counted together; the others go
+    on through _refine from their samples, so no point is evaluated twice.
     """
     x0, x1, y0, y1 = np.array([(r.lo.real, r.hi.real, r.lo.imag, r.hi.imag)
                                for r in rects]).T[:, :, None]
     zs = _perimeter(x0, x1, y0, y1, _TS)
     fs = np.asarray(f(zs.ravel()), dtype=complex).reshape(zs.shape)
-    absf = np.abs(fs)
-    scale = np.max(absf, axis=-1)
     ratio, steps, bad = _steps(_TS, fs)
-    n = _turns(steps)
-    # a NaN fails every comparison, so its contour goes to _refine too
-    done = ((scale > 0) & (np.min(absf, axis=-1) >= _NEAR_ZERO * scale)
-            & ~np.any(bad, axis=-1))
-    # a contour counted 0 has moment 0; _bisect stops before reading it
-    held = done & (n != 0)
-    s1 = np.zeros(len(rects), dtype=complex)
-    s1[held] = _moment(zs[held], ratio[held])
-    for i, rect in enumerate(rects):
-        if done[i]:
-            yield rect, int(n[i]), complex(s1[i])
-            continue
-        try:
-            count = _refine(f, rect, _TS, zs[i], fs[i])
-        except BoundaryZero:
-            count = (None, None)
+    absf = np.abs(fs)
+    # an all-zero or NaN contour fails the strict test and goes to _refine
+    clean = (np.min(absf, axis=-1) > 1e-9 * np.max(absf, axis=-1)) & ~np.any(bad, axis=-1)
+    for rect, ok, n, z, fz, r in zip(rects, clean, _turns(steps), zs, fs, ratio):
+        if ok:  # _bisect reads no moment of a count of 0
+            count = int(n), (_moment(z, r) if n else 0j)
+        else:
+            try:
+                count = _refine(f, rect, _TS, z, fz)
+            except BoundaryZero:
+                count = None, None
         yield (rect, *count)
 
 

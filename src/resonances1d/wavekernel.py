@@ -39,14 +39,15 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from .czeros import _TS
 from .errors import GridTooCoarse, ImaginaryPartTooLarge, SharedPartMismatch
 from .potential import Potential, _require_shared_right
 from .scattering import _like, _points
 
 # k per exp(-i k s) block of a windowed transform, so no matrix holds more
-# than O(len(s)) rows.  257 is one czeros counting contour: a G search that
+# than O(len(s)) rows: one czeros counting contour, so a G search that
 # samples many contours in one call gives each the product it had alone
-_K_ROWS = 257
+_K_ROWS = len(_TS)
 
 
 class Window(enum.Enum):
