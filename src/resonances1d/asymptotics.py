@@ -6,7 +6,8 @@ width, sectorial zero densities, the log-plus integrability check on the
 real line, Blaschke products over upper-half-plane zeros, and the
 Poisson-integral residual of the Nevanlinna-Levin representation.  Every
 limit is replaced by a fit over a geometric ladder of radii with the fit
-residual reported alongside the estimate.
+residual reported alongside the estimate.  The line integrals use one
+level-batched adaptive Gauss-Kronrod routine in numpy, `_quad`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     LowCountWarning,
     NonConvergentTail,
     OverflowAtRadius,
+    QuadratureNotConverged,
     ZeroInLowerHalfPlane,
 )
 from .potential import Potential, _require_shared_right
@@ -185,23 +187,84 @@ def _tail_fit(f, cutoff, sign, logabs):
     return float(coef[0]), float(coef[1]), float(np.max(np.abs(L - A @ coef)))
 
 
+# QUADPACK's qk21 on [0, 1]: Kronrod nodes, their weights, and the weights
+# of the embedded 10-point Gauss rule (at nodes 1, 3, 5, 7, 9)
+_XK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+                0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+                0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+                0.14887433898163122, 0.0])
+_WK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                0.14773910490133849, 0.1494455540029169])
+_WG = np.zeros(11)
+_WG[1::2] = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+             0.26926671930999635, 0.29552422471475287)
+_X21, _W21, _G21 = (np.concatenate([s * v[:-1], v[::-1]])
+                    for v, s in ((_XK, -1.0), (_WK, 1.0), (_WG, 1.0)))
+_EPS = 1.49e-8      # scipy quad's default epsabs and epsrel
+_LEVELS = 60
+_MAX_OPEN = 2048    # 43k points in one call of the integrand at most
+_U_MAX = 50.0       # tails: x = c e^u; an O(log x / x^2) remainder is < 1e-20
+
+
+def _tol(value):
+    return _EPS * max(1.0, abs(value))
+
+
+def _quad(g, a, b, points=()):
+    """(integral of g over [a, b], error estimate) by adaptive qk21, one
+    call of g (on an array) per level.  An interval whose QUADPACK error
+    fits its share of the tolerance, tol * length / (b - a), is kept, the
+    rest bisected, until the summed error is at most tol = `_tol`(value), or
+    for at most _LEVELS levels and _MAX_OPEN open intervals; the caller
+    tests the error.  ``points`` inside (a, b) are breakpoints."""
+    edges = np.array([a, *sorted(p for p in points if a < p < b), b], float)
+    lo, hi = edges[:-1], edges[1:]
+    kept = np.zeros(2)                      # value and error of kept intervals
+    for _ in range(_LEVELS):
+        c, h = (lo + hi) / 2, (hi - lo) / 2
+        F = np.asarray(g((c[:, None] + h[:, None] * _X21).ravel()), float).reshape(-1, 21)
+        resk = (F * _W21).sum(-1)
+        asc = (np.abs(F - resk[:, None] / 2) * _W21).sum(-1) * h
+        err = np.abs(resk - (F * _G21).sum(-1)) * h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where(asc * err > 0, asc * np.minimum(1.0, (200 * err / asc) ** 1.5), err)
+        err = np.maximum(err, 50 * np.finfo(float).eps * (np.abs(F) * _W21).sum(-1) * h)
+        val = resk * h
+        value, error = kept[0] + val.sum(), kept[1] + err.sum()
+        tol = _tol(value)
+        keep = err <= tol * (hi - lo) / (b - a)
+        if error <= tol or keep.all() or 2 * np.sum(~keep) > _MAX_OPEN:
+            break
+        kept += val[keep].sum(), err[keep].sum()
+        lo, hi = np.r_[lo[~keep], c[~keep]], np.r_[c[~keep], hi[~keep]]
+    return float(value), float(error)
+
+
+def _quad_tail(g, c, sign):
+    """Integral of g over the ray from sign*c to sign*infinity (c > 0), by
+    x = sign * c e^u on [0, _U_MAX]; x = c/t would leave a log singularity."""
+    return _quad(lambda u: g(sign * c * np.exp(u)) * (c * np.exp(u)), 0.0, _U_MAX)
+
+
 def cartwright_integral(f, cutoff: float, logabs: bool = False) -> CartwrightReport:
     """Integral of ln+|f(x)| / (1+x^2) over the real line.
 
-    [-cutoff, cutoff] by adaptive quadrature; beyond the cutoff, ln|f| is
-    modelled as  p*log|x| + q  fitted over the outermost decade, and the
-    model tail is integrated out to infinity.  A model misfit beyond 0.5
-    in log units raises NonConvergentTail (the growth is not polynomial).
+    [-cutoff, cutoff] by `_quad` (one call of f per level); beyond the
+    cutoff, ln|f| is modelled as  p*log|x| + q  fitted over the outermost
+    decade, and the model tail is integrated out to infinity.  A model
+    misfit beyond 0.5 in log units raises NonConvergentTail (the growth is
+    not polynomial).  ``converged`` (a bool) covers all three integrals:
+    the main one within `_tol`, each tail within 1e-8 (1 + |tail|).
     """
-    from scipy.integrate import quad  # deferred: it dominates import time
 
     def lp(x):
-        return max(_log_abs(f, x, logabs), 0.0) / (1.0 + x * x)
+        return np.maximum(_log_abs(f, x, logabs), 0.0) / (1.0 + x * x)
 
-    main, _ = quad(lp, -cutoff, cutoff, limit=400)
-    tail = 0.0
-    order = 0.0
-    converged = True
+    main, err = _quad(lp, -cutoff, cutoff)
+    converged = err <= _tol(main)
+    tail = order = 0.0
     for sign in (+1.0, -1.0):
         p, q, misfit = _tail_fit(f, cutoff, sign, logabs)
         if misfit > 0.5:
@@ -209,13 +272,13 @@ def cartwright_integral(f, cutoff: float, logabs: bool = False) -> CartwrightRep
                 "ln|f| is not polynomially bounded near x=%g" % (sign * cutoff)
             )
         order = max(order, p)
-        model = lambda x: max(p * np.log(x) + q, 0.0) / (1.0 + x * x)
-        t, err = quad(model, cutoff, np.inf, limit=400)
+        model = lambda x: np.maximum(p * np.log(x) + q, 0.0) / (1.0 + x * x)
+        t, err = _quad_tail(model, cutoff, 1.0)
         if not np.isfinite(t):
             raise NonConvergentTail("tail integral diverges")
         converged = converged and err < 1e-8 * (1.0 + abs(t))
         tail += t
-    return CartwrightReport(float(main), float(tail), order, converged)
+    return CartwrightReport(main, tail, order, bool(converged))
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +324,10 @@ def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
     polynomial-growth tail correction.  The supplied zero list is always
     reconciled against an argument-principle count of the zeros of f in
     Rect(-R + 0.05i, R + Ri), R = max(10, 2|z|): a shortfall raises
-    IncompleteZeroSet, and a count that fails raises its own error.
+    IncompleteZeroSet, and a count that fails raises its own error.  The
+    three integrals run through `_quad` (x is a breakpoint); one that misses
+    `_tol` raises QuadratureNotConverged.
     """
-    from scipy.integrate import quad
-
     z = complex(z)
     x, y = z.real, z.imag
     if y <= 0:
@@ -280,23 +343,17 @@ def nevanlinna_residual(f, upper_zeros, sigma_plus: float, z: complex,
                                 % (n_true, R, supplied))
 
     kern = lambda t: _log_abs(f, t, False) * (y / np.pi) / ((t - x) ** 2 + y * y)
-    with warnings.catch_warnings():
-        # integrable log singularities at real zeros of f trip the
-        # subdivision limit without harming the converged value
-        warnings.simplefilter("ignore")
-        main, _ = quad(kern, -line_cutoff, line_cutoff, limit=400,
-                       points=[x] if -line_cutoff < x < line_cutoff else None)
-    tail = 0.0
+    parts = [_quad(kern, -line_cutoff, line_cutoff, points=(x,))]
     for sign in (+1.0, -1.0):
         p, q, _ = _tail_fit(f, line_cutoff, sign, False)
         model = lambda t: (p * np.log(abs(t)) + q) * (y / np.pi) / ((t - x) ** 2 + y * y)
-        lo, hi = (line_cutoff, np.inf) if sign > 0 else (-np.inf, -line_cutoff)
-        t_val, _ = quad(model, lo, hi, limit=400)
-        tail += t_val
+        parts.append(_quad_tail(model, line_cutoff, sign))
+    if not all(err <= _tol(v) for v, err in parts):
+        raise QuadratureNotConverged("Poisson integral (value, error) parts %r" % parts)
     chi = blaschke_chi(tuple(upper_zeros), z)
     log_chi = float(np.log(abs(chi))) if chi != 0 else -np.inf
     lhs = _log_abs(f, z, False)
-    return abs(lhs - (main + tail) - sigma_plus * y - log_chi)
+    return abs(lhs - sum(v for v, _ in parts) - sigma_plus * y - log_chi)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,10 @@ class IncompleteZeroSet(Resonances1DError):
     pass
 
 
+class QuadratureNotConverged(Resonances1DError):
+    """An adaptive integral missed its tolerance within its level cap."""
+
+
 # -- inverse solver
 
 class DivergedLoss(Resonances1DError):
