@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czeros import Rect, ZeroSet, _converged, _search_halfplane, winding_number
+from .czeros import (Rect, ZeroSet, _converged, _search_halfplane, resonances,
+                     winding_number)
 from .errors import (
     EvaluationAtZero,
     IncompleteZeroSet,
@@ -408,8 +409,10 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
     r_fit = radius
     width_g = indicator_width(G, r_fit)
     width_x = indicator_width(lambda k: xhat(V1, k), r_fit)
-    zg = _search_halfplane(G, radius, tile=2.0, tag="G")
-    zx = _search_halfplane(lambda k: xhat(V1, k), radius, tile=2.0, tag="xhat")
+    # G's kernel windows lie in [2a - 2b, 0]: it has type 2 (b - a), as xhat has
+    sigma = max(2 * (V.hull[1] - V.hull[0]) for V in (V1, V2))
+    zg = _search_halfplane(G, radius, sigma, "G")
+    zx = resonances(V1, radius)
     sector = (-np.pi + 0.05, -0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowCountWarning)

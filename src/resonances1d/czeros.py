@@ -11,9 +11,9 @@ and has converged once a step is below 1e-11 (1 + |z|); after 60 steps it
 has not.  A polished zero takes its box's count as its multiplicity; polishes
 from two boxes within 1e-7 of the search scale merge, adding their counts.
 Split counts are exact, so the multiplicities of one search sum to its count.
-A half-plane search counts its tiles in groups, with one call of f for the
-first samples of a group's contours.
-Rectangles, not disks: tiling a half-plane and dodging zero chains that hug
+A half-plane search counts one rectangle about the lower half-disk and
+bisects it; its contours start at a spacing set by f's exponential type.
+Rectangles, not disks: covering a half-disk and dodging zero chains that hug
 the real axis is easier with axis-aligned subdivision.
 """
 
@@ -28,13 +28,14 @@ import numpy as np
 from .errors import (
     BoundaryZero,
     MaxZerosExceeded,
+    OverflowAtRadius,
     PhaseStepTooLarge,
     UnconvergedZeroWarning,
 )
 from .potential import Potential
-from .scattering import _BLOCK, xhat
+from .scattering import xhat
 
-_N_BOUNDARY = 256  # initial samples per counting contour
+_N_BOUNDARY = 256  # least start samples per counting contour
 _MAX_EVALS = 200_000  # refinement budget per contour
 
 
@@ -76,20 +77,15 @@ class Rect:
         return Rect(c + (self.lo - c) * factor, c + (self.hi - c) * factor)
 
     def boundary_points(self, ts):
-        """Map parameters in [0,1) to boundary points, counterclockwise."""
-        return _perimeter(self.lo.real, self.hi.real, self.lo.imag, self.hi.imag, ts)
-
-
-def _perimeter(x0, x1, y0, y1, ts):
-    """Points at parameters ts (mod 1) on the boundary of [x0, x1] x [y0, y1],
-    counterclockwise from the lower-left corner; the corners broadcast
-    against ts, so one call maps the contours of many rectangles."""
-    w, h = x1 - x0, y1 - y0
-    s = (np.asarray(ts) % 1.0) * (2 * (w + h))
-    return np.select(
-        [s < w, s < w + h, s < 2 * w + h],
-        [x0 + s + 1j * y0, x1 + 1j * (y0 + (s - w)), x1 - (s - w - h) + 1j * y1],
-        x0 + 1j * (y1 - (s - 2 * w - h)))
+        """Map parameters ts (mod 1) to boundary points, counterclockwise
+        from the lower-left corner."""
+        x0, y0, x1, y1 = self.lo.real, self.lo.imag, self.hi.real, self.hi.imag
+        w, h = x1 - x0, y1 - y0
+        s = (np.asarray(ts) % 1.0) * (2 * (w + h))
+        return np.select(
+            [s < w, s < w + h, s < 2 * w + h],
+            [x0 + s + 1j * y0, x1 + 1j * (y0 + (s - w)), x1 - (s - w - h) + 1j * y1],
+            x0 + 1j * (y1 - (s - 2 * w - h)))
 
 
 @dataclass(frozen=True)
@@ -138,37 +134,30 @@ class ZeroSet:
             json.dump(self.to_json(radius), fh, indent=2)
 
 
-# parameters of a counting contour's first samples; the last closes it
-_TS = np.append(np.linspace(0.0, 1.0, _N_BOUNDARY, endpoint=False), 1.0)
-# tiles whose first samples _count_tiles takes in one call of f: a call of
-# at most the forward core's block, so xhat takes it in one pass
-_GROUP = _BLOCK // len(_TS)
-
-
-def _phase_winding(f, rect):
-    zs = rect.boundary_points(_TS)
-    return _refine(f, rect, _TS, zs, np.asarray(f(zs), dtype=complex))
+def _phase_winding(f, rect, sigma=0.0):
+    """(count, first moment) of rect.  The contour starts with at least
+    _N_BOUNDARY samples, and enough that f of exponential type sigma turns
+    by at most pi/2 per step from its type alone; the last sample closes it."""
+    n = max(_N_BOUNDARY, int(np.ceil(4 * (rect.width + rect.height) * sigma / np.pi)))
+    ts = np.append(np.linspace(0.0, 1.0, n, endpoint=False), 1.0)
+    zs = rect.boundary_points(ts)
+    return _refine(f, rect, ts, zs, np.asarray(f(zs), dtype=complex))
 
 
 def _steps(ts, fs):
-    """(ratios, phase steps, bad steps) of the closed contours sampled along
-    the last axis of fs, at parameters ts.  A step is bad when its phase
-    turns by more than pi/2 or it sits in a dip of |f|."""
+    """(ratios, phase steps, bad steps) of the closed contour sampled as fs
+    at parameters ts.  A step is bad when its phase turns by more than pi/2
+    or it sits in a dip of |f|."""
     dt = np.diff(ts)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = fs[..., 1:] / fs[..., :-1]
+        ratio = fs[1:] / fs[:-1]
         slope = np.log(np.abs(ratio)) / dt  # of log|f|, per unit t
     steps = np.angle(ratio)
     # log|f| bending up by over 1 across a step marks close zeros; with two
     # or more the step's turn may pass 3 pi / 2 and alias (slopes wrap round)
-    slope = np.concatenate((slope[..., -1:], slope, slope[..., :1]), axis=-1)
-    bad = (np.abs(steps) > np.pi / 2) | ((slope[..., 2:] - slope[..., :-2]) * dt > 1.0)
+    slope = np.concatenate((slope[-1:], slope, slope[:1]))
+    bad = (np.abs(steps) > np.pi / 2) | ((slope[2:] - slope[:-2]) * dt > 1.0)
     return ratio, steps, bad
-
-
-def _turns(steps):
-    """Zeros counted along the last axis, from phase steps none of which is bad."""
-    return np.round(np.sum(steps, axis=-1) / (2 * np.pi))
 
 
 def _moment(zs, ratio):
@@ -178,67 +167,58 @@ def _moment(zs, ratio):
     return complex(np.sum((zs[1:] + zs[:-1]) / 2 * np.log(ratio)) / (2j * np.pi))
 
 
+def _check_samples(fs, ref):
+    """Raise unless every sample fs is finite and above 1e-9 of its reference
+    magnitude ref."""
+    if not np.all(np.isfinite(fs)):
+        raise OverflowAtRadius("function not finite on the contour")
+    if np.any(np.abs(fs) <= 1e-9 * ref):
+        raise BoundaryZero("function vanishes (or nearly) on the contour")
+
+
 def _refine(f, rect, ts, zs, fs):
     """(count, first moment) of rect from samples fs = f(zs) at parameters ts
-    of its contour, halving each bad step until none is left."""
-    scale = np.max(np.abs(fs))
-    if scale == 0 or np.min(np.abs(fs)) < 1e-9 * scale:
-        raise BoundaryZero("function vanishes (or nearly) on the contour")
+    of its contour, halving each bad step until none is left.
+
+    The near-zero test is local: a start sample fails against the larger |f|
+    of its two neighbours on the closed contour, a midpoint against the
+    larger reference magnitude of the two samples it bisects, where a start
+    sample's reference is its own |f|.  |f| may span many decades along
+    the contour far from any zero; from f's type alone it changes by at most
+    a factor of about e^(pi/2) between start samples spaced as
+    _phase_winding spaces them.
+    """
+    ref = np.abs(fs)  # the closing sample is the first
+    _check_samples(fs[:-1], np.maximum(np.append(ref[-2], ref[:-2]), ref[1:]))
     for _ in range(60):
         ratio, steps, bad = _steps(ts, fs)
         if not np.any(bad):
-            return int(_turns(steps)), _moment(zs, ratio)
+            n = int(np.round(np.sum(steps) / (2 * np.pi)))
+            return n, (_moment(zs, ratio) if n else 0j)
         if len(ts) > _MAX_EVALS:
             raise PhaseStepTooLarge("phase refinement budget exhausted")
         mid_t = (ts[:-1][bad] + ts[1:][bad]) / 2
         mid_z = rect.boundary_points(mid_t)
         mid_f = np.asarray(f(mid_z), dtype=complex)
-        if np.min(np.abs(mid_f)) < 1e-9 * scale:
-            raise BoundaryZero("function vanishes (or nearly) on the contour")
+        mid_ref = np.maximum(ref[:-1][bad], ref[1:][bad])
+        _check_samples(mid_f, mid_ref)
         at = np.nonzero(bad)[0] + 1
         ts = np.insert(ts, at, mid_t)
         zs = np.insert(zs, at, mid_z)
         fs = np.insert(fs, at, mid_f)
+        ref = np.insert(ref, at, mid_ref)
     raise PhaseStepTooLarge("phase steps above pi/2 after maximum refinement")
 
 
-def _count_tiles(f, rects):
-    """Yield (rect, count, first moment) for each rect in turn, as
-    _phase_winding counts it, or (rect, None, None) where it raises
-    BoundaryZero.
-
-    One call of f takes the first samples of every contour.  Contours with
-    no bad step and no near-zero sample are counted together; the others go
-    on through _refine from their samples, so no point is evaluated twice.
-    """
-    x0, x1, y0, y1 = np.array([(r.lo.real, r.hi.real, r.lo.imag, r.hi.imag)
-                               for r in rects]).T[:, :, None]
-    zs = _perimeter(x0, x1, y0, y1, _TS)
-    fs = np.asarray(f(zs.ravel()), dtype=complex).reshape(zs.shape)
-    ratio, steps, bad = _steps(_TS, fs)
-    absf = np.abs(fs)
-    # an all-zero or NaN contour fails the strict test and goes to _refine
-    clean = (np.min(absf, axis=-1) > 1e-9 * np.max(absf, axis=-1)) & ~np.any(bad, axis=-1)
-    for rect, ok, n, z, fz, r in zip(rects, clean, _turns(steps), zs, fs, ratio):
-        if ok:  # _bisect reads no moment of a count of 0
-            count = int(n), (_moment(z, r) if n else 0j)
-        else:
-            try:
-                count = _refine(f, rect, _TS, z, fz)
-            except BoundaryZero:
-                count = None, None
-        yield (rect, *count)
-
-
-def _count(f, rect):
+def _count(f, rect, sigma=0.0):
     """(winding_number, sum of the zeros, rect counted): after BoundaryZero the
     rect counted is rect dilated by 1 + 1e-6, up to three times."""
     for attempt in range(3):
         try:
-            return (*_phase_winding(f, rect), rect)
+            return (*_phase_winding(f, rect, sigma), rect)
         except BoundaryZero:
             rect = rect.dilated(1 + 1e-6)
-    return (*_phase_winding(f, rect), rect)
+    return (*_phase_winding(f, rect, sigma), rect)
 
 
 def winding_number(f, rect: Rect) -> int:
@@ -292,9 +272,10 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
     return _bisect(f, rect, total, s1, max_zeros, function_tag)
 
 
-def _bisect(f, rect, total, s1, max_zeros, function_tag):
+def _bisect(f, rect, total, s1, max_zeros, function_tag, sigma=0.0):
     """The zeros of f in rect, counted total with first moment s1: bisection
-    on counts + Newton polish, each box polished from moment / count."""
+    on counts + Newton polish, each box polished from moment / count.  sigma
+    spaces the start samples of the split contours, as in _phase_winding."""
     if total == 0:
         return ZeroSet((), function_tag)
     if total > max_zeros:
@@ -327,11 +308,11 @@ def _bisect(f, rect, total, s1, max_zeros, function_tag):
                 found.append(Zero(box.center, count, resid, False))
                 continue
             # polish failed or left the box: keep bisecting
-        stack.extend(_split_counted(f, box, count, s1))
-    return _finalize(found, function_tag, scale0, add=True)
+        stack.extend(_split_counted(f, box, count, s1, sigma))
+    return _finalize(found, function_tag, scale0)
 
 
-def _split_counted(f, box, count, s1):
+def _split_counted(f, box, count, s1, sigma=0.0):
     """Split the box in two; nudge the cut if a zero obstructs it.
 
     Only the first child is counted, undilated; the second child's count and
@@ -344,7 +325,7 @@ def _split_counted(f, box, count, s1):
         for frac in fracs:
             c0, c1 = _split_axis(box, frac, vertical_cut)
             try:
-                n0, m0 = _phase_winding(f, c0)
+                n0, m0 = _phase_winding(f, c0, sigma)
             except (BoundaryZero, PhaseStepTooLarge):
                 continue
             n1 = count - n0
@@ -372,11 +353,11 @@ def _converged(zs):
     return [z for z in zs.zeros if z.converged]
 
 
-def _finalize(found, function_tag, scale0, add=False):
-    """The one sort, and dedup by pairwise distance.  Zeros sort by real part,
+def _finalize(found, function_tag, scale0):
+    """The one sort, and merge by pairwise distance.  Zeros sort by real part,
     then imaginary; one within 1e-9 (1 + |z|) of the imaginary axis counts as
     on it, so axis zeros sort by Im alone.  A zero within 1e-7 scale0 of a
-    kept one is dropped or, with add, adds its multiplicity to it."""
+    kept one adds its multiplicity to it."""
     def key(z):
         on_axis = abs(z.location.real) <= 1e-9 * (1.0 + abs(z.location))
         return (0.0 if on_axis else z.location.real, z.location.imag)
@@ -387,14 +368,15 @@ def _finalize(found, function_tag, scale0, add=False):
                   if abs(z.location - w.location) <= 1e-7 * scale0), None)
         if i is None:
             kept.append(z)
-        elif add:
+        else:
             kept[i] = replace(kept[i], multiplicity=kept[i].multiplicity + z.multiplicity)
     return ZeroSet(tuple(kept), function_tag)
 
 
 def resonances(V: Potential, radius: float) -> ZeroSet:
     """All zeros of xhat with |k| <= radius in the open lower half-plane."""
-    return _search_halfplane(lambda k: xhat(V, k), radius, tile=3.0, tag="xhat")
+    a, b = V.hull
+    return _search_halfplane(lambda k: xhat(V, k), radius, 2 * (b - a), "xhat")
 
 
 def _bound_state_height(V: Potential) -> float:
@@ -415,35 +397,20 @@ def bound_states(V: Potential):
     return zs, energies
 
 
-def _search_halfplane(f, radius, tile, tag):
-    """Zeros of f with |k| <= radius in the open lower half-plane, tile by tile.
+def _search_halfplane(f, radius, sigma, tag):
+    """Zeros of f with |k| <= radius in the open lower half-plane.
 
-    _count_tiles counts up to _GROUP tiles from one call of f.  A tile counted
-    0 stops there, one with a count goes to _bisect, and one whose contour
-    raised BoundaryZero to find_zeros, which counts it again with dilation
-    retries.  Each tile keeps its own contour, so an edge shared by two
-    tiles is sampled twice and every count is the one find_zeros would make.
+    One rectangle holds the lower half-disk: find_zeros' count (dilated if a
+    zero sits on its contour), then _bisect, with contours started at a
+    spacing set by sigma, the exponential type of f (2 (b - a) for xhat).
+    The zeros off the disk, or not below the axis, are dropped.
     """
     eps = 1e-9
-    x_edges = np.arange(-radius - 0.137, radius + tile, tile)
-    y_edges = np.append(np.arange(-radius - 0.137, 0.0, tile), -eps)
-    tiles = []
-    for x0, x1 in zip(x_edges, x_edges[1:]):
-        for y0, y1 in zip(y_edges, y_edges[1:]):
-            # skip a tile only when even its point nearest the origin is off the disk
-            nearest = complex(min(max(0.0, x0), x1), min(max(0.0, y0), y1))
-            if abs(nearest) <= radius * 1.05:
-                tiles.append(Rect(complex(x0, y0), complex(x1, y1)))
-    zeros = []
-    for i in range(0, len(tiles), _GROUP):
-        for rect, total, s1 in _count_tiles(f, tiles[i:i + _GROUP]):
-            if total is None:
-                zs = find_zeros(f, rect, max_zeros=500, function_tag=tag)
-            else:
-                zs = _bisect(f, rect, total, s1, 500, tag)
-            zeros.extend(z for z in zs.zeros
-                         if abs(z.location) <= radius and z.location.imag < -eps)
-    return _finalize(zeros, tag, 1.0)
+    rect = Rect(complex(-radius - 0.137, -radius - 0.137), complex(radius, -eps))
+    total, s1, rect = _count(f, rect, sigma)
+    zs = _bisect(f, rect, total, s1, 500, tag, sigma)
+    return ZeroSet(tuple(z for z in zs.zeros
+                         if abs(z.location) <= radius and z.location.imag < -eps), tag)
 
 
 def conjugate_symmetry_defect(zs: ZeroSet) -> float:

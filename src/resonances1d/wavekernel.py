@@ -39,15 +39,13 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .czeros import _TS
 from .errors import GridTooCoarse, ImaginaryPartTooLarge, SharedPartMismatch
 from .potential import Potential, _require_shared_right
 from .scattering import _like, _points
 
-# k per exp(-i k s) block of a windowed transform, so no matrix holds more
-# than O(len(s)) rows: one czeros counting contour, so a G search that
-# samples many contours in one call gives each the product it had alone
-_K_ROWS = len(_TS)
+# k per exp(-i k s) block of a windowed transform: each block holds at most
+# _K_ROWS * len(s) entries, however many k one call takes
+_K_ROWS = 257
 
 
 class Window(enum.Enum):

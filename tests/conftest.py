@@ -16,6 +16,13 @@ def make_zero_potential(a=-1.0, b=1.0):
     return Potential._unchecked((a, 0.0, b), (0.0, 0.0), "free")
 
 
+def yhat_type(V):
+    """Exponential type of yhat, 2 max(|a|, |b|): the spacing scale of a
+    half-plane search for its zeros."""
+    a, b = V.hull
+    return 2 * max(abs(a), abs(b))
+
+
 @pytest.fixture
 def zero_potential():
     return make_zero_potential()

@@ -48,7 +48,7 @@ from resonances1d.wavekernel import (
     solve_kernels,
 )
 
-from conftest import make_zero_potential
+from conftest import make_zero_potential, yhat_type
 
 
 def _report(n, ok, detail):
@@ -217,7 +217,7 @@ def test_acceptance_08_nevanlinna_residual():
     V = square_well(-1.0, -0.5, 0.5)
     f = lambda k: yhat(V, k)
     # the upper zeros of yhat are the lower zeros of yhat(-k), negated
-    zs = _search_halfplane(lambda k: f(-k), 12.0, tile=3.0, tag="yhat")
+    zs = _search_halfplane(lambda k: f(-k), 12.0, yhat_type(V), "yhat")
     sigma = indicator_estimate(
         lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
     ).h

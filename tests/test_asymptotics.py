@@ -43,6 +43,8 @@ from resonances1d.potential import make_piecewise, square_well
 from resonances1d.scattering import log_abs_xhat, log_abs_yhat, xhat, yhat
 from resonances1d.wavekernel import Window, kernel_fourier, solve_kernels
 
+from conftest import yhat_type
+
 
 # -- indicator function -----------------------------------------------------
 
@@ -344,7 +346,7 @@ def test_nevanlinna_unconverged_integral_raises(monkeypatch):
     tolerance, and the residual raises rather than return a number."""
     V = square_well(-1.0, -0.5, 0.5)
     f = lambda k: yhat(V, k)
-    zs = _search_halfplane(lambda k: f(-k), 12.0, tile=3.0, tag="yhat")
+    zs = _search_halfplane(lambda k: f(-k), 12.0, yhat_type(V), "yhat")
     monkeypatch.setattr(asymptotics, "_LEVELS", 2)
     with pytest.raises(QuadratureNotConverged):
         nevanlinna_residual(f, tuple(-zs.locations), 0.0, 2j, 200.0)
@@ -354,7 +356,7 @@ def test_nevanlinna_yhat_shallow_well():
     V = square_well(-1.0, -0.5, 0.5)
     f = lambda k: yhat(V, k)
     # the upper zeros of yhat are the lower zeros of yhat(-k), negated
-    zs = _search_halfplane(lambda k: f(-k), 12.0, tile=3.0, tag="yhat")
+    zs = _search_halfplane(lambda k: f(-k), 12.0, yhat_type(V), "yhat")
     sigma = indicator_estimate(
         lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
     ).h
@@ -367,7 +369,7 @@ def test_nevanlinna_yhat_with_upper_zeros():
     # Blaschke factor and the count reconciliation both see a non-empty list
     V = make_piecewise([-1.0, 0.0, 1.0], [-3.0, 2.0])
     f = lambda k: yhat(V, k)
-    zs = _search_halfplane(lambda k: f(-k), 12.0, tile=3.0, tag="yhat")
+    zs = _search_halfplane(lambda k: f(-k), 12.0, yhat_type(V), "yhat")
     assert len(zs.locations) == 7
     sigma = indicator_estimate(
         lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
@@ -397,9 +399,9 @@ def test_g_experiment_distinct_pair():
 
 
 def test_g_experiment_memory_stays_small():
-    """The G search samples up to 31 tile contours per call of G; the
-    transforms take those k in blocks, so no exp(-i k s) matrix holds them
-    all at once."""
+    """A call of G takes a counting contour's k, more of them at larger
+    radii; the transforms take k in blocks, so no exp(-i k s) matrix holds
+    them all at once."""
     V1 = make_piecewise([-1.0, 0.0, 1.0], [-1.5, -2.0])
     V2 = make_piecewise([-1.0, 0.0, 1.0], [-1.0, -2.0])
     tracemalloc.start()

@@ -182,6 +182,20 @@ def test_nevanlinna_check_zero_finder_failure_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nevanlinna_check_on_the_square_well_gets_to_its_verdict(well_file, tmp_path,
+                                                                 capsys):
+    """The count of the upper zeros over Rect(-10+0.05i, 10+10i) raised
+    BoundaryZero on this well, far from any zero, and the check exited
+    without a report.  It now writes one: residual 0.0887 with one upper
+    zero, above the 0.05 bound, so it exits 2 with a red verdict."""
+    out = tmp_path / "nev.json"
+    code = cli.main(["nevanlinna-check", "--potential", well_file, "--out", str(out)])
+    assert code == cli.FAIL_EXIT
+    d = json.loads(out.read_text())
+    assert np.isfinite(d["residual"]) and d["n_upper_zeros"] == 1 and not d["pass"]
+    assert '"error"' not in capsys.readouterr().err
+
+
 def test_g_experiment(pair_files, tmp_path):
     p1, p2 = pair_files
     out = tmp_path / "g.json"

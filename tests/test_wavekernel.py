@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import resonances1d
-from resonances1d import czeros
+from resonances1d import wavekernel
 from resonances1d.errors import (
     GridTooCoarse,
     ImaginaryPartTooLarge,
@@ -181,14 +181,14 @@ def test_simpson_weights_match_scipy(which, ends, re, im):
 
 
 def test_transforms_take_k_in_blocks():
-    """k runs in blocks of one counting contour: a contour of k keeps its
-    bits when it comes in a stack of contours, a 2-D k keeps its shape, and
+    """k runs in blocks of _K_ROWS: a block of k keeps its bits when it
+    comes in a stack of blocks, a 2-D k keeps its shape, and
     700 k in several blocks match scipy's Simpson rule."""
     field = solve_kernels(make_piecewise([-0.7, 0.3, 1.1], [1.5, -2.0]), 256)
     grid, values = field.x_grid, field.X_reg
     h = grid[1] - grid[0]
     whole = lambda k: _windowed_quadrature(grid, values, grid[0], grid[-1], k, h)
-    n = len(czeros._TS)
+    n = wavekernel._K_ROWS
     k = np.linspace(-20.0, 20.0, 3 * n).reshape(3, n) - 0.6j
     out = whole(k)
     assert out.shape == k.shape
