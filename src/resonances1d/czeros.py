@@ -9,7 +9,7 @@ user-supplied entire function works.  Newton starts at the box's first
 moment over its count, or at the box centre when that point leaves the box,
 and has converged once a step is below 1e-11 (1 + |z|); after 60 steps it
 has not.  A polished zero takes its box's count as its multiplicity; polishes
-from two boxes within 1e-7 of the search scale merge, adding their counts.
+from two boxes within 1e-7 of their diagonals merge, adding their counts.
 Split counts are exact, so the multiplicities of one search sum to its count.
 A half-plane search counts one rectangle about the lower half-disk and
 bisects it; its contours start at a spacing set by f's exponential type.
@@ -145,9 +145,9 @@ def _phase_winding(f, rect, sigma=0.0):
 
 
 def _steps(ts, fs):
-    """(ratios, phase steps, bad steps) of the closed contour sampled as fs
-    at parameters ts.  A step is bad when its phase turns by more than pi/2
-    or it sits in a dip of |f|."""
+    """(ratios, phase steps, wide steps, dips) of the closed contour sampled
+    as fs at parameters ts.  A step is wide when its phase turns by more than
+    pi/2, and a dip when it sits in a dip of |f|."""
     dt = np.diff(ts)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = fs[1:] / fs[:-1]
@@ -156,8 +156,7 @@ def _steps(ts, fs):
     # log|f| bending up by over 1 across a step marks close zeros; with two
     # or more the step's turn may pass 3 pi / 2 and alias (slopes wrap round)
     slope = np.concatenate((slope[-1:], slope, slope[:1]))
-    bad = (np.abs(steps) > np.pi / 2) | ((slope[2:] - slope[:-2]) * dt > 1.0)
-    return ratio, steps, bad
+    return ratio, steps, np.abs(steps) > np.pi / 2, (slope[2:] - slope[:-2]) * dt > 1.0
 
 
 def _moment(zs, ratio):
@@ -178,7 +177,8 @@ def _check_samples(fs, ref):
 
 def _refine(f, rect, ts, zs, fs):
     """(count, first moment) of rect from samples fs = f(zs) at parameters ts
-    of its contour, halving each bad step until none is left.
+    of its contour, halving each wide step, dip or long step until none is
+    left.
 
     The near-zero test is local: a start sample fails against the larger |f|
     of its two neighbours on the closed contour, a midpoint against the
@@ -187,11 +187,20 @@ def _refine(f, rect, ts, zs, fs):
     the contour far from any zero; from f's type alone it changes by at most
     a factor of about e^(pi/2) between start samples spaced as
     _phase_winding spaces them.
+
+    A start step outside a dip across which log|f| changes by more than pi
+    shows that the spacing is too wide for f: by Cauchy-Riemann the phase
+    turns as fast across a side where |f| barely changes, and a turn of 2 pi
+    + x reads as x.  Steps are then long above pi/2 at the fastest such rate.
     """
     ref = np.abs(fs)  # the closing sample is the first
     _check_samples(fs[:-1], np.maximum(np.append(ref[-2], ref[:-2]), ref[1:]))
+    ratio, steps, wide, dip = _steps(ts, fs)
+    rise = np.max(np.abs(np.log(np.abs(ratio[~dip]))), initial=0.0)
+    # start steps are even in t
+    longest = (ts[1] - ts[0]) * np.pi / 2 / rise if rise > np.pi else np.inf
     for _ in range(60):
-        ratio, steps, bad = _steps(ts, fs)
+        bad = wide | dip | (np.diff(ts) > longest)
         if not np.any(bad):
             n = int(np.round(np.sum(steps) / (2 * np.pi)))
             return n, (_moment(zs, ratio) if n else 0j)
@@ -207,6 +216,7 @@ def _refine(f, rect, ts, zs, fs):
         zs = np.insert(zs, at, mid_z)
         fs = np.insert(fs, at, mid_f)
         ref = np.insert(ref, at, mid_ref)
+        ratio, steps, wide, dip = _steps(ts, fs)
     raise PhaseStepTooLarge("phase steps above pi/2 after maximum refinement")
 
 
@@ -265,8 +275,8 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
     when a zero sits on its boundary: a count, then _bisect.
 
     Each zero's multiplicity is the count of the box it was polished in;
-    zeros within 1e-7 rect.diag of each other merge, adding their counts, so
-    the multiplicities sum to winding_number(f, rect).
+    zeros within 1e-7 of the diagonal of those boxes merge, adding their
+    counts, so the multiplicities sum to winding_number(f, rect).
     """
     total, s1, rect = _count(f, rect)
     return _bisect(f, rect, total, s1, max_zeros, function_tag)
@@ -275,24 +285,27 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
 def _bisect(f, rect, total, s1, max_zeros, function_tag, sigma=0.0):
     """The zeros of f in rect, counted total with first moment s1: bisection
     on counts + Newton polish, each box polished from moment / count.  sigma
-    spaces the start samples of the split contours, as in _phase_winding."""
+    spaces the start samples of the split contours, as in _phase_winding.
+
+    Every tolerance is set by the box polished or by |z|, not by rect, so a
+    large rect resolves its zeros as finely as a small one: bisection stops
+    below 1e-9 (1 + |centre|), and Newton runs off beyond 10 box diagonals."""
     if total == 0:
         return ZeroSet((), function_tag)
     if total > max_zeros:
         raise MaxZerosExceeded("%d zeros counted, max_zeros=%d" % (total, max_zeros))
-    scale0 = rect.diag
     found = []
     stack = [(rect, total, s1)]
     while stack:
         box, count, s1 = stack.pop()
         if count == 0:
             continue
-        tiny = box.diag < max(1e-9 * scale0, 1e-12)
+        tiny = box.diag < 1e-9 * (1.0 + abs(box.center))
         if count == 1 or tiny:
             z0 = s1 / count  # a NaN or infinite moment fails contains
             if not box.contains(z0):
                 z0 = box.center
-            z, resid, ok = _newton(f, z0, scale0)
+            z, resid, ok = _newton(f, z0, box.diag)
             # accept roots a hair past the box seam (a zero within rounding
             # of a cut is counted by one child but may polish to just across
             # it) but nothing farther afield; once the box has shrunk to
@@ -300,16 +313,16 @@ def _bisect(f, rect, total, s1, max_zeros, function_tag, sigma=0.0):
             # few diameters out
             margin = 3.0 * box.diag if tiny else 1e-5 * box.diag
             inside = (box.contains(z, margin=margin)
-                      and rect.contains(z, margin=1e-9 * scale0))
+                      and rect.contains(z, margin=1e-9 * (1.0 + abs(z))))
             if ok and inside:
-                found.append(Zero(z, count, resid, True))
+                found.append((Zero(z, count, resid, True), box.diag))
                 continue
             if tiny:
-                found.append(Zero(box.center, count, resid, False))
+                found.append((Zero(box.center, count, resid, False), box.diag))
                 continue
             # polish failed or left the box: keep bisecting
         stack.extend(_split_counted(f, box, count, s1, sigma))
-    return _finalize(found, function_tag, scale0)
+    return _finalize(found, function_tag)
 
 
 def _split_counted(f, box, count, s1, sigma=0.0):
@@ -353,24 +366,26 @@ def _converged(zs):
     return [z for z in zs.zeros if z.converged]
 
 
-def _finalize(found, function_tag, scale0):
-    """The one sort, and merge by pairwise distance.  Zeros sort by real part,
-    then imaginary; one within 1e-9 (1 + |z|) of the imaginary axis counts as
-    on it, so axis zeros sort by Im alone.  A zero within 1e-7 scale0 of a
-    kept one adds its multiplicity to it."""
-    def key(z):
-        on_axis = abs(z.location.real) <= 1e-9 * (1.0 + abs(z.location))
-        return (0.0 if on_axis else z.location.real, z.location.imag)
+def _finalize(found, function_tag):
+    """The one sort, and merge by pairwise distance, of (zero, diagonal of
+    the box it was polished in) pairs.  Zeros sort by real part, then
+    imaginary; one within 1e-9 (1 + |z|) of the imaginary axis counts as on
+    it, so axis zeros sort by Im alone.  A zero within 1e-7 of the larger box
+    diagonal of a kept one adds its multiplicity to it."""
+    def key(pair):
+        z = pair[0].location
+        return (0.0 if abs(z.real) <= 1e-9 * (1.0 + abs(z)) else z.real, z.imag)
 
     kept = []
-    for z in sorted(found, key=key):
-        i = next((i for i, w in enumerate(kept)
-                  if abs(z.location - w.location) <= 1e-7 * scale0), None)
+    for z, d in sorted(found, key=key):
+        i = next((i for i, (w, e) in enumerate(kept)
+                  if abs(z.location - w.location) <= 1e-7 * max(d, e)), None)
         if i is None:
-            kept.append(z)
+            kept.append((z, d))
         else:
-            kept[i] = replace(kept[i], multiplicity=kept[i].multiplicity + z.multiplicity)
-    return ZeroSet(tuple(kept), function_tag)
+            w, e = kept[i]
+            kept[i] = (replace(w, multiplicity=w.multiplicity + z.multiplicity), max(d, e))
+    return ZeroSet(tuple(z for z, _ in kept), function_tag)
 
 
 def resonances(V: Potential, radius: float) -> ZeroSet:

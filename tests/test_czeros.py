@@ -265,6 +265,28 @@ def test_search_cost_on_sw4_at_radius_40(monkeypatch):
     assert sum(sizes) <= 46_000
 
 
+@pytest.mark.parametrize("radius, want", [(80.0, 99), (160.0, 200)])
+def test_count_without_a_type_refines_where_log_f_rises_fast(radius, want):
+    """256 start samples space sw4's search rectangle so wide that xhat's
+    phase turns by about 2 pi + 1.2 per step along its bottom edge, where
+    |xhat| barely changes; at R = 80 the turns read as 1.2 counted 14.  log|f|
+    rises as fast along the sides, so the count refines every step there."""
+    V = square_well(-4.0, -1.0, 1.0)
+    assert winding_number(lambda k: xhat(V, k), _search_rect(radius)) == want
+
+
+def test_search_keeps_a_close_pair_apart_at_a_large_radius():
+    """Two zeros 2e-6 apart at |z| = 112 in the R = 160 search come back as
+    two simple zeros: the merge distance is set by the boxes polished, not
+    by the 453-wide rectangle counted (1e-7 of that is 4.5e-5)."""
+    z1 = 100.0 - 50.0j
+    f = lambda z: (z - z1) * (z - z1 - 2e-6) * (z + 3.0 + 40.0j)
+    zs = czeros._search_halfplane(f, 160.0, 0.0, "")
+    np.testing.assert_allclose(sorted(zs.locations, key=lambda z: z.real),
+                               [-3.0 - 40.0j, z1, z1 + 2e-6], rtol=0, atol=1e-10)
+    assert [z.multiplicity for z in zs.zeros] == [1, 1, 1]
+
+
 def test_close_pair_takes_one_each():
     """A small circle about each of two zeros 5e-5 apart also counted the
     other one: multiplicity 2 each, total 4 against a count of 2."""
@@ -277,13 +299,16 @@ def test_close_pair_takes_one_each():
 
 
 def test_polishes_of_one_zero_from_two_boxes_add_their_counts():
-    """Within one find_zeros call, zeros within 1e-7 of its scale merge and
-    add their counts, so the multiplicities sum to the count."""
-    polishes = [czeros.Zero(0.3 + 1e-9j, 1, 1e-12), czeros.Zero(0.3 + 0j, 1, 1e-12),
-                czeros.Zero(0.5 + 0j, 1, 1e-12)]
-    zs = czeros._finalize(polishes, "", 1.0)
-    assert list(zs.locations) == [0.3, 0.5]
-    assert [z.multiplicity for z in zs.zeros] == [2, 1]
+    """Within one find_zeros call, zeros within 1e-7 of the larger diagonal
+    of the boxes they were polished in merge and add their counts, so the
+    multiplicities sum to the count."""
+    polishes = [(czeros.Zero(0.3 + 1e-9j, 1, 1e-12), 1e-3),
+                (czeros.Zero(0.3 + 0j, 1, 1e-12), 1.0),
+                (czeros.Zero(0.5 + 0j, 1, 1e-12), 1e-3),
+                (czeros.Zero(0.5 + 1e-9j, 1, 1e-12), 1e-3)]
+    zs = czeros._finalize(polishes, "")
+    assert list(zs.locations) == [0.3, 0.5, 0.5 + 1e-9j]
+    assert [z.multiplicity for z in zs.zeros] == [2, 1, 1]
 
 
 @pytest.mark.parametrize("f, rect, want", [
