@@ -29,6 +29,9 @@ time, reads only the two before it, and adds each one's V u into the X and
 Y quadratures as it goes: O(n) memory for an n-by-n triangle.  V is sampled
 once per anti-diagonal, at x_d = a + d (b-a)/n; the exit line x = b takes
 the last cell's value exactly, not a rounded (xi+eta)/2 that may land past b.
+The update coefficients of every anti-diagonal are computed once, before the
+march, and the march rotates three preallocated length-(n+1) buffers, writing
+each step in place: it allocates no array per anti-diagonal.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field as dfield
+from itertools import repeat
 
 import numpy as np
 
@@ -115,26 +119,35 @@ def _march(V: Potential, n: int):
     v = V.value_at(x)
     v[0], v[-1] = V.values[0], V.values[-1]
     edge = 0.5 * V.cumulative_integral(x)      # u on xi = 0
+    # interior u_d = p_d (left + right of u_{d-1} - u_{d-2}) + s_d u_{d-2}:
+    # s_d = p_d - q_d is O(h^2), formed apart so that its V terms keep their
+    # digits
     c = h * h / 16.0
+    p, s = np.zeros(n + 1), np.zeros(n + 1)
+    p[2:] = (1.0 + c * v[1:-1]) / (1.0 - c * v[2:])
+    s[2:] = c * (v[1:-1] + v[:-2]) / (1.0 - c * v[2:])
     rows = np.zeros(n + 1)   # sum over eta of V u, per xi_i
-    cols = np.zeros(n + 1)   # sum over xi of V u, per eta_j
-    older = prev = np.zeros(0)
-    for d in range(n + 1):
-        u = np.zeros(d + 1)                    # u = 0 on eta = 2a
-        u[0] = edge[d]
+    cols = np.zeros(n + 1)   # sum over xi of V u, per eta_j, at index n - j
+    # diagonal d lives in u[:d+1]; older's spent buffer takes V u
+    u, prev, older = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    for d, (pd, sd, vd, ed) in enumerate(zip(p, s, v, edge)):
         if d >= 2:
-            u[1:d] = (
-                prev[:-1] + prev[1:] - older
-                + c * (v[d - 1] * prev[:-1] + v[d - 1] * prev[1:] + v[d - 2] * older)
-            ) / (1.0 - c * v[d])
-        w = v[d] * u
-        rows[: d + 1] += w
-        cols[d::-1] += w
-        older, prev = prev, u
+            mid, old = u[1:d], older[:d - 1]
+            np.add(prev[:d - 1], prev[1:d], out=mid)
+            mid -= old
+            mid *= pd
+            old *= sd
+            mid += old
+        u[d] = 0.0                             # u = 0 on eta = 2a
+        u[0] = ed
+        w = np.multiply(u[:d + 1], vd, out=older[:d + 1])
+        rows[:d + 1] += w
+        cols[n - d:] += w
+        older, prev, u = prev, u, older
     # trapezoid end corrections: a row starts on eta = 2a, where u = 0, and
     # ends on the exit line; a column starts on xi = 0 and ends there too
     X = -0.25 * h * (rows - 0.5 * w)
-    Y = v / 4.0 + 0.25 * h * (cols - 0.5 * (v * edge + w[::-1]))
+    Y = v / 4.0 + 0.25 * h * (cols[::-1] - 0.5 * (v * edge + w[::-1]))
     return -h * np.arange(n, -1, -1), X[::-1], 2 * a + h * np.arange(n + 1), Y, v / 4.0
 
 
@@ -294,10 +307,10 @@ def domain_of_influence_check(V1: Potential, V2: Potential, r: float,
 
 
 def write_kernels_csv(field: KernelField, path):
+    """One row per sample: grid (X or Y), coordinate, value."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["grid", "coordinate", "value"])
-        for x, v in zip(field.x_grid, field.X_reg):
-            w.writerow(["X", x, v])
-        for y, v in zip(field.y_grid, field.Y_reg):
-            w.writerow(["Y", y, v])
+        for name, grid, values in (("X", field.x_grid, field.X_reg),
+                                   ("Y", field.y_grid, field.Y_reg)):
+            w.writerows(zip(repeat(name), grid.tolist(), values.tolist()))

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from resonances1d.potential import Potential
+from resonances1d.potential import Potential, make_piecewise
 
 
 def make_zero_potential(a=-1.0, b=1.0):
@@ -14,6 +15,18 @@ def make_zero_potential(a=-1.0, b=1.0):
     treat it as V = 0.
     """
     return Potential._unchecked((a, 0.0, b), (0.0, 0.0), "free")
+
+
+@st.composite
+def wells(draw):
+    """1-8 cells on a hull of width 0.3-4, values in [-8, 4] away from 0."""
+    n = draw(st.integers(1, 8))
+    width = draw(st.floats(0.3, 4.0))
+    cells = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    values = draw(st.lists(st.one_of(st.floats(-8.0, -0.05), st.floats(0.05, 4.0)),
+                           min_size=n, max_size=n))
+    edges = width * (np.concatenate(([0.0], np.cumsum(cells) / np.sum(cells))) - 0.5)
+    return make_piecewise(edges, values)
 
 
 def yhat_type(V):

@@ -43,7 +43,7 @@ from resonances1d.potential import make_piecewise, square_well
 from resonances1d.scattering import log_abs_xhat, log_abs_yhat, xhat, yhat
 from resonances1d.wavekernel import Window, kernel_fourier, solve_kernels
 
-from conftest import yhat_type
+from conftest import wells, yhat_type
 
 
 # -- indicator function -----------------------------------------------------
@@ -197,7 +197,7 @@ def test_cartwright_calls_f_once_per_level():
     rep = cartwright_integral(f, 40.0, logabs=True)
     assert len(calls) <= 30
     assert rep.converged is True
-    got, got_err = _quad(_log_plus(V), -40.0, 40.0)
+    got, got_err = _quad(_log_plus(V), -40.0, 40.0, clipped=True)
     assert got == rep.value
     want, want_err = quad(lambda x: float(_log_plus(V)(x)), -40.0, 40.0, limit=400)
     assert abs(got - want) <= got_err + want_err
@@ -207,6 +207,40 @@ def test_cartwright_calls_f_once_per_level():
         got, got_err = _quad_tail(model, 40.0, 1.0)
         want, want_err = quad(model, 40.0, np.inf, limit=400)
         assert abs(got - want) <= got_err + want_err
+
+
+def test_kinks_of_log_plus_are_breakpoints():
+    """ln|xhat| of this well crosses 0 at +-0.9377, between qk21 nodes.
+    Unsplit, those kinks fooled the error estimate: the main integral read
+    1.5570333025, 8.1e-6 off, with an estimate of 3.8e-10.  The reference
+    is a 20-point Gauss-Legendre sum on 0.01 panels split at the kinks; a
+    4-million-point Simpson sum agrees."""
+    V = make_piecewise(
+        [-0.31417295427766334, -0.1953107294210676, -0.17092408740597168,
+         -0.10620412607145355, 0.00034377923243945945, 0.06642950563631936,
+         0.18569464192414692, 0.31417295427766334],
+        [2.9151473879538576, -7.6537315235271945, 2.6879906729787084,
+         1.6711498972930316, 3.6345851670149725, -1.1950498189880676,
+         0.5848394144704429])
+    cutoff = 29.328860766130763
+    rep = cartwright_integral(lambda k: log_abs_xhat(V, k), cutoff, logabs=True)
+    value, err = _quad(_log_plus(V), -cutoff, cutoff, clipped=True)
+    assert value == rep.value
+    assert not rep.converged or abs(value - 1.5570252144) <= err + 1e-9
+
+
+def test_clipped_quad_splits_at_the_kink():
+    """max(x - 1/3, 0) on [-1, 1]: its one kink lies between nodes; the
+    split there makes both pieces polynomial, so qk21 is exact."""
+    calls = []
+
+    def g(x):
+        calls.append(np.size(x))
+        return np.maximum(x - 1.0 / 3.0, 0.0)
+
+    value, err = _quad(g, -1.0, 1.0, clipped=True)
+    assert abs(value - 2.0 / 9.0) <= 1e-15 and err <= 1e-14
+    assert calls == [21] + [32] * asymptotics._KINK_STEPS + [42]
 
 
 def test_cartwright_converged_covers_the_main_integral(monkeypatch):
@@ -222,19 +256,7 @@ def test_cartwright_converged_covers_the_main_integral(monkeypatch):
     assert cartwright_integral(f, 40.0, logabs=True).converged is False
 
 
-@st.composite
-def _wells(draw):
-    """1-8 cells on a hull of width 0.3-4, values in [-8, 4] away from 0."""
-    n = draw(st.integers(1, 8))
-    width = draw(st.floats(0.3, 4.0))
-    cells = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
-    values = draw(st.lists(st.one_of(st.floats(-8.0, -0.05), st.floats(0.05, 4.0)),
-                           min_size=n, max_size=n))
-    edges = width * (np.concatenate(([0.0], np.cumsum(cells) / np.sum(cells))) - 0.5)
-    return make_piecewise(edges, values)
-
-
-@given(_wells(), st.floats(2.0, 40.0))
+@given(wells(), st.floats(2.0, 40.0))
 @example(make_piecewise([-0.5395973041319054, 0.5395973041319054], [0.8720304484367257]),
          3.1016173528309556)
 @settings(max_examples=25, deadline=None)

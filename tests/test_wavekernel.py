@@ -1,5 +1,6 @@
 """Characteristic kernel solver and its windowed Fourier transforms."""
 
+import csv
 import math
 import os
 import subprocess
@@ -32,7 +33,7 @@ from resonances1d.wavekernel import (
     write_kernels_csv,
 )
 
-from conftest import make_zero_potential
+from conftest import make_zero_potential, wells
 
 
 def test_free_case_kernels_vanish():
@@ -65,6 +66,50 @@ def test_march_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def _reference_march(V, n):
+    """The march as first written: a fresh array per anti-diagonal and the
+    update in its plain form, (sum - older + c V u) / (1 - c v_d)."""
+    a, b = V.hull
+    h = 2.0 * (b - a) / n
+    x = np.linspace(a, b, n + 1)
+    v = V.value_at(x)
+    v[0], v[-1] = V.values[0], V.values[-1]
+    edge = 0.5 * V.cumulative_integral(x)
+    c = h * h / 16.0
+    rows = np.zeros(n + 1)
+    cols = np.zeros(n + 1)
+    older = prev = np.zeros(0)
+    for d in range(n + 1):
+        u = np.zeros(d + 1)
+        u[0] = edge[d]
+        if d >= 2:
+            u[1:d] = (
+                prev[:-1] + prev[1:] - older
+                + c * (v[d - 1] * prev[:-1] + v[d - 1] * prev[1:] + v[d - 2] * older)
+            ) / (1.0 - c * v[d])
+        w = v[d] * u
+        rows[: d + 1] += w
+        cols[d::-1] += w
+        older, prev = prev, u
+    X = -0.25 * h * (rows - 0.5 * w)
+    Y = v / 4.0 + 0.25 * h * (cols - 0.5 * (v * edge + w[::-1]))
+    return -h * np.arange(n, -1, -1), X[::-1], 2 * a + h * np.arange(n + 1), Y, v / 4.0
+
+
+@given(wells(), st.sampled_from([64, 128, 512]))
+@settings(max_examples=30, deadline=None)
+def test_march_matches_the_reference_march(V, n):
+    """Precomputed coefficients and in-place buffers reorder the rounding
+    only: the kernels agree within 1e-11 of the kernel scale, the grids and
+    y_leading bit for bit."""
+    got, want = wavekernel._march(V, n), _reference_march(V, n)
+    for i in (0, 2, 4):
+        assert np.array_equal(got[i], want[i])
+    scale = max(np.max(np.abs(want[1])), np.max(np.abs(want[3])))
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-11 * scale
+    assert np.max(np.abs(got[3] - want[3])) <= 1e-11 * scale
 
 
 def test_grid_floor():
@@ -298,6 +343,30 @@ def test_identical_pair_is_insensitive_everywhere():
 def test_default_window_r():
     V = square_well(-4.0, -1.0, 1.0)
     assert default_window_r(V) == pytest.approx(0.1)
+
+
+def _kernels_csv_by_rows(field, path):
+    """The kernels CSV as first written: one writerow per numpy-scalar row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["grid", "coordinate", "value"])
+        for x, v in zip(field.x_grid, field.X_reg):
+            w.writerow(["X", x, v])
+        for y, v in zip(field.y_grid, field.Y_reg):
+            w.writerow(["Y", y, v])
+
+
+def test_kernels_csv_bytes_match_the_row_writer(tmp_path):
+    """Python floats from tolist() print as the numpy scalars did, -0.0 and
+    exponent forms included."""
+    field = solve_kernels(make_piecewise([-1.0, -0.2, 0.3, 0.6, 1.0],
+                                         [1.5, -2.0, 0.7, -1.1]), 1024)
+    values = np.concatenate([field.X_reg, field.Y_reg])
+    assert str(field.X_reg[0]) == "-0.0"
+    assert np.any((values != 0) & (np.abs(values) < 1e-5))
+    write_kernels_csv(field, tmp_path / "new.csv")
+    _kernels_csv_by_rows(field, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_kernels_csv(tmp_path):
