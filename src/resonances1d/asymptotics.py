@@ -207,30 +207,13 @@ _EPS = 1.49e-8      # scipy quad's default epsabs and epsrel
 _LEVELS = 60
 _MAX_OPEN = 2048    # 43k points in one call of the integrand at most
 _U_MAX = 50.0       # tails: x = c e^u; an O(log x / x^2) remainder is < 1e-20
-_KINK_PTS = 32      # points per bracket in one call of the kink search
-_KINK_STEPS = 8     # 33**8 > 1e12: a bracket ends far below any node gap
 
 
 def _tol(value):
     return _EPS * max(1.0, abs(value))
 
 
-def _kink(g, lo, hi, pos_lo):
-    """Where g >= 0 turns from 0 to > 0 (or back) in each bracket
-    (lo, hi); pos_lo says whether g > 0 at lo.  Each step calls g once on
-    _KINK_PTS points per bracket and keeps the gap holding the first change."""
-    t = np.arange(1, _KINK_PTS + 1) / (_KINK_PTS + 1)
-    rows = np.arange(lo.size)
-    for _ in range(_KINK_STEPS):
-        x = lo[:, None] + (hi - lo)[:, None] * t
-        pos = np.asarray(g(x.ravel()), float).reshape(x.shape) > 0
-        pts = np.column_stack([lo, x, hi])
-        j = np.argmax(np.column_stack([pos, ~pos_lo]) != pos_lo[:, None], axis=1)
-        lo, hi = pts[rows, j], pts[rows, j + 1]
-    return (lo + hi) / 2
-
-
-def _quad(g, a, b, points=(), clipped=False):
+def _quad(g, a, b, points=()):
     """(integral of g over [a, b], error estimate) by adaptive qk21, one
     call of g (on an array) per level.  An interval whose QUADPACK error
     fits its share of the tolerance, tol * length / (b - a), is kept, the
@@ -238,10 +221,10 @@ def _quad(g, a, b, points=(), clipped=False):
     for at most _LEVELS levels and _MAX_OPEN open intervals; the caller
     tests the error.  ``points`` inside (a, b) are breakpoints.
 
-    Set ``clipped`` when g = max(L, 0) times a positive smooth factor: a
-    sign change of L among an interval's nodes is a kink that qk21's error
-    estimate does not see.  Such an interval counts an infinite error and
-    is split at the kink, found by `_kink`, not at its midpoint."""
+    An interval whose nodes hold both g = 0 and g != 0 may hold a kink, as
+    max(L, 0) has where L changes sign, that qk21's error estimate does not
+    see.  Its error is taken as the integral of |g| over it, so it is
+    bisected until that fits its share."""
     edges = np.array([a, *sorted(p for p in points if a < p < b), b], float)
     lo, hi = edges[:-1], edges[1:]
     kept = np.zeros(2)                      # value and error of kept intervals
@@ -253,16 +236,11 @@ def _quad(g, a, b, points=(), clipped=False):
         err = np.abs(resk - (F * _G21).sum(-1)) * h
         with np.errstate(divide="ignore", invalid="ignore"):
             err = np.where(asc * err > 0, asc * np.minimum(1.0, (200 * err / asc) ** 1.5), err)
-        err = np.maximum(err, 50 * np.finfo(float).eps * (np.abs(F) * _W21).sum(-1) * h)
+        nz = F != 0
+        kink = nz.any(-1) & ~nz.all(-1)
+        err = np.maximum(err, np.where(kink, 1.0, 50 * np.finfo(float).eps)
+                         * (np.abs(F) * _W21).sum(-1) * h)
         val = resk * h
-        pos = F > 0
-        kink = clipped & pos.any(-1) & ~pos.all(-1)
-        if kink.any():
-            err[kink] = np.inf
-            j = np.argmax(pos[kink] != pos[kink, :1], axis=1)  # first node past it
-            x = c[kink, None] + h[kink, None] * _X21
-            rows = np.arange(j.size)
-            c[kink] = _kink(g, x[rows, j - 1], x[rows, j], pos[kink, 0])
         value, error = kept[0] + val.sum(), kept[1] + err.sum()
         tol = _tol(value)
         keep = err <= tol * (hi - lo) / (b - a)
@@ -293,7 +271,7 @@ def cartwright_integral(f, cutoff: float, logabs: bool = False) -> CartwrightRep
     def lp(x):
         return np.maximum(_log_abs(f, x, logabs), 0.0) / (1.0 + x * x)
 
-    main, err = _quad(lp, -cutoff, cutoff, clipped=True)
+    main, err = _quad(lp, -cutoff, cutoff)
     converged = err <= _tol(main)
     tail = order = 0.0
     for sign in (+1.0, -1.0):
