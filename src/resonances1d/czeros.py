@@ -2,15 +2,19 @@
 
 Counting sums phase increments along the boundary with adaptive refinement
 (no step may exceed pi/2 or sit in a dip of |f|, where close zeros could
-alias its turn); the same samples give the first contour moment, the sum of
-the enclosed zeros.  Location is by recursive bisection on winding counts
-followed by Newton polish with a central-difference derivative, so any
-user-supplied entire function works.  Newton starts at the box's first
-moment over its count, or at the box centre when that point leaves the box,
-and has converged once a step is below 1e-11 (1 + |z|); after 60 steps it
-has not.  A polished zero takes its box's count as its multiplicity; polishes
-from two boxes within 1e-7 of their diagonals merge, adding their counts.
-Split counts are exact, so the multiplicities of one search sum to its count.
+alias its turn); the same samples give the power sums sum (z_i - c)^p,
+p = 1..4, of the enclosed zeros about the box centre c.  Location is by
+bisection on winding counts, a level of boxes at a time, and Newton polish
+with a central-difference derivative, so any user-supplied entire function
+works.  A box of count m <= 4 starts Newton at the roots of the degree-m
+polynomial its power sums give (Kravanja, Sakurai & Van Barel, BIT 39,
+1999); a level's starts are polished together, one call of f per step, and
+each has converged once a step is below 1e-11 (1 + |z|), or not after 60.
+The polishes are the box's m simple zeros if all converge inside it, more
+than 1e-2 of its diagonal apart; else the box is split.  A box too small to
+split gives its one polish its count as multiplicity; polishes from two boxes
+within 1e-7 of their diagonals merge, adding their counts.  Split counts are
+exact, so the multiplicities of one search sum to its count.
 A half-plane search counts one rectangle about the lower half-disk and
 bisects it; its contours start at a spacing set by f's exponential type.
 Rectangles, not disks: covering a half-disk and dodging zero chains that hug
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
+from math import comb
 
 import numpy as np
 
@@ -37,6 +42,8 @@ from .scattering import xhat
 
 _N_BOUNDARY = 256  # least start samples per counting contour
 _MAX_EVALS = 200_000  # refinement budget per contour
+_P = 4  # power sums per contour; a box of count <= _P is located from them
+_SEP = 1e-2  # least distance between a box's polishes, over its diagonal
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ class ZeroSet:
 
 
 def _phase_winding(f, rect, sigma=0.0):
-    """(count, first moment) of rect.  The contour starts with at least
+    """(count, power sums) of rect.  The contour starts with at least
     _N_BOUNDARY samples, and enough that f of exponential type sigma turns
     by at most pi/2 per step from its type alone; the last sample closes it."""
     n = max(_N_BOUNDARY, int(np.ceil(4 * (rect.width + rect.height) * sigma / np.pi)))
@@ -144,26 +151,45 @@ def _phase_winding(f, rect, sigma=0.0):
     return _refine(f, rect, ts, zs, np.asarray(f(zs), dtype=complex))
 
 
-def _steps(ts, fs):
-    """(ratios, phase steps, wide steps, dips) of the closed contour sampled
-    as fs at parameters ts.  A step is wide when its phase turns by more than
-    pi/2, and a dip when it sits in a dip of |f|."""
+def _steps(ts, fs, rect):
+    """(ratios, phase steps, wide steps, dips) of rect's contour sampled as fs
+    at parameters ts.  A step is wide when its phase turns by more than pi/2,
+    and a dip when it sits in a dip of |f|."""
     dt = np.diff(ts)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = fs[1:] / fs[:-1]
         slope = np.log(np.abs(ratio)) / dt  # of log|f|, per unit t
     steps = np.angle(ratio)
     # log|f| bending up by over 1 across a step marks close zeros; with two
-    # or more the step's turn may pass 3 pi / 2 and alias (slopes wrap round)
-    slope = np.concatenate((slope[-1:], slope, slope[:1]))
-    return ratio, steps, np.abs(steps) > np.pi / 2, (slope[2:] - slope[:-2]) * dt > 1.0
+    # or more the step's turn may pass 3 pi / 2 and alias (slopes wrap round).
+    # The contour turns at a corner sample, where a dip just inside the step
+    # leaving it may hide in a kink of log|f|: that step also bends against
+    # its own slope, and so does the step reaching the corner
+    before, after = np.roll(slope, 1), np.roll(slope, -1)
+    corners = np.cumsum([0.0, rect.width, rect.height, rect.width, rect.height])
+    corners /= corners[-1]
+    edge = np.searchsorted(corners, ts[:-1], "right")
+    edge = np.where(edge == np.searchsorted(corners, ts[1:], "left"), edge, -1)
+    turn = (edge >= 0) & (np.roll(edge, 1) >= 0) & (np.roll(edge, 1) != edge)
+    dip = ((after - before) * dt > 1.0) | (turn & ((after - slope) * dt > 1.0)) | (
+        np.roll(turn, -1) & ((slope - before) * dt > 1.0))
+    return ratio, steps, np.abs(steps) > np.pi / 2, dip
 
 
-def _moment(zs, ratio):
-    """First moment of a contour with no bad step: the sum of the zeros inside."""
-    # (1/2 pi i) sum z_mid * dlog f; the closing point is the first,
+def _power_sums(zs, ratio, c):
+    """sum (z_i - c)^p over the zeros z_i inside a contour with no bad step,
+    for p = 1.._P."""
+    # (1/2 pi i) sum (z_mid - c)^p dlog f; the closing point is the first,
     # and log(ratio) = log|ratio| + i * steps
-    return complex(np.sum((zs[1:] + zs[:-1]) / 2 * np.log(ratio)) / (2j * np.pi))
+    w = (zs[1:] + zs[:-1]) / 2 - c
+    return np.cumprod(np.broadcast_to(w, (_P, len(w))), axis=0) @ np.log(ratio) / (2j * np.pi)
+
+
+def _shifted(n, sums, d):
+    """Power sums about c + d of n zeros whose power sums about c are sums."""
+    s = np.concatenate(([n], sums))
+    return np.array([sum(comb(p, j) * (-d) ** (p - j) * s[j] for j in range(p + 1))
+                     for p in range(1, _P + 1)])
 
 
 def _check_samples(fs, ref):
@@ -176,8 +202,8 @@ def _check_samples(fs, ref):
 
 
 def _refine(f, rect, ts, zs, fs):
-    """(count, first moment) of rect from samples fs = f(zs) at parameters ts
-    of its contour, halving each wide step, dip or long step until none is
+    """(count, power sums about its centre) of rect from samples fs = f(zs)
+    at parameters ts of its contour, halving each wide step, dip or long step until none is
     left.
 
     The near-zero test is local: a start sample fails against the larger |f|
@@ -195,7 +221,7 @@ def _refine(f, rect, ts, zs, fs):
     """
     ref = np.abs(fs)  # the closing sample is the first
     _check_samples(fs[:-1], np.maximum(np.append(ref[-2], ref[:-2]), ref[1:]))
-    ratio, steps, wide, dip = _steps(ts, fs)
+    ratio, steps, wide, dip = _steps(ts, fs, rect)
     rise = np.max(np.abs(np.log(np.abs(ratio[~dip]))), initial=0.0)
     # start steps are even in t
     longest = (ts[1] - ts[0]) * np.pi / 2 / rise if rise > np.pi else np.inf
@@ -203,7 +229,7 @@ def _refine(f, rect, ts, zs, fs):
         bad = wide | dip | (np.diff(ts) > longest)
         if not np.any(bad):
             n = int(np.round(np.sum(steps) / (2 * np.pi)))
-            return n, (_moment(zs, ratio) if n else 0j)
+            return n, (_power_sums(zs, ratio, rect.center) if n else np.zeros(_P, complex))
         if len(ts) > _MAX_EVALS:
             raise PhaseStepTooLarge("phase refinement budget exhausted")
         mid_t = (ts[:-1][bad] + ts[1:][bad]) / 2
@@ -216,12 +242,12 @@ def _refine(f, rect, ts, zs, fs):
         zs = np.insert(zs, at, mid_z)
         fs = np.insert(fs, at, mid_f)
         ref = np.insert(ref, at, mid_ref)
-        ratio, steps, wide, dip = _steps(ts, fs)
+        ratio, steps, wide, dip = _steps(ts, fs, rect)
     raise PhaseStepTooLarge("phase steps above pi/2 after maximum refinement")
 
 
 def _count(f, rect, sigma=0.0):
-    """(winding_number, sum of the zeros, rect counted): after BoundaryZero the
+    """(winding_number, power sums, rect counted): after BoundaryZero the
     rect counted is rect dilated by 1 + 1e-6, up to three times."""
     for attempt in range(3):
         try:
@@ -240,33 +266,37 @@ def winding_number(f, rect: Rect) -> int:
     return _count(f, rect)[0]
 
 
-def _newton(f, z0, scale):
-    """Polish a root; the residual is the relative size of the last step.
-
-    Converged as soon as a step is below 1e-11 * (1 + |z|); not converged
-    after 60 steps.  The last Newton correction estimates the remaining
-    location error, so the criterion stays meaningful even when |f| near the
-    root bottoms out at an evaluation-noise floor far above the true zero
-    value, where the step stops shrinking.
-    """
-    z = complex(z0)
-    err = np.inf
+def _newton_batch(f, z0, scale):
+    """(roots, residuals, converged) of the starts z0, polished in one call of
+    f per step at z + h, z - h and z of each start still running; a residual
+    is the relative size of the last step, which estimates the location error
+    even where |f| bottoms out at an evaluation-noise floor.  A start has
+    converged once a step is below 1e-11 (1 + |z|), and has not after 60
+    steps, at f' = 0, or beyond 10 scale of its start (residual inf), before
+    f is probed far outside its intended domain.  f gives each point the same
+    bits in any batch, so each start takes the path it would take alone."""
+    # np.abs of a complex array may round otherwise than abs of one value
+    mod = lambda w: np.hypot(w.real, w.imag)
+    z0, scale = np.asarray(z0, dtype=complex), np.asarray(scale, dtype=float)
+    z, err = z0.copy(), np.full(len(z0), np.inf)
+    ok, run = np.zeros(len(z0), bool), np.ones(len(z0), bool)
     for _ in range(60):
-        if abs(z - z0) > 10.0 * scale:
-            # runaway iterate: stop before f is probed far outside its
-            # intended domain (windowed transforms guard large Im k)
-            return z, np.inf, False
-        h = 1e-6 * (1.0 + abs(z))
-        fplus, fminus, fz = f(np.array([z + h, z - h, z]))
+        away = run & (mod(z - z0) > 10.0 * scale)
+        err[away], run[away] = np.inf, False
+        i = np.nonzero(run)[0]
+        if len(i) == 0:
+            break
+        h = 1e-6 * (1.0 + mod(z[i]))
+        fplus, fminus, fz = np.asarray(
+            f(np.concatenate((z[i] + h, z[i] - h, z[i]))), dtype=complex).reshape(3, -1)
         fp = (fplus - fminus) / (2 * h)
-        if fp == 0:
-            return z, err, False
-        step = fz / fp
-        z = z - step
-        err = abs(step) / (1.0 + abs(z))
-        if err < 1e-11:
-            return z, err, True
-    return z, err, False
+        run[i[fp == 0]] = False
+        i, step = i[fp != 0], fz[fp != 0] / fp[fp != 0]
+        z[i] -= step
+        err[i] = mod(step) / (1.0 + mod(z[i]))
+        ok[i] = err[i] < 1e-11
+        run[i[ok[i]]] = False
+    return z, err, ok
 
 
 def find_zeros(f, rect: Rect, max_zeros: int = 200,
@@ -274,62 +304,88 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
     """Locate all zeros of f in rect, or in the dilated rect that was counted
     when a zero sits on its boundary: a count, then _bisect.
 
-    Each zero's multiplicity is the count of the box it was polished in;
-    zeros within 1e-7 of the diagonal of those boxes merge, adding their
-    counts, so the multiplicities sum to winding_number(f, rect).
+    Each zero's multiplicity is 1, or the count of the tiny box it was
+    polished in; zeros within 1e-7 of the diagonal of those boxes merge,
+    adding their counts, so the multiplicities sum to winding_number(f, rect).
     """
-    total, s1, rect = _count(f, rect)
-    return _bisect(f, rect, total, s1, max_zeros, function_tag)
+    total, sums, rect = _count(f, rect)
+    return _bisect(f, rect, total, sums, max_zeros, function_tag)
 
 
-def _bisect(f, rect, total, s1, max_zeros, function_tag, sigma=0.0):
-    """The zeros of f in rect, counted total with first moment s1: bisection
-    on counts + Newton polish, each box polished from moment / count.  sigma
-    spaces the start samples of the split contours, as in _phase_winding.
+def _starts(box, count, sums):
+    """Newton starts for a box of count <= _P: the roots of the monic
+    polynomial whose power sums about the box centre are sums (Newton's
+    identities), in units of its half-diagonal.  A single root outside the
+    box (NaN or infinite too) becomes the centre; two or more give no starts
+    unless all lie inside."""
+    c, h = box.center, box.diag / 2
+    t = sums[:count] / h ** np.arange(1, count + 1)
+    a = [1.0]  # coefficients, highest degree first
+    for k in range(1, count + 1):
+        a.append(-sum(a[k - i] * t[i - 1] for i in range(1, k + 1)) / k)
+    z = c + h * (np.roots(a) if np.all(np.isfinite(a)) else np.full(count, np.nan))
+    inside = [box.contains(w) for w in z]
+    if count == 1:
+        return [z[0] if inside[0] else c]
+    return list(z) if all(inside) else []
 
-    Every tolerance is set by the box polished or by |z|, not by rect, so a
-    large rect resolves its zeros as finely as a small one: bisection stops
-    below 1e-9 (1 + |centre|), and Newton runs off beyond 10 box diagonals."""
+
+def _bisect(f, rect, total, sums, max_zeros, function_tag, sigma=0.0):
+    """The zeros of f in rect, counted total with power sums `sums` about its
+    centre: bisection on counts, a level of boxes at a time, each level's
+    starts polished in one _newton_batch; sigma spaces the start samples of
+    the split contours, as in _phase_winding.
+
+    A box of count <= _P is polished from _starts unless it has none or its
+    count is 2 or more and did not fall at its last split (Newton's noise
+    cloud about a multiple zero passes any separation test in a small box).
+    Its polishes are simple zeros if all converge within rounding of it (a
+    zero on a cut is counted by one child but may polish just across it),
+    more than _SEP of its diagonal apart; else it is split.  A tiny box,
+    below 1e-9 (1 + |centre|), polishes one start to a zero of its count,
+    kept unconverged at its centre unless the polish converges within three
+    diagonals.  Every tolerance is set by the box polished or by |z|, not
+    by rect, so a large rect resolves its zeros as finely as a small one."""
     if total == 0:
         return ZeroSet((), function_tag)
     if total > max_zeros:
         raise MaxZerosExceeded("%d zeros counted, max_zeros=%d" % (total, max_zeros))
     found = []
-    stack = [(rect, total, s1)]
-    while stack:
-        box, count, s1 = stack.pop()
-        if count == 0:
-            continue
-        tiny = box.diag < 1e-9 * (1.0 + abs(box.center))
-        if count == 1 or tiny:
-            z0 = s1 / count  # a NaN or infinite moment fails contains
-            if not box.contains(z0):
-                z0 = box.center
-            z, resid, ok = _newton(f, z0, box.diag)
-            # accept roots a hair past the box seam (a zero within rounding
-            # of a cut is counted by one child but may polish to just across
-            # it) but nothing farther afield; once the box has shrunk to
-            # rounding scale the polished root is the best locator even a
-            # few diameters out
-            margin = 3.0 * box.diag if tiny else 1e-5 * box.diag
-            inside = (box.contains(z, margin=margin)
-                      and rect.contains(z, margin=1e-9 * (1.0 + abs(z))))
-            if ok and inside:
-                found.append((Zero(z, count, resid, True), box.diag))
+    level = [(rect, total, sums, True)]
+    while level:
+        polish, split = [], []
+        for box, count, sums, fell in level:
+            tiny = box.diag < 1e-9 * (1.0 + abs(box.center))
+            starts = (_starts(box, 1, sums / count) if tiny else _starts(box, count, sums)
+                      if count == 1 or (1 < count <= _P and fell) else [])
+            (polish if starts else split).append((box, count, sums, tiny, starts))
+        polished = _newton_batch(f, [z for *_, zs in polish for z in zs],
+                                 [box.diag for box, *_, zs in polish for _ in zs])
+        cuts = np.cumsum([len(zs) for *_, zs in polish])[:-1]
+        for (box, count, sums, tiny, _), z, err, ok in zip(
+                polish, *(np.split(a, cuts) for a in polished)):
+            if tiny:  # at rounding scale the polish locates best even diameters out
+                z, good = z[0], bool(ok[0]) and box.contains(z[0], 3.0 * box.diag)
+                good = good and rect.contains(z, 1e-9 * (1.0 + abs(z)))
+                found.append((Zero(z if good else box.center, count, err[0], good), box.diag))
                 continue
-            if tiny:
-                found.append((Zero(box.center, count, resid, False), box.diag))
-                continue
-            # polish failed or left the box: keep bisecting
-        stack.extend(_split_counted(f, box, count, s1, sigma))
+            gaps = np.abs(np.subtract.outer(z, z))[np.triu_indices(count, 1)]
+            if (np.all(ok) and np.min(gaps, initial=np.inf) > _SEP * box.diag
+                    and all(box.contains(w, margin=1e-9 * (1.0 + abs(w))) for w in z)):
+                found.extend((Zero(w, 1, e, True), box.diag) for w, e in zip(z, err))
+            else:
+                split.append((box, count, sums, tiny, z))
+        level = [(c, n, s, n < count) for box, count, sums, *_ in split
+                 for c, n, s in _split_counted(f, box, count, sums, sigma) if n]
     return _finalize(found, function_tag)
 
 
-def _split_counted(f, box, count, s1, sigma=0.0):
+def _split_counted(f, box, count, sums, sigma=0.0):
     """Split the box in two; nudge the cut if a zero obstructs it.
 
     Only the first child is counted, undilated; the second child's count and
-    moment are the parent's minus the first's, since the cut runs both ways.
+    power sums are the parent's minus the first's, since the cut runs both
+    ways, both sums shifted to the second child's centre.
     """
     fracs = (0.5, 0.5 + 1.3e-3, 0.5 - 2.7e-3, 0.5 + 7.9e-3,
              0.5 - 1.7e-2, 0.5 + 4.3e-2, 0.37, 0.61)
@@ -344,7 +400,9 @@ def _split_counted(f, box, count, s1, sigma=0.0):
             n1 = count - n0
             if n1 < 0:
                 continue
-            return [(c0, n0, m0), (c1, n1, s1 - m0)]
+            m1 = (_shifted(count, sums, c1.center - box.center)
+                  - _shifted(n0, m0, c1.center - c0.center))
+            return [(c0, n0, m0), (c1, n1, m1)]
     raise BoundaryZero("could not place a zero-free cut through the box")
 
 
@@ -422,8 +480,8 @@ def _search_halfplane(f, radius, sigma, tag):
     """
     eps = 1e-9
     rect = Rect(complex(-radius - 0.137, -radius - 0.137), complex(radius, -eps))
-    total, s1, rect = _count(f, rect, sigma)
-    zs = _bisect(f, rect, total, s1, 500, tag, sigma)
+    total, sums, rect = _count(f, rect, sigma)
+    zs = _bisect(f, rect, total, sums, 500, tag, sigma)
     return ZeroSet(tuple(z for z in zs.zeros
                          if abs(z.location) <= radius and z.location.imag < -eps), tag)
 
