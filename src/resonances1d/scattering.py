@@ -457,6 +457,19 @@ def _richardson_limit(g):
     return out
 
 
+def _quotient(num, den):
+    """num / den, both first scaled by the power of two that brings |den|
+    into [1/2, 1).
+
+    The scaling is exact, so the quotient keeps its bits where den is
+    normal; where den is subnormal, numpy's complex division would
+    overflow its reciprocal and read nan.
+    """
+    e = -np.frexp(np.maximum(np.abs(den.real), np.abs(den.imag)))[1]
+    scale = lambda z: np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
+    return scale(num) / scale(den)
+
+
 def _jost_from(V, k, P):
     """Rows t, r_right and r_left at the array k, from the cell product P there.
 
@@ -467,9 +480,9 @@ def _jost_from(V, k, P):
     ym, yl = _yhat_from(V, k, P)
     ym2, yl2 = _yhat_from(V, -k, P)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.array([1j * k / xm * np.exp(-xl),
-                        ym / xm * np.exp(yl - xl),
-                        ym2 / xm * np.exp(yl2 - xl)])
+        out = np.array([_quotient(1j * k, xm) * np.exp(-xl),
+                        _quotient(ym, xm) * np.exp(yl - xl),
+                        _quotient(ym2, xm) * np.exp(yl2 - xl)])
     zero = k == 0
     if zero.any():
         near = lambda h: astuple(jost_coefficients(V, h))[:3]
@@ -502,7 +515,8 @@ def _det_s_from(V, k, P):
     pole = (2 * np.abs(m1) < 1e6 * _D_EPS * terms) & (k != 0)
     out = np.empty(k.shape, dtype=complex)
     ok = ~pole & ~limit
-    out[ok] = -m2[ok] / m1[ok] * np.exp(l2[ok] - l1[ok])
+    with np.errstate(over="ignore"):
+        out[ok] = -_quotient(m2[ok], m1[ok]) * np.exp(l2[ok] - l1[ok])
     if limit.any():
         out[limit] = _richardson_limit(lambda h: (det_s(V, h),))[0]
     out[pole] = np.inf
