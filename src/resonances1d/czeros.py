@@ -3,13 +3,17 @@
 Counting sums phase increments along the boundary with adaptive refinement
 (no step may exceed pi/2 or sit in a dip of |f|, where close zeros could
 alias its turn); the same samples give the power sums sum (z_i - c)^p,
-p = 1..4, of the enclosed zeros about the box centre c.  Location is by
-bisection on winding counts, a level of boxes at a time, and Newton polish
-with a central-difference derivative, so any user-supplied entire function
-works.  A box of count m <= 4 starts Newton at the roots of the degree-m
-polynomial its power sums give (Kravanja, Sakurai & Van Barel, BIT 39,
-1999); a level's starts are polished together, one call of f per step, and
-each has converged once a step is below 1e-11 (1 + |z|), or not after 60.
+p = 1..4, of the enclosed zeros about the box centre c.  Contours are
+counted together: their samples lie end to end in one array, with one call
+of f for all start samples and one per refinement round.  Location is by
+bisection on winding counts, a level of boxes at a time (the first children
+of a level are counted together), and Newton polish with a
+central-difference derivative, so any user-supplied entire function that
+takes a 1-D array works.  A box of count m <= 4 starts Newton at the roots
+of the degree-m polynomial its power sums give (Kravanja, Sakurai & Van
+Barel, BIT 39, 1999); a level's starts are polished together, one call of f
+per step, and each has converged once a step is below 1e-11 (1 + |z|), or
+not after 60.
 The polishes are the box's m simple zeros if all converge inside it, more
 than 1e-2 of its diagonal apart; else the box is split.  A box too small to
 split gives its one polish its count as multiplicity; polishes from two boxes
@@ -26,6 +30,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -86,13 +91,18 @@ class Rect:
     def boundary_points(self, ts):
         """Map parameters ts (mod 1) to boundary points, counterclockwise
         from the lower-left corner."""
-        x0, y0, x1, y1 = self.lo.real, self.lo.imag, self.hi.real, self.hi.imag
-        w, h = x1 - x0, y1 - y0
-        s = (np.asarray(ts) % 1.0) * (2 * (w + h))
-        return np.select(
-            [s < w, s < w + h, s < 2 * w + h],
-            [x0 + s + 1j * y0, x1 + 1j * (y0 + (s - w)), x1 - (s - w - h) + 1j * y1],
-            x0 + 1j * (y1 - (s - 2 * w - h)))
+        return _boundary_points(self.lo, self.hi, ts)
+
+
+def _boundary_points(lo, hi, ts):
+    """Rect.boundary_points of the rectangles with corners lo, hi (scalars,
+    or arrays of one rectangle per parameter)."""
+    x0, y0, x1, y1 = lo.real, lo.imag, hi.real, hi.imag
+    w, h = x1 - x0, y1 - y0
+    s = (np.asarray(ts) % 1.0) * (2 * (w + h))
+    return np.where(s < w, x0 + s + 1j * y0, np.where(
+        s < w + h, x1 + 1j * (y0 + (s - w)), np.where(
+            s < 2 * w + h, x1 - (s - w - h) + 1j * y1, x0 + 1j * (y1 - (s - 2 * w - h)))))
 
 
 @dataclass(frozen=True)
@@ -141,120 +151,180 @@ class ZeroSet:
             json.dump(self.to_json(radius), fh, indent=2)
 
 
-def _phase_winding(f, rect, sigma=0.0):
-    """(count, power sums) of rect.  The contour starts with at least
-    _N_BOUNDARY samples, and enough that f of exponential type sigma turns
-    by at most pi/2 per step from its type alone; the last sample closes it."""
-    n = max(_N_BOUNDARY, int(np.ceil(4 * (rect.width + rect.height) * sigma / np.pi)))
-    ts = np.append(np.linspace(0.0, 1.0, n, endpoint=False), 1.0)
-    zs = rect.boundary_points(ts)
-    return _refine(f, rect, ts, zs, np.asarray(f(zs), dtype=complex))
+# _BINOM[p, j] = C(p, j) and _EXP[p, j] = p - j where j <= p, for _shifted
+_BINOM = np.array([[comb(p, j) for j in range(_P + 1)] for p in range(_P + 1)], dtype=float)
+_EXP = np.maximum(np.subtract.outer(np.arange(_P + 1), np.arange(_P + 1)), 0)
 
 
-def _steps(ts, fs, rect):
-    """(ratios, phase steps, wide steps, dips) of rect's contour sampled as fs
-    at parameters ts.  A step is wide when its phase turns by more than pi/2,
-    and a dip when it sits in a dip of |f|."""
-    dt = np.diff(ts)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = fs[1:] / fs[:-1]
-        slope = np.log(np.abs(ratio)) / dt  # of log|f|, per unit t
-    steps = np.angle(ratio)
-    # log|f| bending up by over 1 across a step marks close zeros; with two
-    # or more the step's turn may pass 3 pi / 2 and alias (slopes wrap round).
-    # The contour turns at a corner sample, where a dip just inside the step
-    # leaving it may hide in a kink of log|f|: that step also bends against
-    # its own slope, and so does the step reaching the corner
-    before, after = np.roll(slope, 1), np.roll(slope, -1)
-    corners = np.cumsum([0.0, rect.width, rect.height, rect.width, rect.height])
-    corners /= corners[-1]
-    edge = np.searchsorted(corners, ts[:-1], "right")
-    edge = np.where(edge == np.searchsorted(corners, ts[1:], "left"), edge, -1)
-    turn = (edge >= 0) & (np.roll(edge, 1) >= 0) & (np.roll(edge, 1) != edge)
-    dip = ((after - before) * dt > 1.0) | (turn & ((after - slope) * dt > 1.0)) | (
-        np.roll(turn, -1) & ((slope - before) * dt > 1.0))
-    return ratio, steps, np.abs(steps) > np.pi / 2, dip
+def _shifted(counts, sums, d):
+    """Power sums about c + d of counts zeros whose power sums about c are
+    sums, one row per box: sum_j C(p, j) (-d)^(p - j) s_j, s_0 the count."""
+    s = np.column_stack((counts, sums))
+    powers = np.cumprod(np.column_stack((np.ones(len(s)), np.tile(-d[:, None], _P))), axis=1)
+    return np.einsum("kpj,kj->kp", _BINOM[1:] * powers[:, _EXP[1:]], s)
 
 
-def _power_sums(zs, ratio, c):
-    """sum (z_i - c)^p over the zeros z_i inside a contour with no bad step,
-    for p = 1.._P."""
-    # (1/2 pi i) sum (z_mid - c)^p dlog f; the closing point is the first,
-    # and log(ratio) = log|ratio| + i * steps
-    w = (zs[1:] + zs[:-1]) / 2 - c
-    return np.cumprod(np.broadcast_to(w, (_P, len(w))), axis=0) @ np.log(ratio) / (2j * np.pi)
+def _windings(f, rects, sigma=0.0):
+    """(count, power sums about its centre) of each rect, or the BoundaryZero
+    or PhaseStepTooLarge its contour raised; a sample that is not finite
+    raises OverflowAtRadius.
 
-
-def _shifted(n, sums, d):
-    """Power sums about c + d of n zeros whose power sums about c are sums."""
-    s = np.concatenate(([n], sums))
-    return np.array([sum(comb(p, j) * (-d) ** (p - j) * s[j] for j in range(p + 1))
-                     for p in range(1, _P + 1)])
-
-
-def _check_samples(fs, ref):
-    """Raise unless every sample fs is finite and above 1e-9 of its reference
-    magnitude ref."""
-    if not np.all(np.isfinite(fs)):
-        raise OverflowAtRadius("function not finite on the contour")
-    if np.any(np.abs(fs) <= 1e-9 * ref):
-        raise BoundaryZero("function vanishes (or nearly) on the contour")
-
-
-def _refine(f, rect, ts, zs, fs):
-    """(count, power sums about its centre) of rect from samples fs = f(zs)
-    at parameters ts of its contour, halving each wide step, dip or long step until none is
-    left.
+    The contours are sampled together over one ragged array, closed contours
+    laid end to end, with one call of f for the start samples and one per
+    refinement round.  A contour starts with at least _N_BOUNDARY samples,
+    and enough that f of exponential type sigma turns by at most pi/2 per
+    step from its type alone; the last sample closes it.  Each round halves
+    every wide step, dip or long step until a contour has none left.  A step
+    is wide when its phase turns by more than pi/2, and a dip when it sits in
+    a dip of |f|.  A contour fails alone: at a sample near zero, past
+    _MAX_EVALS samples, or after 60 rounds.
 
     The near-zero test is local: a start sample fails against the larger |f|
     of its two neighbours on the closed contour, a midpoint against the
     larger reference magnitude of the two samples it bisects, where a start
     sample's reference is its own |f|.  |f| may span many decades along
     the contour far from any zero; from f's type alone it changes by at most
-    a factor of about e^(pi/2) between start samples spaced as
-    _phase_winding spaces them.
+    a factor of about e^(pi/2) between start samples.
 
     A start step outside a dip across which log|f| changes by more than pi
     shows that the spacing is too wide for f: by Cauchy-Riemann the phase
     turns as fast across a side where |f| barely changes, and a turn of 2 pi
     + x reads as x.  Steps are then long above pi/2 at the fastest such rate.
     """
-    ref = np.abs(fs)  # the closing sample is the first
-    _check_samples(fs[:-1], np.maximum(np.append(ref[-2], ref[:-2]), ref[1:]))
-    ratio, steps, wide, dip = _steps(ts, fs, rect)
-    rise = np.max(np.abs(np.log(np.abs(ratio[~dip]))), initial=0.0)
-    # start steps are even in t
-    longest = (ts[1] - ts[0]) * np.pi / 2 / rise if rise > np.pi else np.inf
-    for _ in range(60):
-        bad = wide | dip | (np.diff(ts) > longest)
-        if not np.any(bad):
-            n = int(np.round(np.sum(steps) / (2 * np.pi)))
-            return n, (_power_sums(zs, ratio, rect.center) if n else np.zeros(_P, complex))
-        if len(ts) > _MAX_EVALS:
-            raise PhaseStepTooLarge("phase refinement budget exhausted")
-        mid_t = (ts[:-1][bad] + ts[1:][bad]) / 2
-        mid_z = rect.boundary_points(mid_t)
+    out = [None] * len(rects)
+    lo = np.array([r.lo for r in rects], dtype=complex)
+    hi = np.array([r.hi for r in rects], dtype=complex)
+    w, h = hi.real - lo.real, hi.imag - lo.imag
+    n = np.maximum(_N_BOUNDARY, np.ceil(4 * (w + h) * sigma / np.pi)).astype(int)
+    # the parameters of the corners between the sides, one column per contour
+    corners = np.cumsum([w, h, w, h], axis=0)
+    corners = corners[:3] / corners[3]
+    # contour ids[k] holds size[k] samples from first[k] on, the last closing it
+    ids, size = np.arange(len(rects)), n + 1
+    first = np.cumsum(size) - size
+    ts = (np.arange(np.sum(size)) - np.repeat(first, size)) * np.repeat(1.0 / n, size)
+    ts[first + n] = 1.0
+    zs = _boundary_points(np.repeat(lo, size), np.repeat(hi, size), ts)
+    fs = np.asarray(f(zs), dtype=complex)
+    if not np.all(np.isfinite(fs)):
+        raise OverflowAtRadius("function not finite on the contour")
+    ref = np.abs(fs)
+    side = _sides(ts, np.repeat(corners, size, axis=1))
+    around = np.empty_like(ref)
+    around[1:-1] = np.maximum(ref[:-2], ref[2:])
+    around[first] = np.maximum(ref[first + n - 1], ref[first + 1])
+    near = ref <= 1e-9 * around
+    near[first + n] = False
+    failed = np.logical_or.reduceat(near, first)
+    for round_ in range(60):
+        # step j of contour k runs from sample j + k to the next, and its
+        # neighbours run round the closed contour from start[k] on
+        k = np.repeat(np.arange(len(ids)), size - 1)
+        left = np.arange(len(k)) + k
+        start = np.cumsum(size - 1) - (size - 1)
+        prev, nxt = np.arange(len(k)) - 1, np.arange(len(k)) + 1
+        prev[start], nxt[start + size - 2] = start + size - 2, start
+        right = left + 1
+        dt = ts[right] - ts[left]
+        # a failed contour's steps are not used
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = fs[right] / fs[left]
+            rise = np.log(np.abs(ratio))
+            slope = rise / dt  # of log|f|, per unit t
+            steps = np.angle(ratio)
+            # log|f| bending up by over 1 across a step marks close zeros; with
+            # two or more the step's turn may pass 3 pi / 2 and alias (slopes
+            # wrap round).  The contour turns at a corner sample, where a dip
+            # just inside the step leaving it may hide in a kink of log|f|:
+            # that step also bends against its own slope, and so does the step
+            # reaching the corner
+            edge = side[left] // 8
+            edge[edge != side[right] % 8] = -1
+            turn = (edge >= 0) & (edge[prev] >= 0) & (edge[prev] != edge)
+            before, after = slope[prev], slope[nxt]
+            dip = (((after - before) * dt > 1.0)
+                   | (turn & ((after - slope) * dt > 1.0))
+                   | (turn[nxt] & ((slope - before) * dt > 1.0)))
+            if round_ == 0:  # start steps are even in t
+                top = np.maximum.reduceat(np.where(dip, 0.0, np.abs(rise)), start)
+                longest = np.where(top > np.pi, dt[start] * np.pi / 2 / top, np.inf)
+            bad = (np.abs(steps) > np.pi / 2) | dip | (dt > longest[k])
+            count = np.round(np.add.reduceat(steps, start) / (2 * np.pi))
+        done = ~np.logical_or.reduceat(bad, start) & ~failed
+        if np.any(done):
+            # (1/2 pi i) sum (z_mid - c)^p log(ratio) over each done contour
+            # with zeros inside, for p = 1.._P, where log(ratio) = rise + i steps
+            summed = done & (count != 0)
+            sums = np.zeros((len(ids), _P), complex)
+            if np.any(summed):
+                i = np.repeat(summed, size - 1)
+                centre = np.array([rects[j].center for j in ids[summed]], dtype=complex)
+                mid = (zs[right[i]] + zs[left[i]]) / 2 - np.repeat(centre, size[summed] - 1)
+                term = mid * (rise[i] + 1j * steps[i])
+                cut = np.cumsum(size[summed] - 1) - (size[summed] - 1)
+                for p in range(_P):
+                    sums[summed, p] = np.add.reduceat(term, cut) / (2j * np.pi)
+                    term *= mid
+            for j in np.nonzero(done)[0]:
+                out[ids[j]] = (int(count[j]), sums[j])
+        for j in np.nonzero(failed)[0]:
+            out[ids[j]] = BoundaryZero("function vanishes (or nearly) on the contour")
+        spent = ~done & ~failed & (size > _MAX_EVALS)
+        for j in np.nonzero(spent)[0]:
+            out[ids[j]] = PhaseStepTooLarge("phase refinement budget exhausted")
+        live = ~(done | failed | spent)
+        if not np.any(live):
+            return out
+        # halve the bad steps of the open contours, and keep only their samples
+        bad &= live[k]
+        at, c = left[bad] + 1, ids[k[bad]]
+        mid_t = (ts[at - 1] + ts[at]) / 2
+        mid_z = _boundary_points(lo[c], hi[c], mid_t)
         mid_f = np.asarray(f(mid_z), dtype=complex)
-        mid_ref = np.maximum(ref[:-1][bad], ref[1:][bad])
-        _check_samples(mid_f, mid_ref)
-        at = np.nonzero(bad)[0] + 1
-        ts = np.insert(ts, at, mid_t)
-        zs = np.insert(zs, at, mid_z)
-        fs = np.insert(fs, at, mid_f)
-        ref = np.insert(ref, at, mid_ref)
-        ratio, steps, wide, dip = _steps(ts, fs, rect)
-    raise PhaseStepTooLarge("phase steps above pi/2 after maximum refinement")
+        if not np.all(np.isfinite(mid_f)):
+            raise OverflowAtRadius("function not finite on the contour")
+        mid_ref = np.maximum(ref[at - 1], ref[at])
+        failed = (np.bincount(k[bad], np.abs(mid_f) <= 1e-9 * mid_ref, len(ids)) > 0)[live]
+        size = size + np.bincount(k[bad], minlength=len(ids))
+        keep = np.repeat(live, size)
+        moved = np.arange(len(ts)) + np.cumsum(np.bincount(at, minlength=len(ts)))
+        mids = (mid_t, mid_z, mid_f, mid_ref, _sides(mid_t, corners[:, c]))
+        ts, zs, fs, ref, side = (_merged(x, y, moved, at + np.arange(len(at)), keep)
+                                 for x, y in zip((ts, zs, fs, ref, side), mids))
+        ids, size, longest = ids[live], size[live], longest[live]
+    for j, vanished in zip(ids, failed):
+        out[j] = (BoundaryZero("function vanishes (or nearly) on the contour") if vanished else
+                  PhaseStepTooLarge("phase steps above pi/2 after maximum refinement"))
+    return out
+
+
+def _sides(ts, corners):
+    """8 a + b for samples at parameters ts of contours whose corners between
+    sides lie at parameters `corners` (one column per sample): a step from a
+    sample of a to one of b runs along side a if a == b.  A corner sample
+    starts one side (a) and ends the one before (b)."""
+    return 8 * (1 + (ts >= 1.0) + (ts >= corners).sum(0)) + (ts > 0.0) + (ts > corners).sum(0)
+
+
+def _merged(x, y, moved, new, keep):
+    """x with x[i] moved to moved[i] and y[j] put at new[j], then the
+    entries that keep selects."""
+    out = np.empty(len(x) + len(y), x.dtype)
+    out[moved], out[new] = x, y
+    return out[keep]
 
 
 def _count(f, rect, sigma=0.0):
     """(winding_number, power sums, rect counted): after BoundaryZero the
     rect counted is rect dilated by 1 + 1e-6, up to three times."""
-    for attempt in range(3):
-        try:
-            return (*_phase_winding(f, rect, sigma), rect)
-        except BoundaryZero:
-            rect = rect.dilated(1 + 1e-6)
-    return (*_phase_winding(f, rect, sigma), rect)
+    for attempt in range(4):
+        got = _windings(f, [rect], sigma)[0]
+        if attempt == 3 or not isinstance(got, BoundaryZero):
+            break
+        rect = rect.dilated(1 + 1e-6)
+    if isinstance(got, Exception):
+        raise got
+    return (*got, rect)
 
 
 def winding_number(f, rect: Rect) -> int:
@@ -333,12 +403,16 @@ def _starts(box, count, sums):
 def _bisect(f, rect, total, sums, max_zeros, function_tag, sigma=0.0):
     """The zeros of f in rect, counted total with power sums `sums` about its
     centre: bisection on counts, a level of boxes at a time, each level's
-    starts polished in one _newton_batch; sigma spaces the start samples of
-    the split contours, as in _phase_winding.
+    first children counted together and its starts polished in one
+    _newton_batch; sigma spaces the start samples of the split contours, as
+    in _windings.
 
     A box of count <= _P is polished from _starts unless it has none or its
     count is 2 or more and did not fall at its last split (Newton's noise
     cloud about a multiple zero passes any separation test in a small box).
+    A count-1 second child whose sibling counted 0 holds its parent's sums,
+    so a start inside it is the one its parent's polish failed from: it is
+    split unpolished.
     Its polishes are simple zeros if all converge within rounding of it (a
     zero on a cut is counted by one child but may polish just across it),
     more than _SEP of its diagonal apart; else it is split.  A tiny box,
@@ -351,13 +425,20 @@ def _bisect(f, rect, total, sums, max_zeros, function_tag, sigma=0.0):
     if total > max_zeros:
         raise MaxZerosExceeded("%d zeros counted, max_zeros=%d" % (total, max_zeros))
     found = []
-    level = [(rect, total, sums, True)]
+    # (box, count, power sums, count fell at the last split, sums counted)
+    level = [(rect, total, sums, True, True)]
     while level:
         polish, split = [], []
-        for box, count, sums, fell in level:
+        for box, count, sums, fell, counted in level:
             tiny = box.diag < 1e-9 * (1.0 + abs(box.center))
-            starts = (_starts(box, 1, sums / count) if tiny else _starts(box, count, sums)
-                      if count == 1 or (1 < count <= _P and fell) else [])
+            if tiny:
+                starts = _starts(box, 1, sums / count)
+            elif count == 1:
+                starts = _starts(box, 1, sums)
+                if not (fell or counted or starts[0] == box.center):
+                    starts = []
+            else:
+                starts = _starts(box, count, sums) if count <= _P and fell else []
             (polish if starts else split).append((box, count, sums, tiny, starts))
         polished = _newton_batch(f, [z for *_, zs in polish for z in zs],
                                  [box.diag for box, *_, zs in polish for _ in zs])
@@ -375,35 +456,55 @@ def _bisect(f, rect, total, sums, max_zeros, function_tag, sigma=0.0):
                 found.extend((Zero(w, 1, e, True), box.diag) for w, e in zip(z, err))
             else:
                 split.append((box, count, sums, tiny, z))
-        level = [(c, n, s, n < count) for box, count, sums, *_ in split
-                 for c, n, s in _split_counted(f, box, count, sums, sigma) if n]
+        split = [(box, count, sums) for box, count, sums, *_ in split]
+        level = [(c, n, s, n < count, first)
+                 for (_, count, _), children in zip(split, _split_level(f, split, sigma))
+                 for first, (c, n, s) in zip((True, False), children) if n]
     return _finalize(found, function_tag)
 
 
-def _split_counted(f, box, count, sums, sigma=0.0):
-    """Split the box in two; nudge the cut if a zero obstructs it.
+def _split_level(f, boxes, sigma=0.0):
+    """The two children (box, count, power sums) of each (box, count, power
+    sums) of boxes, split in two; a cut is nudged if a zero obstructs it.
 
-    Only the first child is counted, undilated; the second child's count and
-    power sums are the parent's minus the first's, since the cut runs both
-    ways, both sums shifted to the second child's centre.
+    Each box tries its cuts in turn, across its longer side and then its
+    shorter, until its first child's count succeeds and leaves the second
+    child a count >= 0.  The first children of every box still cutting are
+    counted together, undilated.  The second child's count and power sums
+    are the parent's minus the first's, since the cut runs both ways, both
+    sums shifted to the second child's centre.
     """
+    if not boxes:
+        return []
     fracs = (0.5, 0.5 + 1.3e-3, 0.5 - 2.7e-3, 0.5 + 7.9e-3,
              0.5 - 1.7e-2, 0.5 + 4.3e-2, 0.37, 0.61)
-    long_first = box.width >= box.height
-    for vertical_cut in (long_first, not long_first):
-        for frac in fracs:
-            c0, c1 = _split_axis(box, frac, vertical_cut)
-            try:
-                n0, m0 = _phase_winding(f, c0, sigma)
-            except (BoundaryZero, PhaseStepTooLarge):
-                continue
-            n1 = count - n0
-            if n1 < 0:
-                continue
-            m1 = (_shifted(count, sums, c1.center - box.center)
-                  - _shifted(n0, m0, c1.center - c0.center))
-            return [(c0, n0, m0), (c1, n1, m1)]
-    raise BoundaryZero("could not place a zero-free cut through the box")
+    first = [None] * len(boxes)
+    todo = list(range(len(boxes)))
+    for long_side, frac in product((True, False), fracs):
+        if not todo:
+            break
+        cuts = [_split_axis(boxes[i][0], frac,
+                            (boxes[i][0].width >= boxes[i][0].height) == long_side)
+                for i in todo]
+        for i, cut, got in zip(todo, cuts, _windings(f, [c0 for c0, _ in cuts], sigma)):
+            if not isinstance(got, Exception) and got[0] <= boxes[i][1]:
+                first[i] = (*cut, *got)
+        todo = [i for i in todo if first[i] is None]
+    if todo:
+        raise BoundaryZero("could not place a zero-free cut through the box")
+    parents = np.array([box.center for box, _, _ in boxes])
+    c0, c1 = (np.array([cut[i].center for cut in first]) for i in (0, 1))
+    shifted = _shifted([n for _, n, _ in boxes] + [cut[2] for cut in first],
+                       [s for _, _, s in boxes] + [cut[3] for cut in first],
+                       np.concatenate((c1 - parents, c1 - c0)))
+    m1 = shifted[:len(boxes)] - shifted[len(boxes):]
+    return [[(c0, n0, m0), (c1, count - n0, m)]
+            for (_, count, _), (c0, c1, n0, m0), m in zip(boxes, first, m1)]
+
+
+def _split_counted(f, box, count, sums, sigma=0.0):
+    """The children of one box, as _split_level splits it."""
+    return _split_level(f, [(box, count, sums)], sigma)[0]
 
 
 def _split_axis(box: Rect, frac, vertical_cut):

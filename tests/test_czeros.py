@@ -22,6 +22,7 @@ from resonances1d.errors import (
     BoundaryZero,
     MaxZerosExceeded,
     OverflowAtRadius,
+    PhaseStepTooLarge,
     UnconvergedZeroWarning,
 )
 from resonances1d.potential import make_piecewise, square_well
@@ -110,8 +111,7 @@ def test_find_zeros_bisects_the_rectangle_it_counted():
     V = square_well(-4.0, -1.0, 1.0)
     f = lambda k: yhat(V, k)
     rect = Rect(complex(-4.0, 1e-12), complex(4.0, 4.0))
-    with pytest.raises(BoundaryZero):
-        czeros._phase_winding(f, rect)
+    assert isinstance(czeros._windings(f, [rect])[0], BoundaryZero)
     zs = find_zeros(f, rect)
     assert all(z.converged for z in zs.zeros)
     assert zs.total_multiplicity() == winding_number(f, rect) == 3
@@ -175,6 +175,24 @@ def test_newton_starts_near_its_zero(monkeypatch):
     assert len(calls) <= 30 and sum(calls) <= 3 * 5 * len(zs.zeros)
 
 
+def test_no_start_is_polished_twice(monkeypatch):
+    """A count-1 second child whose sibling counted 0 holds its parent's
+    power sums, so a start inside it is the one its parent's polish failed
+    from.  In the seam case the same start was polished on 16 levels in a
+    row; such a box is now split unpolished, and both roots come back."""
+    starts = []
+    batch = czeros._newton_batch
+    monkeypatch.setattr(czeros, "_newton_batch",
+                        lambda f, z0, scale: starts.extend(z0) or batch(f, z0, scale))
+    roots = [5.96e-8j, 2.0458e-4 - 6.9154e-4j]
+    zs = find_zeros(lambda z: (z - roots[0]) * (z - roots[1]), Rect(-1 - 1j, 1 + 1j))
+    np.testing.assert_allclose(zs.locations, roots, rtol=0, atol=1e-12)
+    assert [z.multiplicity for z in zs.zeros] == [1, 1]
+    starts = np.array(starts)
+    gaps = np.abs(np.subtract.outer(starts, starts))[np.triu_indices(len(starts), 1)]
+    assert np.all(gaps > 1e-12)
+
+
 def _newton(f, z0, scale):
     """The one-start polish that _newton_batch replaced, kept as its reference."""
     z = complex(z0)
@@ -219,6 +237,139 @@ def test_newton_batch_gives_each_start_its_one_start_path(size):
         for i, (z0, s) in enumerate(zip(zs, sc)):
             z, err, ok = _newton(fn, z0, s)
             assert bits(z, err) == bits(got[0][i], got[1][i]) and ok == got[2][i]
+
+
+def _phase_winding(f, rect, sigma=0.0):
+    """The one-rectangle count that czeros._windings replaced, with _refine
+    and _steps below, kept as its reference: (count, power sums about the
+    centre), or the BoundaryZero or PhaseStepTooLarge it raises."""
+    n = max(256, int(np.ceil(4 * (rect.width + rect.height) * sigma / np.pi)))
+    ts = np.append(np.linspace(0.0, 1.0, n, endpoint=False), 1.0)
+    zs = rect.boundary_points(ts)
+    return _refine(f, rect, ts, zs, np.asarray(f(zs), dtype=complex))
+
+
+def _steps(ts, fs, rect):
+    dt = np.diff(ts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = fs[1:] / fs[:-1]
+        slope = np.log(np.abs(ratio)) / dt
+    steps = np.angle(ratio)
+    before, after = np.roll(slope, 1), np.roll(slope, -1)
+    corners = np.cumsum([0.0, rect.width, rect.height, rect.width, rect.height])
+    corners /= corners[-1]
+    edge = np.searchsorted(corners, ts[:-1], "right")
+    edge = np.where(edge == np.searchsorted(corners, ts[1:], "left"), edge, -1)
+    turn = (edge >= 0) & (np.roll(edge, 1) >= 0) & (np.roll(edge, 1) != edge)
+    dip = ((after - before) * dt > 1.0) | (turn & ((after - slope) * dt > 1.0)) | (
+        np.roll(turn, -1) & ((slope - before) * dt > 1.0))
+    return ratio, steps, np.abs(steps) > np.pi / 2, dip
+
+
+def _check_samples(fs, ref):
+    if not np.all(np.isfinite(fs)):
+        raise OverflowAtRadius("function not finite on the contour")
+    if np.any(np.abs(fs) <= 1e-9 * ref):
+        raise BoundaryZero("function vanishes (or nearly) on the contour")
+
+
+def _refine(f, rect, ts, zs, fs):
+    ref = np.abs(fs)
+    _check_samples(fs[:-1], np.maximum(np.append(ref[-2], ref[:-2]), ref[1:]))
+    ratio, steps, wide, dip = _steps(ts, fs, rect)
+    rise = np.max(np.abs(np.log(np.abs(ratio[~dip]))), initial=0.0)
+    longest = (ts[1] - ts[0]) * np.pi / 2 / rise if rise > np.pi else np.inf
+    for _ in range(60):
+        bad = wide | dip | (np.diff(ts) > longest)
+        if not np.any(bad):
+            n = int(np.round(np.sum(steps) / (2 * np.pi)))
+            w = (zs[1:] + zs[:-1]) / 2 - rect.center
+            sums = np.cumprod(np.broadcast_to(w, (4, len(w))), axis=0) @ np.log(ratio)
+            return n, (sums / (2j * np.pi) if n else np.zeros(4, complex))
+        if len(ts) > 200_000:
+            raise PhaseStepTooLarge("phase refinement budget exhausted")
+        mid_t = (ts[:-1][bad] + ts[1:][bad]) / 2
+        mid_z = rect.boundary_points(mid_t)
+        mid_f = np.asarray(f(mid_z), dtype=complex)
+        mid_ref = np.maximum(ref[:-1][bad], ref[1:][bad])
+        _check_samples(mid_f, mid_ref)
+        at = np.nonzero(bad)[0] + 1
+        ts, zs, fs, ref = (np.insert(x, at, y) for x, y in
+                           ((ts, mid_t), (zs, mid_z), (fs, mid_f), (ref, mid_ref)))
+        ratio, steps, wide, dip = _steps(ts, fs, rect)
+    raise PhaseStepTooLarge("phase steps above pi/2 after maximum refinement")
+
+
+# roots (with multiplicity) that crowd the edge of Rect(-1i, 1+0i) just past
+# its corner 0: the top-edge step reaching the corner turns by 4.76, read as
+# -1.52, and |f| falls steadily along it, so neither the dip test nor the
+# corner rule refines it
+_CROWD = [(0.0009143907954845224 - 0.01242514300344344j, 3),
+          (0.0006379858816241409 - 0.012074992559558344j, 1),
+          (0.0015523766771086633 - 0.012074992559558344j, 1)]
+
+
+def test_windings_match_the_one_rectangle_reference(monkeypatch):
+    """Twelve contours counted together, one call of f per refinement round,
+    give each rectangle the count of the one-rectangle reference and its
+    power sums within 1e-12 (half-diagonal)^p: the corner crowd (4, as the
+    reference reads), a triple-zero pair 0.0026 inside the top right corner
+    and one inside the bottom left, where each contour starts and closes, a
+    zero 1e-3 inside the top edge midway between two start samples, a start
+    sample on a zero, a zero on the midpoint of a start step, and boxes from
+    2e-6 to 100 wide.  A contour that fails, on a zero or past its own
+    budget, fails alone."""
+    search = Rect(complex(11.863, -4.137), complex(24.0, -1e-9))
+    top = search.boundary_points(np.arange(256) / 256)[150:152]
+    on, mid = Rect(30 - 1j, 32 + 1j), Rect(80 - 1j, 82 + 1j)
+    roots = _CROWD + [(-8.0, 3), (-8.0 - 0.0078125j, 3), ((top[0] + top[1]) / 2 - 1e-3j, 1),
+                      (22.5 - 0.7j, 1), (on.boundary_points(np.arange(256) / 256)[100], 1),
+                      (40 + 1e-7j, 1), (12 + 9j, 2), (70.0, 3), (70 + 0.0078125j, 3),
+                      (mid.boundary_points(np.array([100.5 / 256]))[0], 1)]
+    f = lambda z: np.prod([(z - r) ** m for r, m in roots], axis=0)
+    rects = [Rect(-1j, 1 + 0j), Rect(-9 - 1j, -7.9974 + 0.0026j), search, on,
+             Rect(40 - 1e-6 - 1e-6j, 40 + 1e-6 + 1e-6j), Rect(-50 - 50j, 50 + 50j),
+             Rect(60 + 60j, 61 + 61j), Rect(11 + 8j, 13 + 10j), Rect(-1 - 1j, 1 + 1j),
+             Rect(-20 - 20j, 45 + 0.5j), Rect(69.9974 - 0.0026j, 71 + 1j), mid]
+    calls, rounds = [], []
+    got = czeros._windings(lambda z: calls.append(z) or f(z), rects)
+    for rect, g in zip(rects, got):
+        ref_calls = []
+        try:
+            n, sums = _phase_winding(lambda z: ref_calls.append(z) or f(z), rect)
+        except BoundaryZero:
+            assert isinstance(g, BoundaryZero)
+            continue
+        finally:
+            rounds.append(len(ref_calls))
+        assert g[0] == n
+        assert np.all(np.abs(g[1] - sums) <= 1e-12 * (rect.diag / 2) ** np.arange(1, 5))
+    assert isinstance(got[3], BoundaryZero) and isinstance(got[11], BoundaryZero)
+    assert [g[0] for g in got[:3] + got[4:11]] == [4, 6, 2, 1, 17, 0, 2, 5, 15, 6]
+    assert len(calls) == max(rounds) > 1
+    # a failing contour changes nothing for the others: one whose sample
+    # vanishes, or one that runs out of its own refinement budget
+    alone = czeros._windings(f, rects[:3] + rects[4:11])
+    assert all(a[0] == g[0] and np.array_equal(a[1], g[1])
+               for a, g in zip(alone, got[:3] + got[4:11]))
+    for budget in (256, 1100):  # below every refined contour, above each
+        monkeypatch.setattr(czeros, "_MAX_EVALS", budget)
+        for i, (a, g) in enumerate(zip(czeros._windings(f, rects), got)):
+            if i in (3, 11):
+                assert isinstance(a, BoundaryZero if i == 3 or budget > 256 else PhaseStepTooLarge)
+            elif rounds[i] > 1 and budget == 256:
+                assert isinstance(a, PhaseStepTooLarge)
+            else:
+                assert a[0] == g[0] and np.array_equal(a[1], g[1])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: czeros._refine still miscounts where several zeros crowd an edge "
+    "just past a corner: _phase_winding on Rect(-1i, 1+0i) reads 4 where the "
+    "truth is 5"))
+def test_winding_of_zeros_crowding_an_edge_past_a_corner():
+    f = lambda z: np.prod([(z - r) ** m for r, m in _CROWD], axis=0)
+    assert winding_number(f, Rect(-1j, 1 + 0j)) == 5
 
 
 def _search_rect(radius):
@@ -292,8 +443,7 @@ def test_search_dilates_where_a_zero_sits_on_a_start_sample():
     z0 = rect.boundary_points(np.arange(256) / 256)[100]
     assert z0.real == radius
     f = lambda z: (z - z0) * (z - 2.5 + 0.7j) * (z + 0.2 + 2.9j)
-    with pytest.raises(BoundaryZero):
-        czeros._phase_winding(f, rect)
+    assert isinstance(czeros._windings(f, [rect])[0], BoundaryZero)
     n, _, counted = czeros._count(f, rect)
     assert n == 3 and counted != rect
     zs = czeros._search_halfplane(f, radius, 0.0, "")
@@ -311,7 +461,7 @@ def test_search_refines_where_a_zero_sits_just_inside_its_top_edge():
     z0 = (top[0] + top[1]) / 2 - 1e-3j
     f = lambda z: (z - z0) * (z - 2.5 + 0.7j)
     calls = []
-    czeros._phase_winding(lambda z: calls.append(z) or f(z), rect)
+    czeros._windings(lambda z: calls.append(z) or f(z), [rect])
     assert len(calls) > 1
     zs = czeros._search_halfplane(f, radius, 0.0, "")
     np.testing.assert_allclose(sorted(zs.locations, key=lambda z: z.real),
@@ -320,7 +470,10 @@ def test_search_refines_where_a_zero_sits_just_inside_its_top_edge():
 
 def test_search_cost_on_sw4_at_radius_40(monkeypatch):
     """resonances(sw4, 40) evaluates at most half the 92,587 points of the
-    search on a 3 x 3 tile grid that it replaced."""
+    search on a 3 x 3 tile grid that it replaced.  Its split contours are
+    counted a bisection level at a time, one call of xhat per refinement
+    round: the same 10,477 points as one call per contour, in at most 35
+    calls where that took 60."""
     sizes = []
 
     def counted(V, k):
@@ -331,6 +484,7 @@ def test_search_cost_on_sw4_at_radius_40(monkeypatch):
     zs = resonances(square_well(-4.0, -1.0, 1.0), 40.0)
     assert len(zs.zeros) == 48
     assert sum(sizes) <= 46_000
+    assert len(sizes) <= 35 and abs(sum(sizes) - 10_477) <= 0.01 * 10_477
 
 
 @pytest.mark.parametrize("radius, want", [(80.0, 99), (160.0, 200)])
