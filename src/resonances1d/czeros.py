@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import product
 from math import comb
@@ -530,17 +531,28 @@ def _finalize(found, function_tag):
     the box it was polished in) pairs.  Zeros sort by real part, then
     imaginary; one within 1e-9 (1 + |z|) of the imaginary axis counts as on
     it, so axis zeros sort by Im alone.  A zero within 1e-7 of the larger box
-    diagonal of a kept one adds its multiplicity to it."""
+    diagonal of a kept one adds its multiplicity to the first such one.  The
+    kept zeros stay in key order, so those within reach of a zero form a
+    window of key real parts, found by bisection."""
     def key(pair):
         z = pair[0].location
         return (0.0 if abs(z.real) <= 1e-9 * (1.0 + abs(z)) else z.real, z.imag)
 
-    kept = []
+    kept, reals, widest = [], [], 0.0
     for z, d in sorted(found, key=key):
-        i = next((i for i, (w, e) in enumerate(kept)
-                  if abs(z.location - w.location) <= 1e-7 * max(d, e)), None)
+        widest = max(widest, d)
+        reach = 1e-7 * widest
+        # within reach, a key's real part also moves by either zero's axis
+        # snap; the window is doubled to cover rounding
+        half = 2 * (reach + 1e-9 * (1.0 + abs(z.location) + reach))
+        kz = key((z, d))[0]
+        i = next((i for i in range(bisect_left(reals, kz - half),
+                                   bisect_right(reals, kz + half))
+                  if abs(z.location - kept[i][0].location) <= 1e-7 * max(d, kept[i][1])),
+                 None)
         if i is None:
             kept.append((z, d))
+            reals.append(kz)
         else:
             w, e = kept[i]
             kept[i] = (replace(w, multiplicity=w.multiplicity + z.multiplicity), max(d, e))

@@ -126,13 +126,16 @@ def heatmap_svg(values, extent, path, title):
     gray = 255 * (1.0 - (vals - lo) / span)
     if not np.isfinite(gray).all():
         raise ValueError("heatmap of a non-finite field")
-    xs = ["%.2f" % (_PAD + j * cw) for j in range(nx)]
+    # a cell is its column's head, its row's middle and its gray level's fill
+    cells = [None] * (3 * nx)
+    cells[::3] = ['<rect x="%.2f" y="' % (_PAD + j * cw) for j in range(nx)]
+    fills = ['%d,%d,255)"/>\n' % (g, g) for g in range(256)]
     sx, sy, ax = _axes(x0, x1, y0, y1)
     with open(path, "w") as fh:
         fh.write(_OPEN)
         for i, row in enumerate(gray.astype(int).tolist()):
-            rect = ('<rect x="%%s" y="%.2f" width="%.2f" height="%.2f" '
-                    'fill="rgb(%%d,%%d,255)"/>\n'
-                    % (_H - _PAD - (i + 1) * ch, cw + 0.5, ch + 0.5))
-            fh.write("".join(rect % (x, g, g) for x, g in zip(xs, row)))
+            cells[1::3] = ['%.2f" width="%.2f" height="%.2f" fill="rgb('
+                           % (_H - _PAD - (i + 1) * ch, cw + 0.5, ch + 0.5)] * nx
+            cells[2::3] = map(fills.__getitem__, row)
+            fh.write("".join(cells))
         fh.write(ax + _title(title) + "</svg>\n")

@@ -17,6 +17,9 @@ Algebraically  xhat(k) xhat(-k) - k^2 - yhat(k) yhat(-k) = k^2 (det M - 1),
 so the unitary identity holds exactly up to rounding; the residual routine
 escalates working precision where rounding would dominate: float64, 80-bit,
 double-double (one array pass, to 1e-28), and past that mpmath point by point.
+On the double-double rung a complex product takes its four real products in
+one error-free transform over stacked operands, and e^{-iz} is the
+reciprocal of e^{iz}, by one Newton step, in place of a second exponential.
 
 M depends on k only through k^2, so M(-k) = M(k), and the scaled cell
 product is bitwise the same at k and -k (negation is exact).  Every public
@@ -288,7 +291,9 @@ def _two_prod(a, b):
 class _DD:
     """A complex array in double-double, hi + lo to about 32 digits (Dekker,
     Numer. Math. 18 (1971); Hida, Li & Bailey, ARITH-15 (2001)).  Every
-    operation works element by element with fixed parameters."""
+    operation works element by element with fixed parameters.  A product
+    stacks its operands' parts, so that its four real products take one
+    error-free transform and its two real sums another."""
 
     def __init__(self, hi, lo=None):
         self.hi = np.asarray(hi, dtype=complex)
@@ -309,16 +314,24 @@ class _DD:
         if not isinstance(b, _DD):
             return _DD(self.hi * b, self.lo * b)
         (ah, al), (bh, bl) = (self.hi, self.lo), (b.hi, b.lo)
-        (rr, e1), (ii, e2) = _two_prod(ah.real, bh.real), _two_prod(ah.imag, bh.imag)
-        (ri, e3), (ir, e4) = _two_prod(ah.real, bh.imag), _two_prod(ah.imag, bh.real)
-        (re, e5), (im, e6), lo = _two_sum(rr, -ii), _two_sum(ri, ir), ah * bl + al * bh
-        return _DD(*_two_sum(re + 1j * im, (e5 + e1 - e2 + lo.real)
-                             + 1j * (e6 + e3 + e4 + lo.imag)))
+        nd = max(ah.ndim, bh.ndim)
+        x, y = (v.reshape((1,) * (nd - v.ndim) + v.shape) for v in (ah, bh))
+        # rr, -ii, ri, ir and their errors in one transform (negation is exact)
+        p, e = _two_prod(np.stack([x.real, x.imag, x.real, x.imag]),
+                         np.stack([y.real, -y.imag, y.imag, y.real]))
+        (s, es), lo = _two_sum(p[::2], p[1::2]), ah * bl + al * bh
+        e = es + e[::2] + e[1::2]
+        return _DD(*_two_sum(s[0] + 1j * s[1], (e[0] + lo.real) + 1j * (e[1] + lo.imag)))
 
     def rsqrt(self):
         """1 / sqrt(self), principal, from np.sqrt by one Newton step; 1 at 0."""
         r = _DD(1 / np.sqrt(np.where(self.hi == 0, 1, self.hi)))
         return r + r * (_DD(1) - self * r * r) * 0.5
+
+    def recip(self):
+        """1 / self from the float64 reciprocal by one Newton step."""
+        r = _DD(1 / self.hi)
+        return r + r * (_DD(1) - self * r)
 
     def series(self, coefs):
         """sum_j coefs[j] self^j by Horner's rule."""
@@ -346,22 +359,23 @@ def _xy_dd(V, k):
     array of (bracket, hi/lo, point): xhat's bracket B = ik(M11+M22) +
     k^2 M12 - M21 and yhat's C = ik(M11-M22) + k^2 M12 + M21, of the
     unscaled M (logscale < 20 on this rung).  The cells follow `_cells`, with
-    sin z / kappa by its series below |z| = 0.1, and are multiplied pairwise
-    over the cell axis, in blocks of at most _BLOCK cells x points."""
+    e^{-iz} the reciprocal of e^{iz} and sin z / kappa by its series below
+    |z| = 0.1, and are multiplied pairwise over the cell axis, in blocks of
+    at most _BLOCK cells x points."""
     step = max(1, _BLOCK // len(V.values))
     if k.size > step:
         chunks = np.array_split(k, -(-k.size // step))
         return np.concatenate([_xy_dd(V, c) for c in chunks], axis=-1)
-    # zero-width cells are the identity; they pad the cells to a power of 2
-    pad = (1 << (len(V.values) - 1).bit_length()) - len(V.values)
-    bp = np.asarray(V.breakpoints + V.breakpoints[-1:] * pad, dtype=float)
+    bp = np.asarray(V.breakpoints, dtype=float)
     w, k2 = _DD(*_two_sum(bp[1:], -bp[:-1])), _DD(k) * _DD(k)
-    kap2 = k2 - _DD(np.append(V.values, [0.0] * pad)[:, None])
+    kap2 = k2 - _DD(np.asarray(V.values, dtype=float)[:, None])
     r = kap2.rsqrt()
     kap = kap2 * r
     z = kap * w[:, None]
-    pq = _DD(*(np.stack([1j * x, -1j * x]) for x in (z.hi, z.lo))).exp()
-    c, s = (pq[0] + pq[1]) * 0.5, (pq[0] - pq[1]) * -0.5j
+    # logscale < 20 on this rung bounds |Im z|: e^{iz} and 1 / e^{iz} stay finite
+    p = _DD(1j * z.hi, 1j * z.lo).exp()
+    q = p.recip()
+    c, s = (p + q) * 0.5, (p - q) * -0.5j
     m12, m21, small = s * r, kap * s * -1, np.abs(z.hi) < 0.1
     if small.any():
         sinc = w[np.nonzero(small)[0]] * (z[small] * z[small]).series(_SINC_SERIES)
@@ -369,8 +383,12 @@ def _xy_dd(V, k):
     M = _DD(*(np.array([[a, b], [d, a]]) for a, b, d in
               ((c.hi, m12.hi, m21.hi), (c.lo, m12.lo, m21.lo))))
     while M.hi.shape[2] > 1:
-        # A_{2i+1} A_{2i}: column j of the odd cells times row j of the even
-        M = M[:, :1, 1::2] * M[:1, :, ::2] + M[:, 1:, 1::2] * M[1:, :, ::2]
+        # A_{2i+1} A_{2i}: column j of the odd cells times row j of the even;
+        # an odd cell left over at the end waits for the next level
+        n = M.hi.shape[2] // 2 * 2
+        pairs = M[:, :1, 1:n:2] * M[:1, :, :n:2] + M[:, 1:, 1:n:2] * M[1:, :, :n:2]
+        M = _DD(*(np.concatenate([x, y[:, :, n:]], axis=2)
+                  for x, y in ((pairs.hi, M.hi), (pairs.lo, M.lo))))
     ik, k2m12 = _DD(1j * k), k2 * M[0, 1, 0]
     tr, skew = ik * (M[0, 0, 0] + M[1, 1, 0]), ik * (M[0, 0, 0] - M[1, 1, 0])
     bx, by = k2m12 - M[1, 0, 0], k2m12 + M[1, 0, 0]

@@ -1,6 +1,7 @@
 """Argument-principle zero finding: counting, location, resonances, bound states."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -531,6 +532,50 @@ def test_polishes_of_one_zero_from_two_boxes_add_their_counts():
     zs = czeros._finalize(polishes, "")
     assert list(zs.locations) == [0.3, 0.5, 0.5 + 1e-9j]
     assert [z.multiplicity for z in zs.zeros] == [2, 1, 1]
+
+
+def _finalize_by_scan(found, function_tag):
+    """Reference: _finalize's merge as a scan over every kept zero."""
+    def key(pair):
+        z = pair[0].location
+        return (0.0 if abs(z.real) <= 1e-9 * (1.0 + abs(z)) else z.real, z.imag)
+
+    kept = []
+    for z, d in sorted(found, key=key):
+        i = next((i for i, (w, e) in enumerate(kept)
+                  if abs(z.location - w.location) <= 1e-7 * max(d, e)), None)
+        if i is None:
+            kept.append((z, d))
+        else:
+            w, e = kept[i]
+            kept[i] = (replace(w, multiplicity=w.multiplicity + z.multiplicity), max(d, e))
+    return czeros.ZeroSet(tuple(z for z, _ in kept), function_tag)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), clusters=st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_windowed_merge_is_the_scan_over_every_kept_zero(seed, clusters):
+    """Polishes in chains whose steps lie about 1e-7 of a diagonal apart, so
+    that their neighbours merge while their ends may not; some chains cross
+    the edge of the 1e-9 (1 + |z|) snap to the imaginary axis."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(clusters):
+        d = 10.0 ** rng.uniform(-4, 1.5)
+        c = complex(rng.uniform(-150, 150), rng.uniform(-150, 150))
+        step = 1e-7 * d * rng.uniform(0.3, 1.3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        if rng.random() < 0.5:
+            c = complex(rng.choice((-1, 1)) * 1e-9 * (1 + abs(c)), c.imag)
+            step = abs(step) * rng.choice((-1, 1))
+        n = rng.integers(1, 6)
+        for j in range(n):
+            found.append((czeros.Zero(c + (j - n // 2) * step, int(rng.integers(1, 3)),
+                                      float(rng.random())),
+                          d * rng.choice((1.0, 0.5, 2.0))))
+    rng.shuffle(found)
+    want = _finalize_by_scan(found, "xhat")
+    assert czeros._finalize(found, "xhat") == want
+    assert sum(z.multiplicity for z in want.zeros) == sum(z.multiplicity for z, _ in found)
 
 
 @pytest.mark.parametrize("f, rect, want", [

@@ -7,7 +7,8 @@ definitions through xhat and yhat, that `sample` is the public functions
 evaluated together, that a scalar k gives the bits of the same k inside an
 array, and that the unitary identity holds on every precision rung.  The
 core computes every cell at once on a cell axis; a cell-by-cell loop is
-kept here as its bitwise reference.
+kept here as its bitwise reference, and so is the double-double product
+with one error-free transform per real product.
 """
 
 import csv
@@ -323,3 +324,77 @@ def test_double_double_point_has_the_same_bits_in_any_company():
             assert _same_bits(scattering._xy_dd(V, on_dd)[..., :1], alone_b)
             assert _same_bits(unitary_residual(V, pair)[0], alone_r)
     assert _same_bits(pair_r[0], alone_r)
+
+
+def _dd_mul_by_component(a, b):
+    """Reference: the complex double-double product with one error-free
+    transform per real product and per real sum, as (hi, lo)."""
+    two_prod, two_sum = scattering._two_prod, scattering._two_sum
+    (ah, al), (bh, bl) = (a.hi, a.lo), (b.hi, b.lo)
+    (rr, e1), (ii, e2) = two_prod(ah.real, bh.real), two_prod(ah.imag, bh.imag)
+    (ri, e3), (ir, e4) = two_prod(ah.real, bh.imag), two_prod(ah.imag, bh.real)
+    (re, e5), (im, e6), lo = two_sum(rr, -ii), two_sum(ri, ir), ah * bl + al * bh
+    return two_sum(re + 1j * im, (e5 + e1 - e2 + lo.real) + 1j * (e6 + e3 + e4 + lo.imag))
+
+
+def _dd_values(rng, shape):
+    """Double-doubles of the given shape: parts of either sign over 24
+    decades, some of them +-0, each with a low part below its half ulp."""
+    def parts():
+        x = rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(-12, 12, shape)
+        return np.where(rng.random(shape) < 0.1, rng.choice((-0.0, 0.0), shape), x)
+    hi = parts() + 1j * parts()
+    lo = (hi.real * rng.uniform(-1, 1, shape) + 1j * hi.imag * rng.uniform(-1, 1, shape)) * 2.0 ** -54
+    return scattering._DD(hi, lo)
+
+
+@given(m=st.integers(1, 5), p=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       shapes=st.sampled_from([
+           # a level of _xy_dd's pairwise product: cell columns times rows
+           lambda m, p: ((2, 1, m, p), (1, 2, m, p)),
+           # 0-d constants (the series coefficients, ln 2, pi/2) and arrays
+           lambda m, p: ((), (m, p)),
+           lambda m, p: ((m, p), ()),
+           lambda m, p: ((), ()),
+           # cells times points, kappa times the widths, and k times k
+           lambda m, p: ((m, p), (m, p)),
+           lambda m, p: ((m, p), (m, 1)),
+           lambda m, p: ((p,), (p,)),
+       ]))
+@settings(max_examples=80, deadline=None)
+def test_stacked_double_double_product_has_the_reference_bits(m, p, seed, shapes):
+    rng = np.random.default_rng(seed)
+    a, b = (_dd_values(rng, s) for s in shapes(m, p))
+    got = a * b
+    hi, lo = _dd_mul_by_component(a, b)
+    assert got.hi.shape == got.lo.shape == np.broadcast_shapes(a.hi.shape, b.hi.shape)
+    assert _same_bits(got.hi, hi) and _same_bits(got.lo, lo)
+
+
+def test_double_double_reciprocal_of_e_iz():
+    """1 / e^{iz} by one Newton step from float64, as the rung forms e^{-iz},
+    for |Im z| up to 20, against 50 digits."""
+    rng = np.random.default_rng(21)
+    z = rng.uniform(-300, 300, 300) + 1j * rng.uniform(-20, 20, 300)
+    z = np.append(z, [20j, -20j, 0, 300 - 20j, -300 + 20j])
+    e = scattering._DD(1j * z).exp()
+    r = e.recip()
+    with mp.workdps(50):
+        for eh, el, rh, rl in zip(e.hi, e.lo, r.hi, r.lo):
+            assert abs((mp.mpc(eh) + mp.mpc(el)) * (mp.mpc(rh) + mp.mpc(rl)) - 1) < 1e-30
+
+
+@pytest.mark.parametrize("cells", [3, 5, 17, 31])
+def test_odd_cells_wait_for_the_next_level_with_the_padded_values(cells):
+    """The pairwise product leaves an odd cell over at a level for the next;
+    padding with zero-width cells (the identity) up to a power of 2 gives the
+    same grouping, and its identity products are exact."""
+    rng = np.random.default_rng(cells)
+    V = _seeded_potential(rng, cells, 2.5)
+    pad = (1 << (cells - 1).bit_length()) - cells
+    padded = Potential._unchecked(V.breakpoints + V.breakpoints[-1:] * pad,
+                                  V.values + (0.0,) * pad)
+    k = rng.uniform(-20, 20, 24) + 1j * rng.choice((-1, 1), 24) * rng.uniform(0, 5, 24)
+    k = np.append(k, np.sqrt(complex(V.values[-1])))
+    # equal values; signed zeros may differ
+    assert np.array_equal(scattering._xy_dd(V, k), scattering._xy_dd(padded, k))
