@@ -503,11 +503,6 @@ def _split_level(f, boxes, sigma=0.0):
             for (_, count, _), (c0, c1, n0, m0), m in zip(boxes, first, m1)]
 
 
-def _split_counted(f, box, count, sums, sigma=0.0):
-    """The children of one box, as _split_level splits it."""
-    return _split_level(f, [(box, count, sums)], sigma)[0]
-
-
 def _split_axis(box: Rect, frac, vertical_cut):
     if vertical_cut:
         xm = box.lo.real + frac * box.width

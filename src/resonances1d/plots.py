@@ -117,15 +117,15 @@ def heatmap_svg(values, extent, path, title):
     vals = np.asarray(values, dtype=float)
     si, sj = (max(1, n // _MAX_CELLS) for n in vals.shape)
     vals = vals[::si, ::sj]
+    if not np.isfinite(vals).all():
+        raise ValueError("heatmap of a non-finite field")
     x0, x1, y0, y1 = (float(v) for v in extent)
-    lo, hi = float(np.nanmin(vals)), float(np.nanmax(vals))
+    lo, hi = float(vals.min()), float(vals.max())
     span = hi - lo or 1.0
     ny, nx = vals.shape
     cw = (_W - 2 * _PAD) / nx
     ch = (_H - 2 * _PAD) / ny
     gray = 255 * (1.0 - (vals - lo) / span)
-    if not np.isfinite(gray).all():
-        raise ValueError("heatmap of a non-finite field")
     # a cell is its column's head, its row's middle and its gray level's fill
     cells = [None] * (3 * nx)
     cells[::3] = ['<rect x="%.2f" y="' % (_PAD + j * cw) for j in range(nx)]

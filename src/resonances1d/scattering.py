@@ -14,9 +14,11 @@ with M the transfer matrix over the hull.  The reflection entering yhat is
 the right-incident one; this is the choice whose Fourier support is
 [2a, 2b] (verified by an indicator-width test on an asymmetric well).
 Algebraically  xhat(k) xhat(-k) - k^2 - yhat(k) yhat(-k) = k^2 (det M - 1),
-so the unitary identity holds exactly up to rounding; the residual routine
-escalates working precision where rounding would dominate: float64, 80-bit,
-double-double (one array pass, to 1e-28), and past that mpmath point by point.
+so the unitary identity holds exactly up to rounding.  With the phases
+cancelled it reads (B(k)B(-k) - C(k)C(-k)) e^{2 logscale} / 4 = k^2, B and
+C the brackets above; the residual routine escalates working precision where
+rounding would dominate: float64, 80-bit, double-double (one array pass, to
+1e-28), and past that mpmath point by point.
 On the double-double rung a complex product takes its four real products in
 one error-free transform over stacked operands, and e^{-iz} is the
 reciprocal of e^{iz}, by one Newton step, in place of a second exponential.
@@ -26,6 +28,11 @@ product is bitwise the same at k and -k (negation is exact).  Every public
 function therefore builds the product once per k-point and assembles the
 values at k and at -k from it: det S, the Jost coefficients and the
 unitary residual all need both signs.
+
+At a zero-energy resonance (xhat(0) = 0) t, r and det S are 0/0 at k = 0.
+As M is even in k, xhat'(0) = i(M11+M22 - L M21)/2 and yhat'(0) =
+i(M11-M22 - (a+b) M21)/2, L = b - a, give their limits in closed form from
+the same product (Deift & Trubowitz, CPAM 32, 1979).
 
 The cell propagators are computed in one array pass, on a leading cell
 axis; only the 2x2 product runs cell by cell, from the identity and in
@@ -44,7 +51,7 @@ Sign convention resolved numerically (large real k):  xhat(k) - ik tends to
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import reduce
 
 import mpmath as mp
@@ -184,6 +191,12 @@ def _bracket(k, P):
     return 1j * k * (M11 + M22) + k * k * M12 - M21
 
 
+def _ybracket(k, P):
+    """ik(M11-M22) + k^2 M12 + M21, the factor of yhat that holds its zeros."""
+    M11, M12, M21, M22 = P[:4]
+    return 1j * k * (M11 - M22) + k * k * M12 + M21
+
+
 def _xhat_from(V, k, P):
     """(mantissa, log-modulus scale) of xhat at k, from the product P at +-k."""
     L = V.breakpoints[-1] - V.breakpoints[0]
@@ -192,10 +205,8 @@ def _xhat_from(V, k, P):
 
 def _yhat_from(V, k, P):
     """(mantissa, log-modulus scale) of yhat at k, from the product P at +-k."""
-    M11, M12, M21, M22, ls = P
     ab = V.breakpoints[0] + V.breakpoints[-1]
-    mant = np.exp(-1j * k.real * ab) * (1j * k * (M11 - M22) + k * k * M12 + M21) / 2
-    return mant, ls + k.imag * ab
+    return np.exp(-1j * k.real * ab) * _ybracket(k, P) / 2, P[4] + k.imag * ab
 
 
 def _collapse(mant, logmag):
@@ -405,7 +416,7 @@ def _unitary_from(V, k, P):
     use_dd = ~use_d & ~use_ld & (expo + np.log(_DD_EPS) < target)
     use_mp = ~use_d & ~use_ld & ~use_dd
     if use_dd.any():
-        # x(k)x(-k) - y(k)y(-k) = (B(k)B(-k) - C(k)C(-k)) / 4: the phases cancel
+        # logscale < 20 here, so the rung works on the unscaled brackets
         ks = k[use_dd]
         bx, by, bx2, by2 = (_DD(*b) for b in _xy_dd(V, ks))
         r = bx * bx2 - by * by2 - _DD(4 * ks) * _DD(ks)
@@ -416,13 +427,8 @@ def _unitary_from(V, k, P):
         ks = k[sel].astype(dtype)
         Ps = (tuple(e[sel] for e in P) if dtype == np.complex128
               else _scaled_transfer(V, ks, dtype))
-        x1, lx1 = _xhat_from(V, ks, Ps)
-        x2, lx2 = _xhat_from(V, -ks, Ps)
-        y1, ly1 = _yhat_from(V, ks, Ps)
-        y2, ly2 = _yhat_from(V, -ks, Ps)
-        resid = np.abs(
-            x1 * x2 * np.exp(lx1 + lx2) - ks * ks - y1 * y2 * np.exp(ly1 + ly2)
-        )
+        r = _bracket(ks, Ps) * _bracket(-ks, Ps) - _ybracket(ks, Ps) * _ybracket(-ks, Ps)
+        resid = np.abs(r * np.exp(2 * Ps[4]) / 4 - ks * ks)
         out[sel] = (resid / (1 + np.abs(ks) ** 2)).astype(float)
     for i in zip(*np.nonzero(use_mp)):
         dps = int(np.ceil((expo[i] - target[i]) / np.log(10))) + 16
@@ -459,40 +465,30 @@ class JostCoefficients:
     k_zero_limit: bool = False
 
 
-def _richardson_limit(g):
-    """Neville extrapolation to h = 0 of each entry of the tuple g(h),
-    sampled at h = 1e-2 / 2^j, j = 0..3."""
-    n = 4
-    hs = [1e-2 / 2 ** j for j in range(n)]
-    out = []
-    for vals in map(list, zip(*[g(h) for h in hs])):
-        for m in range(1, n):
-            for i in range(n - m):
-                vals[i] = vals[i + 1] + (vals[i + 1] - vals[i]) * hs[i + m] / (
-                    hs[i] - hs[i + m]
-                )
-        out.append(vals[0])
-    return out
-
-
 def _quotient(num, den):
-    """num / den, both first scaled by the power of two that brings |den|
-    into [1/2, 1).
-
-    The scaling is exact, so the quotient keeps its bits where den is
-    normal; where den is subnormal, numpy's complex division would
-    overflow its reciprocal and read nan.
-    """
+    """num conj(den) / |den|^2, both first scaled by the power of two that
+    brings |den| into [1/2, 1), so a subnormal den gives no nan.  Each part
+    is one real division, so +-den / den is exactly +-1, where numpy's
+    complex division multiplies by a rounded reciprocal."""
     e = -np.frexp(np.maximum(np.abs(den.real), np.abs(den.imag)))[1]
-    scale = lambda z: np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
-    return scale(num) / scale(den)
+    nr, ni, dr, di = (np.ldexp(x, e) for x in (num.real, num.imag, den.real, den.imag))
+    m = dr * dr + di * di
+    return (nr * dr + ni * di) / m + 1j * ((ni * dr - nr * di) / m)
+
+
+def _zero_resonance(k, xm, xl):
+    """The zero-energy resonances: k = 0 with |xhat(0)| < 1e-13, from xhat's
+    (mantissa, log-modulus scale) at k."""
+    return (k == 0) & (np.abs(xm) < 1e-13 * np.exp(np.clip(-xl, -700, 700)))
 
 
 def _jost_from(V, k, P):
     """Rows t, r_right and r_left at the array k, from the cell product P there.
 
-    At k = 0, where xhat may vanish, the three are extrapolated together
-    from nearby real k.
+    At a zero-energy resonance they are the quotients of the k-derivatives
+    at 0 (see the module docstring): t = 2 e^{-logscale} / D and
+    r_right = -r_left = (M11-M22 - (a+b) M21) / D, D = M11+M22 - L M21.
+    Elsewhere at k = 0 the quotients give t = 0 and r = -1 exactly.
     """
     xm, xl = _xhat_from(V, k, P)
     ym, yl = _yhat_from(V, k, P)
@@ -501,10 +497,13 @@ def _jost_from(V, k, P):
         out = np.array([_quotient(1j * k, xm) * np.exp(-xl),
                         _quotient(ym, xm) * np.exp(yl - xl),
                         _quotient(ym2, xm) * np.exp(yl2 - xl)])
-    zero = k == 0
+    zero = _zero_resonance(k, xm, xl)
     if zero.any():
-        near = lambda h: astuple(jost_coefficients(V, h))[:3]
-        out[:, zero] = np.array(_richardson_limit(near))[:, None]
+        M11, _, M21, M22, ls = (e[zero] for e in P)
+        a, b = V.breakpoints[0], V.breakpoints[-1]
+        d = M11 + M22 - (b - a) * M21
+        r = (M11 - M22 - (a + b) * M21) / d
+        out[:, zero] = [2 * np.exp(-ls) / d, r, -r]
     return out
 
 
@@ -522,21 +521,19 @@ def _det_s_from(V, k, P):
 
     k != 0 is a pole when xhat's bracket is below 1e6 eps times the sum of
     its terms' moduli, that is within rounding of zero.  At k = 0 the
-    bracket is -M21 alone and that bound is void; there det S is the limit
-    from nearby real k when |xhat(0)| < 1e-13.
+    bracket is -M21 alone and that bound is void; at a zero-energy
+    resonance det S is -xhat'(-0)/xhat'(0) = 1.
     """
     M11, M12, M21, M22 = P[:4]
     m1, l1 = _xhat_from(V, k, P)
     m2, l2 = _xhat_from(V, -k, P)
     terms = np.abs(k) * np.abs(M11 + M22) + np.abs(k) ** 2 * np.abs(M12) + np.abs(M21)
-    limit = (k == 0) & (np.abs(m1) < 1e-13 * np.exp(np.clip(-l1, -700, 700)))
+    limit = _zero_resonance(k, m1, l1)
     pole = (2 * np.abs(m1) < 1e6 * _D_EPS * terms) & (k != 0)
-    out = np.empty(k.shape, dtype=complex)
+    out = np.ones(k.shape, dtype=complex)
     ok = ~pole & ~limit
     with np.errstate(over="ignore"):
         out[ok] = -_quotient(m2[ok], m1[ok]) * np.exp(l2[ok] - l1[ok])
-    if limit.any():
-        out[limit] = _richardson_limit(lambda h: (det_s(V, h),))[0]
     out[pole] = np.inf
     return out, pole
 
@@ -566,7 +563,8 @@ def det_s_jacobian(V: Potential, k, n: int):
     (cells after j) dA_j (cells before j), and
     d det S/dV_j = det S (x'(-k)/x(-k) - x'(k)/x(k)), with x' the xhat
     bracket of that derivative.  Raises PoleAtK where det_s does.  At a
-    k = 0 where det S is a limit from nearby k, J is not defined.
+    zero-energy resonance, where det S is 1 in closed form, J is not
+    defined.
     """
     kk = _points(k)
     kap2, z, t, c, m12, m21 = _cells(V, kk)

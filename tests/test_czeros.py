@@ -95,7 +95,7 @@ def test_split_sums_are_the_parents_minus_the_counted_childs():
     for roots in _ROOTS:
         f = lambda z: np.prod([z - r for r in roots + [5.0]], axis=0)
         n, sums, _ = czeros._count(f, rect)
-        (c0, n0, m0), (c1, n1, m1) = czeros._split_counted(f, rect, n, sums)
+        (c0, n0, m0), (c1, n1, m1) = czeros._split_level(f, [(rect, n, sums)])[0]
         direct = czeros._count(f, c1)
         assert n0 + n1 == n and direct[0] == n1 == sum(map(c1.contains, roots))
         assert np.all(np.abs(m1 - direct[1]) < _sums_tolerance(c1))

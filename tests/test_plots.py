@@ -43,8 +43,10 @@ def test_heatmap_is_the_per_cell_reference(tmp_path, shape):
     assert path.read_text() == _reference_heatmap(vals, extent, "log|xhat(k)|")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_heatmap_rejects_a_non_finite_cell(tmp_path, bad):
+    """It raises before any arithmetic on the field, so without a warning."""
     vals = np.ones((4, 4))
     vals[1, 2] = bad
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Forward scattering: transfer matrices, xhat/yhat, det S, unitarity."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -146,8 +148,9 @@ def test_det_s_near_zero_of_a_nearly_free_potential_is_not_a_pole():
     assert det_s(V, k) == pytest.approx(_det_s_mp(V, k), rel=1e-12)
     d = det_s(V, np.array([0.0, k]))
     assert d[1] == det_s(V, k)
-    # the exact k = 0 keeps the limit from nearby real k
-    assert d[0] == pytest.approx(1.0, abs=1e-12)
+    # xhat(0) = -2e-180 makes the exact k = 0 a zero-energy resonance, where
+    # det S is 1 in closed form
+    assert d[0] == 1.0
 
 
 def test_det_s_at_zero_is_finite():
@@ -176,7 +179,55 @@ def test_jost_k_zero_limit():
     jc = jost_coefficients(V, 0.0)
     assert jc.k_zero_limit
     # generic potentials are totally reflecting at zero energy
-    assert abs(jc.t) < 0.05
+    assert jc.t == 0 and jc.r_right == jc.r_left == -1
+
+
+# M(0) = -I: kappa w = pi in the one cell, so xhat(0) = -M21/2 is rounding
+_EXCEPTIONAL = square_well(-(np.pi / 2) ** 2, -1.0, 1.0)
+
+
+def test_zero_energy_resonance_in_closed_form():
+    """The exceptional well transmits totally at k = 0: t = -1, r = 0 and
+    det S = 1, by jost_coefficients, det_s and sample alike."""
+    V = _EXCEPTIONAL
+    jc, s = jost_coefficients(V, 0.0), sample(V, 0.0)
+    for t, r_right, r_left, ds in ((jc.t, jc.r_right, jc.r_left, det_s(V, 0.0)),
+                                   (s.t, s.r_right, s.r_left, s.det_s)):
+        assert abs(t + 1) < 1e-12
+        assert abs(r_right) < 1e-12 and abs(r_left) < 1e-12
+        assert abs(ds - 1) < 1e-12
+
+
+def test_generic_well_reflects_totally_at_zero():
+    """On sw4 xhat(0) != 0 gives t = 0, r = -1 and det S = -1 exactly."""
+    V = square_well(-4.0, -1.0, 1.0)
+    jc, s = jost_coefficients(V, 0.0), sample(V, 0.0)
+    assert jc.t == s.t == 0
+    assert jc.r_right == jc.r_left == s.r_right == s.r_left == -1
+    assert det_s(V, 0.0) == s.det_s == -1
+
+
+@pytest.mark.parametrize("V", [square_well(-4.0, -1.0, 1.0), _EXCEPTIONAL],
+                         ids=["sw4", "exceptional"])
+@pytest.mark.parametrize("call", [jost_coefficients, det_s, sample])
+def test_one_cell_product_at_zero(V, call):
+    with mock.patch.object(scattering, "_scaled_transfer",
+                           wraps=scattering._scaled_transfer) as transfer:
+        call(V, 0.0)
+    assert transfer.call_count == 1
+
+
+def test_quotient_is_exact_at_plus_minus_one(rng):
+    """+-den / den is exactly +-1, subnormal den included, where numpy's
+    complex division reads sin(4) / -sin(4), sw4's r(0), as
+    -0.9999999999999999; other quotients are right to rounding."""
+    den = rng.normal(size=200) + 1j * rng.normal(size=200)
+    den *= 10.0 ** rng.uniform(-300, 300, 200)
+    q = rng.normal(size=200) + 1j * rng.normal(size=200)
+    np.testing.assert_allclose(scattering._quotient(q * den, den), q, rtol=4e-15)
+    den[:3] = [5e-324, 3e-320j, np.sin(4.0)]
+    assert np.all(scattering._quotient(den, den) == 1)
+    assert np.all(scattering._quotient(-den, den) == -1)
 
 
 def test_sample_csv_round_trip(tmp_path, rng):
