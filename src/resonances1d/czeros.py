@@ -175,10 +175,11 @@ def _windings(f, rects, sigma=0.0):
     refinement round.  A contour starts with at least _N_BOUNDARY samples,
     and enough that f of exponential type sigma turns by at most pi/2 per
     step from its type alone; the last sample closes it.  Each round halves
-    every wide step, dip or long step until a contour has none left.  A step
-    is wide when its phase turns by more than pi/2, and a dip when it sits in
-    a dip of |f|.  A contour fails alone: at a sample near zero, past
-    _MAX_EVALS samples, or after 60 rounds.
+    every wide step, dip, corner step or long step until a contour has none
+    left.  A step is wide when its phase turns by more than pi/2, a dip when
+    it sits in a dip of |f|, and a corner step when it meets a corner and
+    |d log|f|| + |d arg f| > pi/2 across it.  A contour fails alone: at a
+    sample near zero, past _MAX_EVALS samples, or after 60 rounds.
 
     The near-zero test is local: a start sample fails against the larger |f|
     of its two neighbours on the closed contour, a midpoint against the
@@ -249,7 +250,10 @@ def _windings(f, rects, sigma=0.0):
             if round_ == 0:  # start steps are even in t
                 top = np.maximum.reduceat(np.where(dip, 0.0, np.abs(rise)), start)
                 longest = np.where(top > np.pi, dt[start] * np.pi / 2 / top, np.inf)
-            bad = (np.abs(steps) > np.pi / 2) | dip | (dt > longest[k])
+            # zeros just past a corner may alias a step meeting it, with no dip
+            corner = turn | turn[nxt] | (edge < 0)
+            corner &= np.abs(rise) + np.abs(steps) > np.pi / 2
+            bad = (np.abs(steps) > np.pi / 2) | dip | corner | (dt > longest[k])
             count = np.round(np.add.reduceat(steps, start) / (2 * np.pi))
         done = ~np.logical_or.reduceat(bad, start) & ~failed
         if np.any(done):
