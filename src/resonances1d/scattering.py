@@ -15,10 +15,13 @@ the right-incident one; this is the choice whose Fourier support is
 [2a, 2b] (verified by an indicator-width test on an asymmetric well).
 Algebraically  xhat(k) xhat(-k) - k^2 - yhat(k) yhat(-k) = k^2 (det M - 1),
 so the unitary identity holds exactly up to rounding.  With the phases
-cancelled it reads (B(k)B(-k) - C(k)C(-k)) e^{2 logscale} / 4 = k^2, B and
-C the brackets above; the residual routine escalates working precision where
-rounding would dominate: float64, 80-bit, double-double (one array pass, to
-1e-28), and past that mpmath point by point.
+cancelled it reads |B(k)B(-k) - C(k)C(-k) - 4k^2| / 4 = 0, B and C the
+brackets above; the residual routine escalates working precision where
+rounding would dominate: float64, numpy's longdouble (80-bit on x86-64, empty
+where longdouble is double, so those points go on), double-double (one array
+pass, to 1e-28), and past that mpmath point by point.  Every rung builds its
+cells by one rule: below |kappa_j w_j| = 0.1, sin z / kappa = w sinc z comes
+from one Taylor table (mp.sinc on mpmath).
 On the double-double rung a complex product takes its four real products in
 one error-free transform over stacked operands, and e^{-iz} is the
 reciprocal of e^{iz}, by one Newton step, in place of a second exponential.
@@ -63,6 +66,7 @@ from .potential import Potential
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _D_EPS = float(np.finfo(np.float64).eps)
 _DD_EPS = 1e-28   # the double-double rung's working accuracy, with margin
+_SERIES_BELOW = 0.1  # below this |kappa_j w_j|, sin z / kappa comes from _sinc
 # cells x points per pass of the cell-axis core; larger products take their
 # cells (and points, above _BLOCK) in blocks, so per-cell arrays stay in cache
 _BLOCK = 8192
@@ -72,37 +76,32 @@ _BLOCK = 8192
 # scaled transfer-matrix products
 
 
-def _cells(V: Potential, k, dtype=np.complex128, cells=slice(None)):
+def _cells(V: Potential, k, cells=slice(None)):
     """The propagators of the cells V.values[cells] at once, on a leading
-    cell axis.
+    cell axis, in the precision of the complex array k (clongdouble on its rung).
 
     Returns (kappa^2, z, t, c, m12, m21), each of shape (cells,) + k.shape:
     kappa_j^2 = k^2 - V_j, z = kappa_j w_j, t = |Im z|, and the scaled cell
     [[c, m12], [m21, c]] = [[cos z, sin z / kappa], [-kappa sin z, cos z]] e^{-t}.
-    Below |z| = 1e-6 the entries come from their Taylor series.
+    Below |z| = _SERIES_BELOW, m12 = w sinc z e^{-t} (`_sinc`), m21 = -kappa^2 m12.
     """
-    k = np.asarray(k, dtype=dtype)
-    real = np.longdouble if dtype == np.complex256 else np.float64
     cell_axis = (slice(None),) + (None,) * k.ndim
-    bp = np.asarray(V.breakpoints, dtype=real)
-    vs = np.asarray(V.values, dtype=real)[cells][cell_axis]
+    bp = np.asarray(V.breakpoints, dtype=k.real.dtype)
+    vs = np.asarray(V.values, dtype=k.real.dtype)[cells][cell_axis]
     w = (bp[1:] - bp[:-1])[cells][cell_axis]
     kap2 = k * k - vs
     kap = np.sqrt(kap2)
     z = kap * w
     t = np.abs(z.imag)
-    p = np.exp(1j * z - t)
-    q = np.exp(-1j * z - t)
+    p, q = np.exp(1j * z - t), np.exp(-1j * z - t)
     c = (p + q) / 2                     # cos(z) e^{-t}
     s = (p - q) / 2j                    # sin(z) e^{-t}
-    small = np.abs(z) < 1e-6
+    small = np.abs(z) < _SERIES_BELOW
     if not small.any():
         return kap2, z, t, c, s / kap, -kap * s
-    et = np.exp(-t)
-    series = w * (1 - z * z / 6 * (1 - z * z / 20)) * et
-    m12 = np.where(small, series, s / np.where(small, 1, kap))
-    m21 = np.where(small, -kap2 * series, -kap * s)
-    c = np.where(small, (1 - z * z / 2 * (1 - z * z / 12)) * et, c)
+    m12, m21 = s / np.where(small, 1, kap), -kap * s
+    m12[small] = w.ravel()[np.nonzero(small)[0]] * _sinc(z[small]) * np.exp(-t[small])
+    m21[small] = -kap2[small] * m12[small]
     return kap2, z, t, c, m12, m21
 
 
@@ -127,23 +126,23 @@ def _product(c, m12, m21, M=None, prefixes=False):
     return (M, np.stack(before, axis=2)) if prefixes else M
 
 
-def _scaled_transfer(V: Potential, k, dtype=np.complex128):
-    """Product of per-cell propagators, scaled cell by cell.
+def _scaled_transfer(V: Potential, k):
+    """Product of the cells, scaled cell by cell, in the precision of k.
 
     Returns (M11, M12, M21, M22, logscale): the true matrix is the returned
     one times exp(logscale).  Entries stay O(1) for any Im k.  logscale is
     the sum of |Im kappa_j| w_j, the cancellation scale of the identities
     assembled from the product.  The result is the same at k and -k.
     """
-    k = np.asarray(k, dtype=dtype)
+    k = np.asarray(k)
     if k.size > _BLOCK:
         chunks = np.array_split(k.ravel(), -(-k.size // _BLOCK))
-        parts = zip(*(_scaled_transfer(V, c, dtype) for c in chunks))
+        parts = zip(*(_scaled_transfer(V, c) for c in chunks))
         return tuple(np.concatenate(p).reshape(k.shape) for p in parts)
     step = max(1, _BLOCK // max(k.size, 1))
     M, logscale = None, np.zeros(k.shape, dtype=k.real.dtype)
     for lo in range(0, len(V.values), step):
-        _, _, t, c, m12, m21 = _cells(V, k, dtype, slice(lo, lo + step))
+        _, _, t, c, m12, m21 = _cells(V, k, slice(lo, lo + step))
         M = _product(c, m12, m21, M)
         logscale = _add_cells(logscale, t)
     return M[0, 0], M[0, 1], M[1, 0], M[1, 1], logscale
@@ -195,6 +194,16 @@ def _ybracket(k, P):
     """ik(M11-M22) + k^2 M12 + M21, the factor of yhat that holds its zeros."""
     M11, M12, M21, M22 = P[:4]
     return 1j * k * (M11 - M22) + k * k * M12 + M21
+
+
+def _brackets(k, P):
+    """B(k), C(k), B(-k), C(-k) from the product P at +-k, in any precision."""
+    return _bracket(k, P), _ybracket(k, P), _bracket(-k, P), _ybracket(-k, P)
+
+
+def _defect(k, B, scale=1):
+    """(B(k)B(-k) - C(k)C(-k)) scale - 4k^2 of the `_brackets` B: 0 in exact arithmetic."""
+    return (B[0] * B[2] - B[1] * B[3]) * scale - k * k * 4
 
 
 def _xhat_from(V, k, P):
@@ -249,35 +258,15 @@ def log_abs_yhat(V: Potential, k):
 
 
 def _xy_mp(V, k, dps):
-    """xhat(k), yhat(k), xhat(-k), yhat(-k) with mpmath at the given precision."""
+    """`_brackets` at k with mpmath at dps digits, the cells as in `_cells` by mp.sinc."""
     with mp.workdps(dps):
-        kk = mp.mpc(k)
-        M = mp.matrix([[1, 0], [0, 1]])
-        for j in range(len(V.values)):
-            w = mp.mpf(V.breakpoints[j + 1]) - mp.mpf(V.breakpoints[j])
-            kap = mp.sqrt(kk * kk - V.values[j])
-            z = kap * w
-            c = mp.cos(z)
-            if abs(kap) < 1e-20:
-                s_over = w
-                ksin = -(kk * kk - V.values[j]) * w
-            else:
-                s_over = mp.sin(z) / kap
-                ksin = -kap * mp.sin(z)
-            A = mp.matrix([[c, s_over], [ksin, c]])
-            M = A * M
-        a, b = V.breakpoints[0], V.breakpoints[-1]
-
-        def xy(s):
-            xh = mp.exp(1j * s * (b - a)) * (
-                1j * s * (M[0, 0] + M[1, 1]) + s * s * M[0, 1] - M[1, 0]
-            ) / 2
-            yh = mp.exp(-1j * s * (a + b)) * (
-                1j * s * (M[0, 0] - M[1, 1]) + s * s * M[0, 1] + M[1, 0]
-            ) / 2
-            return xh, yh
-
-        return xy(kk) + xy(-kk)
+        k, M = mp.mpc(k), mp.eye(2)
+        for v, a, b in zip(V.values, V.breakpoints, V.breakpoints[1:]):
+            w, kap2 = mp.mpf(b) - mp.mpf(a), k * k - v
+            z = mp.sqrt(kap2) * w
+            m12 = w * mp.sinc(z)
+            M = mp.matrix([[mp.cos(z), m12], [-kap2 * m12, mp.cos(z)]]) * M
+        return _brackets(k, (M[0, 0], M[0, 1], M[1, 0], M[1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +333,11 @@ class _DD:
         r = _DD(1 / self.hi)
         return r + r * (_DD(1) - self * r)
 
-    def series(self, coefs):
-        """sum_j coefs[j] self^j by Horner's rule."""
-        return reduce(lambda s, c: s * self + c, coefs[-2::-1], coefs[-1])
-
     def exp(self):
         """2^n i^m e^r for self = r + n ln 2 + m i pi/2, with e^r from the
         Taylor series of r / 32 squared 5 times."""
         n, m = np.round(self.hi.real / _LN2.hi.real), np.round(self.hi.imag / _PI_2.hi.real)
-        s = ((self - _DD(n) * _LN2 - _DD(1j * m) * _PI_2) * (1 / 32)).series(_EXP_SERIES)
+        s = _horner((self - _DD(n) * _LN2 - _DD(1j * m) * _PI_2) * (1 / 32), _EXP_SERIES)
         for _ in range(5):
             s = s * s
         return s * (np.exp2(n) * np.array([1, 1j, -1, -1j])[m.astype(int) % 4])
@@ -362,7 +347,24 @@ with mp.workdps(40):
     _dd = lambda x: _DD(float(x), float(x - float(x)))
     _LN2, _PI_2 = _dd(mp.ln2), _dd(mp.pi / 2)
     _EXP_SERIES = [_dd(1 / mp.factorial(j)) for j in range(14)]
-    _SINC_SERIES = [_dd((-1) ** j / mp.factorial(2 * j + 1)) for j in range(9)]
+    # sin z / z = sum_n s_n z^{2n}, one table for every float rung; numpy uses six terms
+    # (the rest are under 2e-22 below |z| = 0.1), in float64 as Python floats, cheaper
+    _SINC_SERIES = [_dd((-1) ** n / mp.factorial(2 * n + 1)) for n in range(9)]
+    _SINC_NUMPY = {np.dtype(t): [t(s.hi.real) + t(s.lo.real) for s in _SINC_SERIES[:6]]
+                   for t in (np.longdouble, float)}
+
+
+def _horner(x, coefs):
+    """sum_j coefs[j] x^j by Horner's rule."""
+    return reduce(lambda s, c: s * x + c, coefs[-2::-1], coefs[-1])
+
+
+def _sinc(z, slope=False):
+    """sin z / z from the table (with slope, its -d/d(z^2)), in the precision of z."""
+    coefs = _SINC_SERIES if isinstance(z, _DD) else _SINC_NUMPY[z.real.dtype]
+    if slope:
+        coefs = [c * -(n + 1) for n, c in enumerate(coefs[1:])]
+    return _horner(z * z, coefs)
 
 
 def _xy_dd(V, k):
@@ -370,9 +372,8 @@ def _xy_dd(V, k):
     array of (bracket, hi/lo, point): xhat's bracket B = ik(M11+M22) +
     k^2 M12 - M21 and yhat's C = ik(M11-M22) + k^2 M12 + M21, of the
     unscaled M (logscale < 20 on this rung).  The cells follow `_cells`, with
-    e^{-iz} the reciprocal of e^{iz} and sin z / kappa by its series below
-    |z| = 0.1, and are multiplied pairwise over the cell axis, in blocks of
-    at most _BLOCK cells x points."""
+    e^{-iz} the reciprocal of e^{iz}, and are multiplied pairwise over the
+    cell axis, in blocks of at most _BLOCK cells x points."""
     step = max(1, _BLOCK // len(V.values))
     if k.size > step:
         chunks = np.array_split(k, -(-k.size // step))
@@ -387,10 +388,11 @@ def _xy_dd(V, k):
     p = _DD(1j * z.hi, 1j * z.lo).exp()
     q = p.recip()
     c, s = (p + q) * 0.5, (p - q) * -0.5j
-    m12, m21, small = s * r, kap * s * -1, np.abs(z.hi) < 0.1
+    m12, m21, small = s * r, kap * s * -1, np.abs(z.hi) < _SERIES_BELOW
     if small.any():
-        sinc = w[np.nonzero(small)[0]] * (z[small] * z[small]).series(_SINC_SERIES)
-        m12.hi[small], m12.lo[small] = sinc.hi, sinc.lo
+        sinc = w[np.nonzero(small)[0]] * _sinc(z[small])
+        for m, x in ((m12, sinc), (m21, kap2[small] * sinc * -1)):
+            m.hi[small], m.lo[small] = x.hi, x.lo
     M = _DD(*(np.array([[a, b], [d, a]]) for a, b, d in
               ((c.hi, m12.hi, m21.hi), (c.lo, m12.lo, m21.lo))))
     while M.hi.shape[2] > 1:
@@ -411,31 +413,26 @@ def _unitary_from(V, k, P):
     out = np.empty(k.shape, dtype=float)
     expo = 2 * P[4] + 2 * np.log(2 + np.abs(k))
     target = np.log(1e-11 * (1 + np.abs(k) ** 2))
-    use_d = expo + np.log(_D_EPS) < target
-    use_ld = ~use_d & (expo + np.log(_LD_EPS) < target)
-    use_dd = ~use_d & ~use_ld & (expo + np.log(_DD_EPS) < target)
-    use_mp = ~use_d & ~use_ld & ~use_dd
+    # the first rung whose eps suffices: float64, longdouble, double-double, mpmath
+    rung = sum(expo + np.log(eps) >= target for eps in (_D_EPS, _LD_EPS, _DD_EPS))
+    use_d, use_ld, use_dd, use_mp = (rung == r for r in range(4))
     if use_dd.any():
         # logscale < 20 here, so the rung works on the unscaled brackets
         ks = k[use_dd]
-        bx, by, bx2, by2 = (_DD(*b) for b in _xy_dd(V, ks))
-        r = bx * bx2 - by * by2 - _DD(4 * ks) * _DD(ks)
-        out[use_dd] = np.abs(r.hi) / 4 / (1 + np.abs(ks) ** 2)
-    for sel, dtype in ((use_d, np.complex128), (use_ld, np.complex256)):
-        if not np.any(sel):
+        d = _defect(_DD(ks), [_DD(*b) for b in _xy_dd(V, ks)]).hi
+        out[use_dd] = np.abs(d) / 4 / (1 + np.abs(ks) ** 2)
+    for sel, longdouble in ((use_d, False), (use_ld, True)):
+        if not sel.any():
             continue
-        ks = k[sel].astype(dtype)
-        Ps = (tuple(e[sel] for e in P) if dtype == np.complex128
-              else _scaled_transfer(V, ks, dtype))
-        r = _bracket(ks, Ps) * _bracket(-ks, Ps) - _ybracket(ks, Ps) * _ybracket(-ks, Ps)
-        resid = np.abs(r * np.exp(2 * Ps[4]) / 4 - ks * ks)
-        out[sel] = (resid / (1 + np.abs(ks) ** 2)).astype(float)
+        ks = k[sel].astype(np.clongdouble) if longdouble else k[sel]
+        Ps = _scaled_transfer(V, ks) if longdouble else tuple(e[sel] for e in P)
+        d = _defect(ks, _brackets(ks, Ps), np.exp(2 * Ps[4]))
+        out[sel] = (np.abs(d) / 4 / (1 + np.abs(ks) ** 2)).astype(float)
     for i in zip(*np.nonzero(use_mp)):
         dps = int(np.ceil((expo[i] - target[i]) / np.log(10))) + 16
         with mp.workdps(max(dps, 30)):
-            x1, y1, x2, y2 = _xy_mp(V, k[i], dps)
-            r = abs(x1 * x2 - mp.mpc(k[i]) ** 2 - y1 * y2)
-            out[i] = float(r / (1 + abs(k[i]) ** 2))
+            s = mp.mpc(k[i])
+            out[i] = float(abs(_defect(s, _xy_mp(V, s, dps))) / 4 / (1 + abs(s) ** 2))
     return out
 
 
@@ -558,7 +555,7 @@ def det_s_jacobian(V: Potential, k, n: int):
 
     Returns (det S, J) with J of shape k.shape + (n,).  Each scaled cell
     has closed-form derivatives: dc/dV = (w/2) m12,
-    dm12/dV = (m12 - w c) / (2 kappa^2), by its series near kappa = 0, and
+    dm12/dV = (m12 - w c) / (2 kappa^2), below |z| = 0.1 from the sinc table, and
     dm21/dV = (m12 + w c) / 2.  The derivative of the product is
     (cells after j) dA_j (cells before j), and
     d det S/dV_j = det S (x'(-k)/x(-k) - x'(k)/x(k)), with x' the xhat
@@ -580,9 +577,11 @@ def det_s_jacobian(V: Potential, k, n: int):
     B = before[:, :, :n, 0]
     w = np.diff(V.breakpoints)[:n].reshape((n,) + (1,) * kk.ndim)
     c, m12, z, kap2 = c[:n], m12[:n], z[:n], kap2[:n]
-    small = np.abs(z) < 1e-2
-    series = w ** 3 / 6 * (1 - z * z / 10) * np.exp(-t[:n])
-    dm12 = np.where(small, series, (m12 - w * c) / (2 * np.where(small, 1, kap2)))
+    small = np.abs(z) < _SERIES_BELOW
+    dm12 = (m12 - w * c) / (2 * np.where(small, 1, kap2))
+    if small.any():
+        ws = w.ravel()[np.nonzero(small)[0]]
+        dm12[small] = ws ** 3 * _sinc(z[small], slope=True) * np.exp(-t[:n][small])
     dc, dm21 = w / 2 * m12, (m12 + w * c) / 2
     dA_B = np.stack([dc * B[0] + dm12 * B[1], dm21 * B[0] + dc * B[1]])
     dM = after[:, 0, None] * dA_B[0] + after[:, 1, None] * dA_B[1]

@@ -14,6 +14,7 @@ with one error-free transform per real product.
 import csv
 import os
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath as mp
@@ -24,10 +25,11 @@ from hypothesis import strategies as st
 
 from resonances1d import cli, scattering
 from resonances1d.errors import PoleAtK
-from resonances1d.potential import Potential, make_piecewise
+from resonances1d.potential import Potential, make_piecewise, square_well
 from resonances1d.scattering import (
     ScatteringSample,
     det_s,
+    det_s_jacobian,
     jost_coefficients,
     log_abs_xhat,
     log_abs_yhat,
@@ -89,18 +91,18 @@ def _same_bits(x, y):
 @given(V=step_potentials(), k=complex_k(-5.0, 5.0))
 @settings(max_examples=60, deadline=None)
 def test_cell_product_is_even_in_k_bitwise(V, k):
-    for dtype in (np.complex128, np.complex256):
+    for dtype in (np.complex128, np.clongdouble):
         for kk in (np.asarray(k, dtype=dtype), np.array([k], dtype=dtype)):
-            plus = scattering._scaled_transfer(V, kk, dtype)
-            minus = scattering._scaled_transfer(V, -kk, dtype)
+            plus = scattering._scaled_transfer(V, kk)
+            minus = scattering._scaled_transfer(V, -kk)
             assert all(_same_bits(p, m) for p, m in zip(plus, minus))
 
 
-def _cell_by_cell(V, k, dtype):
+def _cell_by_cell(V, k):
     """Reference: the scaled cell product with each cell computed on its
-    own, in the order and by the formulas of the cell-axis core."""
-    k = np.asarray(k, dtype=dtype)
-    real = np.longdouble if dtype == np.complex256 else np.float64
+    own, in the order and by the formulas of the cell-axis core, in the
+    precision of k."""
+    real = k.real.dtype
     one = np.ones_like(k)
     M11, M12, M21, M22 = one.copy(), 0 * one, 0 * one, one.copy()
     logscale = np.zeros(k.shape, dtype=real)
@@ -116,12 +118,10 @@ def _cell_by_cell(V, k, dtype):
         q = np.exp(-1j * z - t)
         c = (p + q) / 2
         s = (p - q) / 2j
-        small = np.abs(z) < 1e-6
-        et = np.exp(-t)
-        series = w * (1 - z * z / 6 * (1 - z * z / 20)) * et
+        small = np.abs(z) < scattering._SERIES_BELOW
+        series = w * scattering._sinc(np.where(small, z, 0)) * np.exp(-t)
         m12 = np.where(small, series, s / np.where(small, one, kap))
-        m21 = np.where(small, -kap2 * series, -kap * s)
-        c = np.where(small, (1 - z * z / 2 * (1 - z * z / 12)) * et, c)
+        m21 = np.where(small, -kap2 * m12, -kap * s)
         M11, M12, M21, M22 = (
             c * M11 + m12 * M21,
             c * M12 + m12 * M22,
@@ -136,16 +136,16 @@ def _cell_by_cell(V, k, dtype):
        j=st.integers(0, 7))
 @settings(max_examples=60, deadline=None)
 def test_cell_axis_core_gives_the_bits_of_the_cell_loop(V, ks, j):
-    # k^2 = V_j to rounding puts |kappa_j w_j| below 1e-6, in the series branch
+    # k^2 = V_j to rounding puts |kappa_j w_j| on the sinc series
     ks.append(complex(np.sqrt(complex(V.values[j % len(V.values)]))))
-    for dtype in (np.complex128, np.complex256):
+    for dtype in (np.complex128, np.clongdouble):
         for k in (np.array(ks, dtype=dtype), np.array(ks, dtype=dtype).reshape(1, -1)):
-            assert np.min(np.abs(scattering._cells(V, k, dtype)[1])) < 1e-6
-            want = _cell_by_cell(V, k, dtype)
+            assert np.min(np.abs(scattering._cells(V, k)[1])) < scattering._SERIES_BELOW
+            want = _cell_by_cell(V, k)
             # all cells in one block, one cell per block, and blocks of three
             for block in (scattering._BLOCK, 1, 3 * k.size):
                 with mock.patch.object(scattering, "_BLOCK", block):
-                    got = scattering._scaled_transfer(V, k, dtype)
+                    got = scattering._scaled_transfer(V, k)
                 assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
@@ -248,7 +248,7 @@ def test_top_band_reaches_the_mpmath_rung():
     with mock.patch.object(scattering, "_xy_mp", wraps=scattering._xy_mp) as mp_rung:
         res = unitary_residual(V, np.array([1.0 + 4.5j, -3.0 - 4.0j]))
     assert mp_rung.call_count == 2
-    assert np.max(res) < 1e-8
+    assert np.max(res) < 1e-11
 
 
 def _seeded_potential(rng, cells, hull, values=(-100.0, 20.0)):
@@ -268,21 +268,64 @@ def test_double_double_brackets_match_mpmath():
         k = rng.uniform(-60, 60, 4) + 1j * rng.uniform(-5, 5, 4)
         # k^2 = V_0 puts the first cell on the sin z / kappa series
         k = np.append(k, [60 - 5j, np.sqrt(complex(V.values[0]))])
-        a, b = V.breakpoints[0], V.breakpoints[-1]
         dd = scattering._xy_dd(V, k)
         ls = scattering._scaled_transfer(V, k)[4]
         z = np.sqrt(k[None] ** 2 - np.array(V.values)[:, None]) * np.diff(V.breakpoints)[:, None]
         largest_z = max(largest_z, np.abs(z).max())
         for i, kk in enumerate(k):
             with mp.workdps(50):
-                x1, y1, x2, y2 = scattering._xy_mp(V, kk, 50)
-                s = mp.mpc(kk)
-                want = (2 * x1 * mp.exp(-1j * s * (b - a)), 2 * y1 * mp.exp(1j * s * (a + b)),
-                        2 * x2 * mp.exp(1j * s * (b - a)), 2 * y2 * mp.exp(-1j * s * (a + b)))
+                want = scattering._xy_mp(V, kk, 50)
                 scale = mp.exp(ls[i]) * (2 + abs(kk)) ** 2
                 for (hi, lo), w in zip(dd[:, :, i], want):
                     assert abs(mp.mpc(hi) + mp.mpc(lo) - w) < scattering._DD_EPS * scale
     assert largest_z > 200
+
+
+def _ld_to_mp(x):
+    """A longdouble as an exact mpf, from its float64 head and tail."""
+    head = float(x)
+    return mp.mpf(head) + mp.mpf(float(x - np.longdouble(head)))
+
+
+@pytest.mark.parametrize("V", [square_well(4.0, -1.0, 1.0),
+                               make_piecewise([-1.0, 0.2, 1.0], [4.0, -3.0])])
+def test_cells_near_kappa_w_zero_match_mpmath(V):
+    """One cell's |kappa_j w_j| runs from 1e-8 to 1 at five phases, across
+    the sinc series' threshold.  Against 40-digit `_xy_mp`: xhat and yhat
+    within 1e-14 relative, and the longdouble product's M12 within 1e-17
+    where longdouble is 80-bit or wider.  Against a 50-digit central
+    difference: det_s_jacobian within 1e-13."""
+    a, b = V.breakpoints[0], V.breakpoints[-1]
+    ld_bound = 1e-17 if np.finfo(np.longdouble).eps < 1e-18 else 1e-14
+    phases = np.exp(1j * np.array([0.1, 0.7, 1.3, 2.0, 2.9]))
+    for j, w in enumerate(np.diff(V.breakpoints)):
+        z = (np.logspace(-8, 0, 33)[:, None] * phases).ravel()
+        k = np.sqrt(V.values[j] + (z / w) ** 2 + 0j)
+        x, y = xhat(V, k), yhat(V, k)
+        ld = scattering._scaled_transfer(V, k.astype(np.clongdouble))
+        m12 = ld[1] * np.exp(ld[4])
+        _, jac = det_s_jacobian(V, k, len(V.values))
+        worst = np.zeros(3)
+        for i, kk in enumerate(k):
+            with mp.workdps(40):
+                s = mp.mpc(kk)
+                bx, by, bx2, by2 = scattering._xy_mp(V, kk, 40)
+                want_x, want_y = mp.exp(1j * s * (b - a)) * bx / 2, mp.exp(-1j * s * (a + b)) * by / 2
+                want_m12 = (bx + by + bx2 + by2) / (4 * s * s)
+                got_m12 = _ld_to_mp(m12[i].real) + 1j * _ld_to_mp(m12[i].imag)
+                worst[:2] = np.maximum(worst[:2], [
+                    max(abs(x[i] - want_x) / abs(want_x), abs(y[i] - want_y) / abs(want_y)),
+                    abs(got_m12 - want_m12) / abs(want_m12)])
+            with mp.workdps(50):
+                def det_s_at(v):
+                    values = V.values[:j] + (v,) + V.values[j + 1:]
+                    bx, _, bx2, _ = scattering._xy_mp(SimpleNamespace(
+                        breakpoints=V.breakpoints, values=values), kk, 50)
+                    return -mp.exp(-2j * mp.mpc(kk) * (b - a)) * bx2 / bx
+                h = mp.mpf(10) ** -15
+                want = (det_s_at(V.values[j] + h) - det_s_at(V.values[j] - h)) / (2 * h)
+                worst[2] = max(worst[2], abs(jac[i, j] - want) / abs(want))
+        assert worst[0] < 1e-14 and worst[1] < ld_bound and worst[2] < 1e-13, (j, worst)
 
 
 def _deck_hi_band(rng, cells):

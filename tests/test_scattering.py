@@ -2,6 +2,7 @@
 
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -127,8 +128,11 @@ def test_det_s_pole_detection():
 
 
 def _det_s_mp(V, k):
+    """-xhat(-k)/xhat(k) = -e^{-2ik(b-a)} B(-k)/B(k) at 40 digits."""
     x1, _, x2, _ = scattering._xy_mp(V, k, 40)
-    return complex(-x2 / x1)
+    with mp.workdps(40):
+        L = mp.mpf(V.breakpoints[-1]) - mp.mpf(V.breakpoints[0])
+        return complex(-mp.exp(-2j * mp.mpc(k) * L) * x2 / x1)
 
 
 def test_det_s_far_up_the_upper_half_plane_is_not_a_pole():
