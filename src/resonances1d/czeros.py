@@ -19,10 +19,14 @@ than 1e-2 of its diagonal apart; else the box is split.  A box too small to
 split gives its one polish its count as multiplicity; polishes from two boxes
 within 1e-7 of their diagonals merge, adding their counts.  Split counts are
 exact, so the multiplicities of one search sum to its count.
-A half-plane search counts one rectangle about the lower half-disk and
-bisects it; its contours start at a spacing set by f's exponential type.
-Rectangles, not disks: covering a half-disk and dodging zero chains that hug
-the real axis is easier with axis-aligned subdivision.
+A half-plane search takes f with f(-conj k) = conj f(k), as xhat of a real
+potential is: its zeros off the imaginary axis come in pairs k, -conj k.  It
+counts one rectangle about the right half of the lower half-disk, reaching
+just past the axis, bisects it, and returns each zero right of the axis
+with its mirror -conj k; its contours start at a spacing set by f's
+exponential type.  Bound states, on the positive imaginary axis, are searched
+in a strip about it.  Rectangles, not disks: covering a half-disk and dodging
+zero chains that hug the real axis is easier with axis-aligned subdivision.
 """
 
 from __future__ import annotations
@@ -525,18 +529,25 @@ def _converged(zs):
     return [z for z in zs.zeros if z.converged]
 
 
-def _finalize(found, function_tag):
-    """The one sort, and merge by pairwise distance, of (zero, diagonal of
-    the box it was polished in) pairs.  Zeros sort by real part, then
-    imaginary; one within 1e-9 (1 + |z|) of the imaginary axis counts as on
-    it, so axis zeros sort by Im alone.  A zero within 1e-7 of the larger box
-    diagonal of a kept one adds its multiplicity to the first such one.  The
-    kept zeros stay in key order, so those within reach of a zero form a
-    window of key real parts, found by bisection."""
-    def key(pair):
-        z = pair[0].location
-        return (0.0 if abs(z.real) <= 1e-9 * (1.0 + abs(z)) else z.real, z.imag)
+def _on_axis(z):
+    """True where z lies within 1e-9 (1 + |z|) of the imaginary axis, and so
+    counts as on it."""
+    return abs(z.real) <= 1e-9 * (1.0 + abs(z))
 
+
+def _order(z):
+    """The sort key of a zero at z: real part, then imaginary; axis zeros
+    (_on_axis) sort by Im alone."""
+    return (0.0 if _on_axis(z) else z.real, z.imag)
+
+
+def _finalize(found, function_tag):
+    """The one sort (by _order), and merge by pairwise distance, of (zero,
+    diagonal of the box it was polished in) pairs.  A zero within 1e-7 of the
+    larger box diagonal of a kept one adds its multiplicity to the first such
+    one.  The kept zeros stay in key order, so those within reach of a zero
+    form a window of key real parts, found by bisection."""
+    key = lambda pair: _order(pair[0].location)
     kept, reals, widest = [], [], 0.0
     for z, d in sorted(found, key=key):
         widest = max(widest, d)
@@ -571,31 +582,53 @@ def _bound_state_height(V: Potential) -> float:
 
 def bound_states(V: Potential):
     """Zeros of xhat in the open upper half-plane and the energies -kappa^2;
-    unconverged zeros stay in the ZeroSet but give no energy (with a warning)."""
+    unconverged zeros stay in the ZeroSet but give no energy (with a warning).
+
+    The operator is self-adjoint, so every such zero lies on the positive
+    imaginary axis, below _bound_state_height.  find_zeros searches the strip
+    Re k in [-1.37 h, h], Im k in [1e-7, kmax], h = kmax / 8, about it: the
+    strip is taller than wide, so its first cuts run across the axis, and
+    asymmetric, so later cuts down its length stay off the axis."""
     kmax = _bound_state_height(V)
     f = lambda k: xhat(V, k)
-    # slightly asymmetric so midpoint cuts avoid the imaginary axis,
-    # where every bound-state zero of a real potential sits
-    rect = Rect(complex(-kmax - 0.0137, 1e-7), complex(kmax, kmax))
+    h = kmax / 8
+    rect = Rect(complex(-1.37 * h, 1e-7), complex(h, kmax))
     zs = find_zeros(f, rect, max_zeros=500, function_tag="xhat")
     energies = [-(z.location.imag ** 2) for z in _converged(zs)]
     return zs, energies
 
 
 def _search_halfplane(f, radius, sigma, tag):
-    """Zeros of f with |k| <= radius in the open lower half-plane.
+    """Zeros of f with |k| <= radius in the open lower half-plane, where
+    f(-conj k) = conj f(k), so that its zeros off the imaginary axis come in
+    pairs k, -conj k of equal multiplicity.  xhat and yhat(-k) of a real
+    potential, and the transform of a real kernel, meet this; find_zeros
+    takes any f.
 
-    One rectangle holds the lower half-disk: find_zeros' count (dilated if a
-    zero sits on its contour), then _bisect, with contours started at a
-    spacing set by sigma, the exponential type of f (2 (b - a) for xhat).
-    The zeros off the disk, or not below the axis, are dropped.
+    One rectangle, Re k in [-0.137, radius], holds the right half of the lower
+    half-disk and a strip left of the axis, so no zero on or near the axis
+    lies on its edge: find_zeros' count (dilated if a zero sits on its
+    contour), then _bisect, with contours started at a spacing set by sigma,
+    the exponential type of f (2 (b - a) for xhat).  A zero right of the axis
+    comes back with its mirror -conj k, which copies its multiplicity,
+    residual and convergence; an axis zero (_on_axis) comes back once, and
+    one left of the axis not at all, as its partner is mirrored.  The zeros
+    off the disk, or not below the axis, are dropped; the rest sort by
+    _order.  max_zeros = 500 caps the count of the rectangle, about half the
+    zeros returned.
     """
     eps = 1e-9
-    rect = Rect(complex(-radius - 0.137, -radius - 0.137), complex(radius, -eps))
+    rect = Rect(complex(-0.137, -radius - 0.137), complex(radius, -eps))
     total, sums, rect = _count(f, rect, sigma)
-    zs = _bisect(f, rect, total, sums, 500, tag, sigma)
-    return ZeroSet(tuple(z for z in zs.zeros
-                         if abs(z.location) <= radius and z.location.imag < -eps), tag)
+    out = []
+    for z in _bisect(f, rect, total, sums, 500, tag, sigma).zeros:
+        k = z.location
+        if abs(k) <= radius and k.imag < -eps:
+            if _on_axis(k):
+                out.append(z)
+            elif k.real > 0:
+                out += [z, replace(z, location=-k.conjugate())]
+    return ZeroSet(tuple(sorted(out, key=lambda z: _order(z.location))), tag)
 
 
 def conjugate_symmetry_defect(zs: ZeroSet) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from resonances1d.czeros import Rect, find_zeros
 from resonances1d.potential import Potential, make_piecewise
 
 
@@ -34,6 +35,25 @@ def yhat_type(V):
     half-plane search for its zeros."""
     a, b = V.hull
     return 2 * max(abs(a), abs(b))
+
+
+def mirror_defect(f, zs, radius):
+    """The symmetry check of a half-plane search zs of f at radius, which
+    mirrors its zeros right of the imaginary axis: the largest distance
+    between its zeros with Re < -0.2 and those of an unmirrored find_zeros
+    over the rectangle left of Re = -0.1, off the axis, about the left half
+    of the lower half-disk (each zero to the nearest of the other set, both
+    ways); inf where the two sets differ in size."""
+    left = find_zeros(f, Rect(complex(-radius - 0.137, -radius - 0.137), complex(-0.1, -1e-9)),
+                      max_zeros=500)
+    a, b = ([z for z in locs if z.real < -0.2 and abs(z) <= radius]
+            for locs in (zs.locations, left.locations))
+    if len(a) != len(b):
+        return np.inf
+    if not a:
+        return 0.0
+    d = np.abs(np.subtract.outer(a, b))
+    return float(max(np.max(np.min(d, axis=1)), np.max(np.min(d, axis=0))))
 
 
 @pytest.fixture

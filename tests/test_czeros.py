@@ -29,7 +29,7 @@ from resonances1d.errors import (
 from resonances1d.potential import make_piecewise, square_well
 from resonances1d.scattering import xhat, yhat
 
-from conftest import make_zero_potential
+from conftest import make_zero_potential, mirror_defect
 
 
 def test_rect_geometry():
@@ -371,9 +371,22 @@ def test_winding_of_zeros_crowding_an_edge_past_a_corner():
     assert winding_number(f, Rect(-1j, 1 + 0j)) == 5
 
 
-def _search_rect(radius):
-    """The rectangle _search_halfplane counts."""
+def _halfdisk_rect(radius):
+    """A rectangle about the lower half-disk, reaching 0.137 past it on the
+    left and below."""
     return Rect(complex(-radius - 0.137, -radius - 0.137), complex(radius, -1e-9))
+
+
+def _search_rect(radius):
+    """The rectangle _search_halfplane counts: the part of _halfdisk_rect
+    with Re >= -0.137."""
+    return Rect(complex(-0.137, -radius - 0.137), complex(radius, -1e-9))
+
+
+def _mirrored(roots):
+    """f whose zeros are roots and their mirrors -conj(root), so that
+    f(-conj z) = conj f(z), as _search_halfplane requires."""
+    return lambda z: np.prod([(z - r) * (z + np.conj(r)) for r in roots], axis=0)
 
 
 def _tile_by_tile(f, radius, tile, tag):
@@ -415,9 +428,9 @@ def step_potentials(draw):
 @given(step_potentials(), st.floats(1.5, 12.0))
 @settings(max_examples=60, deadline=None)
 def test_search_matches_a_find_zeros_loop(V, radius):
-    """The one counted rectangle finds the zeros of a find_zeros call per
-    tile: inside R - 1e-6, the same multiplicities at locations within
-    1e-8 (1 + |z|)."""
+    """The one counted rectangle and its mirrored zeros give the zeros of a
+    find_zeros call per tile of the whole lower half-disk: inside R - 1e-6,
+    the same multiplicities at locations within 1e-8 (1 + |z|)."""
     f = lambda k: xhat(V, k)
     a, b = V.hull
     got, ref = (
@@ -433,46 +446,49 @@ def test_search_matches_a_find_zeros_loop(V, radius):
 
 
 def test_search_dilates_where_a_zero_sits_on_a_start_sample():
-    """A zero on a start sample of the search rectangle's contour: the
-    undilated count raises BoundaryZero, and the count of the dilated
-    rectangle takes the zero in.  Every point of that contour but the top
-    edge's lies off the disk, so the search returns the other two zeros."""
+    """A zero on a start sample of the search rectangle's contour, on its
+    right edge: the undilated count raises BoundaryZero, and the count of the
+    dilated rectangle takes the zero in, with 2.5 - 0.7i and the mirror of
+    -0.2 - 2.9i.  That zero lies off the disk, so the search returns the
+    other two and their mirrors."""
     radius = 4.0
     rect = _search_rect(radius)
     z0 = rect.boundary_points(np.arange(256) / 256)[100]
     assert z0.real == radius
-    f = lambda z: (z - z0) * (z - 2.5 + 0.7j) * (z + 0.2 + 2.9j)
+    f = _mirrored([z0, 2.5 - 0.7j, -0.2 - 2.9j])
     assert isinstance(czeros._windings(f, [rect])[0], BoundaryZero)
     n, _, counted = czeros._count(f, rect)
     assert n == 3 and counted != rect
     zs = czeros._search_halfplane(f, radius, 0.0, "")
-    np.testing.assert_allclose(zs.locations, [-0.2 - 2.9j, 2.5 - 0.7j], atol=1e-10)
+    np.testing.assert_allclose(zs.locations, [-2.5 - 0.7j, -0.2 - 2.9j, 0.2 - 2.9j, 2.5 - 0.7j],
+                               atol=1e-10)
 
 
 def test_search_refines_where_a_zero_sits_just_inside_its_top_edge():
     """A zero 1e-3 below the search rectangle's top edge, midway between two
     start samples, turns the phase by nearly pi in one step; the count
-    refines there and the search returns it."""
+    refines there and the search returns it and its mirror."""
     radius = 4.0
     rect = _search_rect(radius)
     top = rect.boundary_points(np.arange(256) / 256)[150:152]
     assert top[0].imag == top[1].imag == -1e-9
     z0 = (top[0] + top[1]) / 2 - 1e-3j
-    f = lambda z: (z - z0) * (z - 2.5 + 0.7j)
+    f = _mirrored([z0, 2.5 - 0.7j])
     calls = []
     czeros._windings(lambda z: calls.append(z) or f(z), [rect])
     assert len(calls) > 1
     zs = czeros._search_halfplane(f, radius, 0.0, "")
     np.testing.assert_allclose(sorted(zs.locations, key=lambda z: z.real),
-                               [z0, 2.5 - 0.7j], atol=1e-10)
+                               [-np.conj(z0), -2.5 - 0.7j, 2.5 - 0.7j, z0], atol=1e-10)
 
 
 def test_search_cost_on_sw4_at_radius_40(monkeypatch):
     """resonances(sw4, 40) evaluates at most half the 92,587 points of the
     search on a 3 x 3 tile grid that it replaced.  Its split contours are
     counted a bisection level at a time, one call of xhat per refinement
-    round: the same 10,477 points as one call per contour, in at most 35
-    calls where that took 60."""
+    round, in at most 35 calls; counting the right half of the lower
+    half-disk and mirroring its zeros takes 5,760 points, where the whole
+    half-disk took 10,474."""
     sizes = []
 
     def counted(V, k):
@@ -483,29 +499,32 @@ def test_search_cost_on_sw4_at_radius_40(monkeypatch):
     zs = resonances(square_well(-4.0, -1.0, 1.0), 40.0)
     assert len(zs.zeros) == 48
     assert sum(sizes) <= 46_000
-    assert len(sizes) <= 35 and abs(sum(sizes) - 10_477) <= 0.01 * 10_477
+    assert len(sizes) <= 35 and abs(sum(sizes) - 5_760) <= 0.01 * 5_760
 
 
 @pytest.mark.parametrize("radius, want", [(80.0, 99), (160.0, 200)])
 def test_count_without_a_type_refines_where_log_f_rises_fast(radius, want):
-    """256 start samples space sw4's search rectangle so wide that xhat's
+    """256 start samples space sw4's half-disk rectangle so wide that xhat's
     phase turns by about 2 pi + 1.2 per step along its bottom edge, where
     |xhat| barely changes; at R = 80 the turns read as 1.2 counted 14.  log|f|
     rises as fast along the sides, so the count refines every step there."""
     V = square_well(-4.0, -1.0, 1.0)
-    assert winding_number(lambda k: xhat(V, k), _search_rect(radius)) == want
+    assert winding_number(lambda k: xhat(V, k), _halfdisk_rect(radius)) == want
 
 
 def test_search_keeps_a_close_pair_apart_at_a_large_radius():
     """Two zeros 2e-6 apart at |z| = 112 in the R = 160 search come back as
-    two simple zeros: the merge distance is set by the boxes polished, not
-    by the 453-wide rectangle counted (1e-7 of that is 4.5e-5)."""
+    two simple zeros, and so do their mirrors: the merge distance is set by
+    the boxes polished, not by the 227-wide rectangle counted (1e-7 of that
+    is 2.3e-5)."""
     z1 = 100.0 - 50.0j
-    f = lambda z: (z - z1) * (z - z1 - 2e-6) * (z + 3.0 + 40.0j)
+    f = _mirrored([z1, z1 + 2e-6, -3.0 - 40.0j])
     zs = czeros._search_halfplane(f, 160.0, 0.0, "")
+    mirrors = [-np.conj(z1) - 2e-6, -np.conj(z1)]
     np.testing.assert_allclose(sorted(zs.locations, key=lambda z: z.real),
-                               [-3.0 - 40.0j, z1, z1 + 2e-6], rtol=0, atol=1e-10)
-    assert [z.multiplicity for z in zs.zeros] == [1, 1, 1]
+                               [*mirrors, -3.0 - 40.0j, 3.0 - 40.0j, z1, z1 + 2e-6],
+                               rtol=0, atol=1e-10)
+    assert [z.multiplicity for z in zs.zeros] == [1, 1, 1, 1, 1, 1]
 
 
 def test_close_pair_takes_one_each():
@@ -688,9 +707,13 @@ def test_resonances_against_grid_scan():
 
 
 def test_resonance_symmetry():
+    """The mirrors of the search's zeros are where an unmirrored search of
+    the left half finds zeros; conjugate_symmetry_defect, exact by
+    construction, reads 0."""
     V = make_piecewise([-1.0, -0.2, 0.8], [2.5, -3.5])
     zs = resonances(V, 12.0)
-    assert conjugate_symmetry_defect(zs) < 1e-8
+    assert mirror_defect(lambda k: xhat(V, k), zs, 12.0) < 1e-8
+    assert conjugate_symmetry_defect(zs) == 0.0
     assert zs.halfplane_counts[0] == 0
 
 
@@ -779,6 +802,32 @@ def test_bound_state_energies_run_shallowest_to_deepest(depth):
     energies = bound_states(square_well(depth, -1.0, 1.0))[1]
     assert len(energies) > 3
     assert all(e0 > e1 for e0, e1 in zip(energies, energies[1:]))
+
+
+@given(step_potentials())
+@settings(max_examples=40, deadline=None)
+def test_bound_state_strip_holds_every_upper_zero(V):
+    """bound_states searches a strip about the positive imaginary axis.  Its
+    zeros lie on the axis, and their multiplicities sum to the count of the
+    rectangle about the whole upper half-disk that it searched before."""
+    kmax = czeros._bound_state_height(V)
+    zs, _ = bound_states(V)
+    full = Rect(complex(-kmax - 0.0137, 1e-7), complex(kmax, kmax))
+    assert zs.total_multiplicity() == winding_number(lambda k: xhat(V, k), full)
+    assert all(abs(z.real) < 1e-8 for z in zs.locations)
+
+
+@pytest.mark.xfail(strict=True, raises=BoundaryZero, reason=(
+    "each tunnel-split pair of bound states is a double zero of xhat in float64: "
+    "xhat(iy) changes sign nowhere on a 200,001-point grid of (0, 7.3], so the boxes "
+    "about two pairs shrink to diagonals of 8.5e-9 and 9.6e-9, above the tiny-box "
+    "threshold 1e-9 (1 + |centre|) of about 7e-9, and no cut through them counts"))
+def test_bound_states_of_a_deep_double_well():
+    """Two wells of depth 40 behind a barrier of height 60: the zero-energy
+    solution has 8 nodes, so there are 8 bound states."""
+    V = make_piecewise([-3.0, -1.0, 1.0, 3.0], [-40.0, 60.0, -40.0])
+    zs, energies = bound_states(V)
+    assert zs.total_multiplicity() == len(energies) == 8
 
 
 @pytest.mark.parametrize("radius", [0.9, 1.0, 1.2])
