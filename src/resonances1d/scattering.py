@@ -19,18 +19,21 @@ cancelled it reads |B(k)B(-k) - C(k)C(-k) - 4k^2| / 4 = 0, B and C the
 brackets above; the residual routine escalates working precision where
 rounding would dominate: float64, numpy's longdouble (80-bit on x86-64, empty
 where longdouble is double, so those points go on), double-double (one array
-pass, to 1e-28), and past that mpmath point by point.  Every rung builds its
-cells by one rule: below |kappa_j w_j| = 0.1, sin z / kappa = w sinc z comes
-from one Taylor table (mp.sinc on mpmath).
-On the double-double rung a complex product takes its four real products in
-one error-free transform over stacked operands, and e^{-iz} is the
-reciprocal of e^{iz}, by one Newton step, in place of a second exponential.
+pass, to 1e-28), and past that mpmath point by point.  The float rungs
+build a scaled cell from one real sine-cosine pair and one expm1, which do
+not cancel as kappa_j w_j -> 0 (`_cells`); double-double from e^{iz} and a
+sinc table, mpmath by mp.sinc.  On the double-double rung a complex product
+takes its four real products in one error-free transform over stacked
+operands, and e^{-iz} is the reciprocal of e^{iz}, by one Newton step, in
+place of a second exponential.
 
 M depends on k only through k^2, so M(-k) = M(k), and the scaled cell
 product is bitwise the same at k and -k (negation is exact).  Every public
 function therefore builds the product once per k-point and assembles the
 values at k and at -k from it: det S, the Jost coefficients and the
-unitary residual all need both signs.
+unitary residual all need both signs.  det S = -(B(-k)/B(k)) e^{-2ikL} takes
+xhat's two brackets alone; at k = 0, at its poles and where |B(k)| is
+subnormal it takes the guarded quotient of xhat's mantissas, point by point.
 
 At a zero-energy resonance (xhat(0) = 0) t, r and det S are 0/0 at k = 0.
 As M is even in k, xhat'(0) = i(M11+M22 - L M21)/2 and yhat'(0) =
@@ -65,8 +68,9 @@ from .potential import Potential
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _D_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)   # the least normal float64
 _DD_EPS = 1e-28   # the double-double rung's working accuracy, with margin
-_SERIES_BELOW = 0.1  # below this |kappa_j w_j|, sin z / kappa comes from _sinc
+_SERIES_BELOW = 0.1  # below this |kappa_j w_j|, _xy_dd's m12 and the dm12/dV come from _sinc
 # cells x points per pass of the cell-axis core; larger products take their
 # cells (and points, above _BLOCK) in blocks, so per-cell arrays stay in cache
 _BLOCK = 8192
@@ -81,9 +85,12 @@ def _cells(V: Potential, k, cells=slice(None)):
     cell axis, in the precision of the complex array k (clongdouble on its rung).
 
     Returns (kappa^2, z, t, c, m12, m21), each of shape (cells,) + k.shape:
-    kappa_j^2 = k^2 - V_j, z = kappa_j w_j, t = |Im z|, and the scaled cell
+    kappa_j^2 = k^2 - V_j, z = kappa_j w_j = x + iy, t = |y|, and the scaled cell
     [[c, m12], [m21, c]] = [[cos z, sin z / kappa], [-kappa sin z, cos z]] e^{-t}.
-    Below |z| = _SERIES_BELOW, m12 = w sinc z e^{-t} (`_sinc`), m21 = -kappa^2 m12.
+    With h = -expm1(-2t) / 2, cos z e^{-t} = cos x (1-h) - i sign(y) h sin x and
+    sin z e^{-t} = sin x (1-h) + i sign(y) h cos x: one real sine-cosine pair
+    and one expm1 per cell, with no cancellation as z -> 0, so m12 = s / kappa
+    needs no series (m12 = w where kappa = 0).
     """
     cell_axis = (slice(None),) + (None,) * k.ndim
     bp = np.asarray(V.breakpoints, dtype=k.real.dtype)
@@ -93,16 +100,16 @@ def _cells(V: Potential, k, cells=slice(None)):
     kap = np.sqrt(kap2)
     z = kap * w
     t = np.abs(z.imag)
-    p, q = np.exp(1j * z - t), np.exp(-1j * z - t)
-    c = (p + q) / 2                     # cos(z) e^{-t}
-    s = (p - q) / 2j                    # sin(z) e^{-t}
-    small = np.abs(z) < _SERIES_BELOW
-    if not small.any():
+    e = np.expm1(-2 * t) / 2            # -h
+    g, ch = np.copysign(e, z.imag), 1 + e   # sign(y) h, 1 - h
+    sin, cos = np.sin(z.real), np.cos(z.real)
+    c, s = np.empty_like(z), np.empty_like(z)
+    c.real, c.imag = cos * ch, -(g * sin)   # cos(z) e^{-t}
+    s.real, s.imag = sin * ch, g * cos      # sin(z) e^{-t}
+    zero = kap2 == 0
+    if not zero.any():
         return kap2, z, t, c, s / kap, -kap * s
-    m12, m21 = s / np.where(small, 1, kap), -kap * s
-    m12[small] = w.ravel()[np.nonzero(small)[0]] * _sinc(z[small]) * np.exp(-t[small])
-    m21[small] = -kap2[small] * m12[small]
-    return kap2, z, t, c, m12, m21
+    return kap2, z, t, c, np.where(zero, w, s / np.where(zero, 1, kap)), -kap * s
 
 
 def _product(c, m12, m21, M=None, prefixes=False):
@@ -258,7 +265,7 @@ def log_abs_yhat(V: Potential, k):
 
 
 def _xy_mp(V, k, dps):
-    """`_brackets` at k with mpmath at dps digits, the cells as in `_cells` by mp.sinc."""
+    """`_brackets` at k with mpmath at dps digits, sin z / kappa as w mp.sinc(z)."""
     with mp.workdps(dps):
         k, M = mp.mpc(k), mp.eye(2)
         for v, a, b in zip(V.values, V.breakpoints, V.breakpoints[1:]):
@@ -347,11 +354,10 @@ with mp.workdps(40):
     _dd = lambda x: _DD(float(x), float(x - float(x)))
     _LN2, _PI_2 = _dd(mp.ln2), _dd(mp.pi / 2)
     _EXP_SERIES = [_dd(1 / mp.factorial(j)) for j in range(14)]
-    # sin z / z = sum_n s_n z^{2n}, one table for every float rung; numpy uses six terms
-    # (the rest are under 2e-22 below |z| = 0.1), in float64 as Python floats, cheaper
+    # sin z / z = sum_n s_n z^{2n}; float64 uses six terms (the rest are under
+    # 2e-22 below |z| = 0.1), as Python floats, cheaper
     _SINC_SERIES = [_dd((-1) ** n / mp.factorial(2 * n + 1)) for n in range(9)]
-    _SINC_NUMPY = {np.dtype(t): [t(s.hi.real) + t(s.lo.real) for s in _SINC_SERIES[:6]]
-                   for t in (np.longdouble, float)}
+    _SINC_FLOAT = [s.hi.real + s.lo.real for s in _SINC_SERIES[:6]]
 
 
 def _horner(x, coefs):
@@ -360,8 +366,9 @@ def _horner(x, coefs):
 
 
 def _sinc(z, slope=False):
-    """sin z / z from the table (with slope, its -d/d(z^2)), in the precision of z."""
-    coefs = _SINC_SERIES if isinstance(z, _DD) else _SINC_NUMPY[z.real.dtype]
+    """sin z / z from the table (with slope, its -d/d(z^2)), in double-double
+    or float64 as z is."""
+    coefs = _SINC_SERIES if isinstance(z, _DD) else _SINC_FLOAT
     if slope:
         coefs = [c * -(n + 1) for n, c in enumerate(coefs[1:])]
     return _horner(z * z, coefs)
@@ -371,9 +378,10 @@ def _xy_dd(V, k):
     """B(k), C(k), B(-k), C(-k) at the 1-D array k in double-double, as an
     array of (bracket, hi/lo, point): xhat's bracket B = ik(M11+M22) +
     k^2 M12 - M21 and yhat's C = ik(M11-M22) + k^2 M12 + M21, of the
-    unscaled M (logscale < 20 on this rung).  The cells follow `_cells`, with
-    e^{-iz} the reciprocal of e^{iz}, and are multiplied pairwise over the
-    cell axis, in blocks of at most _BLOCK cells x points."""
+    unscaled M (logscale < 20 on this rung).  The cells come from e^{iz} and
+    its reciprocal e^{-iz}, with sin z / kappa = w sinc z below |z| =
+    _SERIES_BELOW (`_sinc`), and are multiplied pairwise over the cell axis,
+    in blocks of at most _BLOCK cells x points."""
     step = max(1, _BLOCK // len(V.values))
     if k.size > step:
         chunks = np.array_split(k, -(-k.size // step))
@@ -513,53 +521,64 @@ def jost_coefficients(V: Potential, k) -> JostCoefficients:
 
 
 def _det_s_from(V, k, P):
-    """det S at the array k from the product P there, and the mask of its
-    poles, where det S reads inf.
+    """det S at the array k from the product P there, the mask of its
+    poles, where det S reads inf, and xhat's brackets (B(k), B(-k)).
 
-    k != 0 is a pole when xhat's bracket is below 1e6 eps times the sum of
-    its terms' moduli, that is within rounding of zero.  At k = 0 the
-    bracket is -M21 alone and that bound is void; at a zero-energy
-    resonance det S is -xhat'(-0)/xhat'(0) = 1.
+    det S = -xhat(-k)/xhat(k) = -(B(-k)/B(k)) e^{-2ikL}, L = b - a, point by
+    point.  k != 0 is a pole when B(k) is below 1e6 eps times the sum of its
+    terms' moduli, that is within rounding of zero.  At a pole, at k = 0
+    and where |B(k)| is subnormal, the quotient is `_quotient`, exact at
+    +-1 and safe for a subnormal B(k).  At k = 0 the bracket is -M21 alone
+    and the pole bound is void; at a zero-energy resonance det S is
+    -xhat'(-0)/xhat'(0) = 1.
     """
     M11, M12, M21, M22 = P[:4]
-    m1, l1 = _xhat_from(V, k, P)
-    m2, l2 = _xhat_from(V, -k, P)
-    terms = np.abs(k) * np.abs(M11 + M22) + np.abs(k) ** 2 * np.abs(M12) + np.abs(M21)
-    limit = _zero_resonance(k, m1, l1)
-    pole = (2 * np.abs(m1) < 1e6 * _D_EPS * terms) & (k != 0)
-    out = np.ones(k.shape, dtype=complex)
-    ok = ~pole & ~limit
-    with np.errstate(over="ignore"):
-        out[ok] = -_quotient(m2[ok], m1[ok]) * np.exp(l2[ok] - l1[ok])
-    out[pole] = np.inf
-    return out, pole
+    plus, minus = _bracket(k, P), _bracket(-k, P)
+    ak, size = np.abs(k), np.abs(plus)
+    terms = ak * np.abs(M11 + M22) + ak ** 2 * np.abs(M12) + np.abs(M21)
+    pole = (size < 1e6 * _D_EPS * terms) & (k != 0)
+    guard = pole | (k == 0) | (size < _TINY)
+    L = V.breakpoints[-1] - V.breakpoints[0]
+    with np.errstate(all="ignore"):
+        phase = np.exp(-2j * L * k)
+        out = -(minus / plus) * phase
+        if guard.any():
+            bg = plus[guard]
+            g = -_quotient(minus[guard], bg) * phase[guard]
+            # xhat's mantissa at k = 0 is B(0) / 2
+            g[_zero_resonance(k[guard], bg / 2, P[4][guard])] = 1
+            g[pole[guard]] = np.inf
+            out[guard] = g
+    return out, pole, (plus, minus)
 
 
 def _det_s_checked(V, k, P):
-    """det S from _det_s_from; raises PoleAtK at a pole."""
-    out, pole = _det_s_from(V, k, P)
+    """det S and xhat's brackets from _det_s_from; raises PoleAtK at a pole."""
+    out, pole, brackets = _det_s_from(V, k, P)
     if pole.any():
         raise PoleAtK("xhat vanishes at k = %s" % k[pole][0])
-    return out
+    return out, brackets
 
 
 def det_s(V: Potential, k):
     """Scattering determinant -xhat(-k)/xhat(k) (the inverse-problem data)."""
     kk = _points(k)
-    return _like(k, _det_s_checked(V, kk, _scaled_transfer(V, kk)))
+    return _like(k, _det_s_checked(V, kk, _scaled_transfer(V, kk))[0])
 
 
 def det_s_jacobian(V: Potential, k, n: int):
     """det S at k and its derivatives with respect to the values of the
     first n cells, from one pass over the cells.
 
-    Returns (det S, J) with J of shape k.shape + (n,).  Each scaled cell
-    has closed-form derivatives: dc/dV = (w/2) m12,
-    dm12/dV = (m12 - w c) / (2 kappa^2), below |z| = 0.1 from the sinc table, and
+    Returns (det S, J) with J of shape k.shape + (n,).  The scaled cells
+    come from `_cells` and have closed-form derivatives: dc/dV = (w/2) m12,
+    dm12/dV = (m12 - w c) / (2 kappa^2), which cancels as z -> 0 and below
+    |z| = 0.1 comes from the slope of the sinc table, and
     dm21/dV = (m12 + w c) / 2.  The derivative of the product is
     (cells after j) dA_j (cells before j), and
     d det S/dV_j = det S (x'(-k)/x(-k) - x'(k)/x(k)), with x' the xhat
-    bracket of that derivative.  Raises PoleAtK where det_s does.  At a
+    bracket of that derivative and x the bracket B(+-k) that `_det_s_from`
+    formed det S from.  Raises PoleAtK where det_s does.  At a
     zero-energy resonance, where det S is 1 in closed form, J is not
     defined.
     """
@@ -572,7 +591,7 @@ def det_s_jacobian(V: Potential, k, n: int):
     M, before = _product(chains(c, c), chains(m12, m21), chains(m21, m12),
                          prefixes=True)
     P = (*M[0, :, 0], *M[1, :, 0], _add_cells(np.zeros(kk.shape), t))
-    ds = _det_s_checked(V, kk, P)
+    ds, (plus, minus) = _det_s_checked(V, kk, P)
     after = before[:, :, ::-1, 1][:, :, :n].swapaxes(0, 1)
     B = before[:, :, :n, 0]
     w = np.diff(V.breakpoints)[:n].reshape((n,) + (1,) * kk.ndim)
@@ -586,9 +605,8 @@ def det_s_jacobian(V: Potential, k, n: int):
     dA_B = np.stack([dc * B[0] + dm12 * B[1], dm21 * B[0] + dc * B[1]])
     dM = after[:, 0, None] * dA_B[0] + after[:, 1, None] * dA_B[1]
     dP = (*dM[0], *dM[1])
-    plus, minus = _bracket(kk, P), _bracket(-kk, P)
     d_plus, d_minus = _bracket(kk, dP), _bracket(-kk, dP)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         jac = np.moveaxis(ds * (d_minus / minus - d_plus / plus), 0, -1)
     return _like(k, ds), jac.reshape(np.shape(k) + (n,))
 

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import strategies as st
 
 from resonances1d.czeros import Rect, find_zeros
-from resonances1d.potential import Potential, make_piecewise
+from resonances1d.potential import Potential, make_piecewise, square_well
+
+# M(0) = -I: kappa w = pi in the one cell, so xhat(0) = -M21/2 is rounding,
+# a zero-energy resonance, where t = -1, r = 0 and det S = 1 in closed form
+EXCEPTIONAL = square_well(-(np.pi / 2) ** 2, -1.0, 1.0)
 
 
 def make_zero_potential(a=-1.0, b=1.0):

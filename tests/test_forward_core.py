@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resonances1d import cli, scattering
+from resonances1d.czeros import bound_states
 from resonances1d.errors import PoleAtK
 from resonances1d.potential import Potential, make_piecewise, square_well
 from resonances1d.scattering import (
@@ -39,6 +40,8 @@ from resonances1d.scattering import (
     xhat,
     yhat,
 )
+
+from conftest import EXCEPTIONAL
 
 ARRAY_FUNCTIONS = (xhat, yhat, log_abs_xhat, log_abs_yhat, det_s, unitary_residual)
 
@@ -98,6 +101,12 @@ def test_cell_product_is_even_in_k_bitwise(V, k):
             assert all(_same_bits(p, m) for p, m in zip(plus, minus))
 
 
+def _complex(re, im):
+    out = np.empty(re.shape, dtype=np.result_type(re, 1j))
+    out.real, out.imag = re, im
+    return out
+
+
 def _cell_by_cell(V, k):
     """Reference: the scaled cell product with each cell computed on its
     own, in the order and by the formulas of the cell-axis core, in the
@@ -113,15 +122,14 @@ def _cell_by_cell(V, k):
         kap2 = k * k - vs[j]
         kap = np.sqrt(kap2)
         z = kap * w
-        t = np.abs(z.imag)
-        p = np.exp(1j * z - t)
-        q = np.exp(-1j * z - t)
-        c = (p + q) / 2
-        s = (p - q) / 2j
-        small = np.abs(z) < scattering._SERIES_BELOW
-        series = w * scattering._sinc(np.where(small, z, 0)) * np.exp(-t)
-        m12 = np.where(small, series, s / np.where(small, one, kap))
-        m21 = np.where(small, -kap2 * m12, -kap * s)
+        x, y = z.real, z.imag
+        t = np.abs(y)
+        e = np.expm1(-2 * t) / 2            # -(1 - e^{-2t}) / 2
+        g = np.copysign(e, y)
+        c = _complex(np.cos(x) * (1 + e), -(g * np.sin(x)))
+        s = _complex(np.sin(x) * (1 + e), g * np.cos(x))
+        m12 = np.where(kap2 == 0, w, s / np.where(kap2 == 0, one, kap))
+        m21 = -kap * s
         M11, M12, M21, M22 = (
             c * M11 + m12 * M21,
             c * M12 + m12 * M22,
@@ -136,7 +144,7 @@ def _cell_by_cell(V, k):
        j=st.integers(0, 7))
 @settings(max_examples=60, deadline=None)
 def test_cell_axis_core_gives_the_bits_of_the_cell_loop(V, ks, j):
-    # k^2 = V_j to rounding puts |kappa_j w_j| on the sinc series
+    # k^2 = V_j to rounding puts |kappa_j w_j| near 0, or at 0 exactly
     ks.append(complex(np.sqrt(complex(V.values[j % len(V.values)]))))
     for dtype in (np.complex128, np.clongdouble):
         for k in (np.array(ks, dtype=dtype), np.array(ks, dtype=dtype).reshape(1, -1)):
@@ -206,6 +214,43 @@ def test_scalar_k_gives_the_bits_of_its_array_element(V, ks):
         assert _same_bits([jc.t, jc.r_right, jc.r_left], [s.t[i], s.r_right[i], s.r_left[i]])
         entries = np.array(P[:4])[:, i].reshape(2, 2) * np.exp(P[4][i])
         assert _same_bits(transfer_matrix(V, k).entries, entries)
+
+
+_SW4 = square_well(-4.0, -1.0, 1.0)
+# xhat's bracket at k = 5e-324i is -M21 = -2e-323, subnormal
+_SUBNORMAL = Potential((-1.0, 1.0), (5e-324,))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("V, special, want", [
+    (_SW4, 0.0, -1.0),
+    (EXCEPTIONAL, 0.0, 1.0),
+    (_SW4, None, np.inf),
+    (_SUBNORMAL, 5e-324j, 0.0),
+], ids=["sw4-zero", "exceptional-zero", "bound-state", "subnormal-bracket"])
+def test_ordinary_det_s_points_keep_their_bits_beside_a_guarded_one(V, special, want):
+    """det S is -(B(-k)/B(k)) e^{-2ikL} at an ordinary point and the guarded
+    quotient at k = 0, at a pole (a bound state) and where |B(k)| is
+    subnormal, chosen point by point: an ordinary point has the same bits
+    alone and beside such a point, in det_s, sample and det_s_jacobian, and
+    the special point reads its value."""
+    if special is None:
+        special = bound_states(V)[0].zeros[0].location
+    ks = np.array([special, 0.7, 1.3 + 0.2j, -2.5 - 0.4j, 0.05j])
+    alone = [det_s(V, k) for k in ks[1:]]
+    got = sample(V, ks).det_s
+    if np.isinf(want):
+        assert got[0] == np.inf
+        for call in (det_s, lambda V, k: det_s_jacobian(V, k, 1)):
+            with pytest.raises(PoleAtK):
+                call(V, ks)
+    else:
+        assert abs(got[0] - want) < 1e-12
+        both = det_s(V, ks)
+        assert _same_bits(both, got)
+        assert _same_bits(det_s_jacobian(V, ks, 1)[0], both)
+    assert _same_bits(got[1:], alone)
+    assert _same_bits(det_s_jacobian(V, ks[1:], 1)[0], alone)
 
 
 @given(V=step_potentials(), kmax=st.floats(0.5, 30.0), n=st.integers(1, 40))
@@ -290,17 +335,25 @@ def _ld_to_mp(x):
 @pytest.mark.parametrize("V", [square_well(4.0, -1.0, 1.0),
                                make_piecewise([-1.0, 0.2, 1.0], [4.0, -3.0])])
 def test_cells_near_kappa_w_zero_match_mpmath(V):
-    """One cell's |kappa_j w_j| runs from 1e-8 to 1 at five phases, across
-    the sinc series' threshold.  Against 40-digit `_xy_mp`: xhat and yhat
-    within 1e-14 relative, and the longdouble product's M12 within 1e-17
-    where longdouble is 80-bit or wider.  Against a 50-digit central
-    difference: det_s_jacobian within 1e-13."""
+    """One cell's |kappa_j w_j| is 0 and runs from 1e-8 to 1 at five phases,
+    across det_s_jacobian's sinc threshold.  Where kappa_j = 0 exactly
+    (k = 2 on the cell of value 4), the cell's m12 is w on both float rungs.
+    Against 40-digit `_xy_mp`: xhat and yhat within 1e-14 relative, and the
+    longdouble product's M12 within 1e-17 where longdouble is 80-bit or
+    wider.  Against a 50-digit central difference: det_s_jacobian within
+    1e-13."""
     a, b = V.breakpoints[0], V.breakpoints[-1]
     ld_bound = 1e-17 if np.finfo(np.longdouble).eps < 1e-18 else 1e-14
     phases = np.exp(1j * np.array([0.1, 0.7, 1.3, 2.0, 2.9]))
     for j, w in enumerate(np.diff(V.breakpoints)):
-        z = (np.logspace(-8, 0, 33)[:, None] * phases).ravel()
+        z = np.append(0, np.logspace(-8, 0, 33)[:, None] * phases)
         k = np.sqrt(V.values[j] + (z / w) ** 2 + 0j)
+        if V.values[j] == 4.0:
+            assert k[0] == 2
+            for dtype in (np.complex128, np.clongdouble):
+                k0 = k[:1].astype(dtype)
+                w0 = np.diff(np.asarray(V.breakpoints, dtype=k0.real.dtype))[j]
+                assert scattering._cells(V, k0)[4][j, 0] == w0
         x, y = xhat(V, k), yhat(V, k)
         ld = scattering._scaled_transfer(V, k.astype(np.clongdouble))
         m12 = ld[1] * np.exp(ld[4])

@@ -22,7 +22,7 @@ from resonances1d.scattering import (
     yhat,
 )
 
-from conftest import make_zero_potential
+from conftest import EXCEPTIONAL, make_zero_potential
 
 
 def _single_cell_oracle(v, w, k):
@@ -186,14 +186,10 @@ def test_jost_k_zero_limit():
     assert jc.t == 0 and jc.r_right == jc.r_left == -1
 
 
-# M(0) = -I: kappa w = pi in the one cell, so xhat(0) = -M21/2 is rounding
-_EXCEPTIONAL = square_well(-(np.pi / 2) ** 2, -1.0, 1.0)
-
-
 def test_zero_energy_resonance_in_closed_form():
     """The exceptional well transmits totally at k = 0: t = -1, r = 0 and
     det S = 1, by jost_coefficients, det_s and sample alike."""
-    V = _EXCEPTIONAL
+    V = EXCEPTIONAL
     jc, s = jost_coefficients(V, 0.0), sample(V, 0.0)
     for t, r_right, r_left, ds in ((jc.t, jc.r_right, jc.r_left, det_s(V, 0.0)),
                                    (s.t, s.r_right, s.r_left, s.det_s)):
@@ -211,7 +207,7 @@ def test_generic_well_reflects_totally_at_zero():
     assert det_s(V, 0.0) == s.det_s == -1
 
 
-@pytest.mark.parametrize("V", [square_well(-4.0, -1.0, 1.0), _EXCEPTIONAL],
+@pytest.mark.parametrize("V", [square_well(-4.0, -1.0, 1.0), EXCEPTIONAL],
                          ids=["sw4", "exceptional"])
 @pytest.mark.parametrize("call", [jost_coefficients, det_s, sample])
 def test_one_cell_product_at_zero(V, call):
