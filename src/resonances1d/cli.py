@@ -194,23 +194,19 @@ def _cmd_cartwright_check(args):
 
 
 def _cmd_nevanlinna_check(args):
+    """The residual of yhat at z, with sigma+ from its indicator at r_max 40 and
+    the upper zeros nevanlinna_residual finds, counted by multiplicity."""
     V = _load(args.potential)
-    f = lambda k: scattering.yhat(V, k)
-    kmax = czeros._bound_state_height(V)
-    upper = tuple(czeros.find_zeros(
-        f, czeros.Rect(complex(-kmax - 1, 1e-7), complex(kmax + 1, kmax + 1)),
-        max_zeros=200, function_tag="yhat",
-    ).locations)
     sigma = asymptotics.indicator_estimate(
         lambda k: scattering.log_abs_yhat(V, k), np.pi / 2, 40.0, logabs=True
     ).h
-    resid = asymptotics.nevanlinna_residual(
-        f, upper, sigma, complex(args.z_re, args.z_im), args.cutoff
+    resid, upper = asymptotics.nevanlinna_residual(
+        lambda k: scattering.yhat(V, k), sigma, complex(args.z_re, args.z_im), args.cutoff
     )
     report = {
         "residual": resid,
         "sigma_plus": sigma,
-        "n_upper_zeros": len(upper),
+        "n_upper_zeros": upper.total_multiplicity(),
         "z": [args.z_re, args.z_im],
         "pass": bool(resid < 0.05),
     }

@@ -613,17 +613,17 @@ def _search_halfplane(f, radius, sigma, tag):
     comes back with its mirror -conj k, which copies its multiplicity,
     residual and convergence; an axis zero (_on_axis) comes back once, and
     one left of the axis not at all, as its partner is mirrored.  The zeros
-    off the disk, or not below the axis, are dropped; the rest sort by
+    off the disk, or not below the axis, are dropped, so the counted box
+    alone decides how near the axis a kept zero lies; the rest sort by
     _order.  max_zeros = 500 caps the count of the rectangle, about half the
     zeros returned.
     """
-    eps = 1e-9
-    rect = Rect(complex(-0.137, -radius - 0.137), complex(radius, -eps))
+    rect = Rect(complex(-0.137, -radius - 0.137), complex(radius, -1e-9))
     total, sums, rect = _count(f, rect, sigma)
     out = []
     for z in _bisect(f, rect, total, sums, 500, tag, sigma).zeros:
         k = z.location
-        if abs(k) <= radius and k.imag < -eps:
+        if abs(k) <= radius and k.imag < 0:
             if _on_axis(k):
                 out.append(z)
             elif k.real > 0:

@@ -79,10 +79,6 @@ class EvaluationAtZero(Resonances1DError):
     pass
 
 
-class IncompleteZeroSet(Resonances1DError):
-    pass
-
-
 class QuadratureNotConverged(Resonances1DError):
     """An adaptive integral missed its tolerance within its level cap."""
 

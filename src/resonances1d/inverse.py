@@ -152,8 +152,10 @@ def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100) -> Recover
     trial step) gives the residual and its exact Jacobian; the accepted
     trial's Jacobian serves the next iteration, and accepted steps never
     increase the loss.  Stops once the loss falls below 1e-18 and reports
-    convergence below 1e-10.  Raises DivergedLoss after 10 consecutive
-    rejected steps and JacobianSingular when the damping exceeds 1e8.
+    convergence below 1e-10.  10 consecutive rejected steps, or damping
+    above 1e8, end a fit whose loss fell below its start: it is at the
+    least-squares floor of data no potential fits exactly.  A fit whose
+    loss never fell raises DivergedLoss or JacobianSingular there.
     """
     p = np.asarray(init, dtype=float).copy()
     if len(p) != spec.n_params:
@@ -169,9 +171,7 @@ def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100) -> Recover
         JtJ = J.T @ J
         g = J.T @ r
         stepped = False
-        while not stepped:
-            if lam > 1e8:
-                raise JacobianSingular("damping exceeded 1e8 without progress")
+        while not stepped and lam <= 1e8 and rejected < 10:
             A = JtJ + lam * np.diag(np.clip(np.diag(JtJ), 1e-12, None))
             try:
                 delta = np.linalg.solve(A, -g)
@@ -189,10 +189,12 @@ def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100) -> Recover
             else:
                 lam *= 10
                 rejected += 1
-                if rejected >= 10:
-                    raise DivergedLoss(
-                        "loss failed to decrease over 10 consecutive damped steps"
-                    )
+        if not stepped:
+            if cur < trace[0]:  # at the least-squares floor
+                break
+            if rejected >= 10:
+                raise DivergedLoss("loss failed to decrease over 10 consecutive damped steps")
+            raise JacobianSingular("damping exceeded 1e8 without progress")
         if float(np.linalg.norm(delta)) < 1e-13 * (1 + float(np.linalg.norm(p))):
             break
     return RecoveryResult(tuple(p), cur, it, cur < 1e-10,

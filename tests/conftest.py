@@ -34,13 +34,6 @@ def wells(draw):
     return make_piecewise(edges, values)
 
 
-def yhat_type(V):
-    """Exponential type of yhat, 2 max(|a|, |b|): the spacing scale of a
-    half-plane search for its zeros."""
-    a, b = V.hull
-    return 2 * max(abs(a), abs(b))
-
-
 def mirror_defect(f, zs, radius):
     """The symmetry check of a half-plane search zs of f at radius, which
     mirrors its zeros right of the imaginary axis: the largest distance

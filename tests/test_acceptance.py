@@ -20,7 +20,6 @@ from resonances1d.asymptotics import (
 )
 from resonances1d.czeros import (
     Rect,
-    _search_halfplane,
     bound_states,
     find_zeros,
     resonances,
@@ -47,7 +46,7 @@ from resonances1d.wavekernel import (
     solve_kernels,
 )
 
-from conftest import make_zero_potential, mirror_defect, yhat_type
+from conftest import make_zero_potential, mirror_defect
 
 
 def _report(n, ok, detail):
@@ -214,13 +213,10 @@ def test_acceptance_07_domain_of_influence():
 
 def test_acceptance_08_nevanlinna_residual():
     V = square_well(-1.0, -0.5, 0.5)
-    f = lambda k: yhat(V, k)
-    # the upper zeros of yhat are the lower zeros of yhat(-k), negated
-    zs = _search_halfplane(lambda k: f(-k), 12.0, yhat_type(V), "yhat")
     sigma = indicator_estimate(
         lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
     ).h
-    resid = nevanlinna_residual(f, tuple(-zs.locations), sigma, 2j, 200.0)
+    resid, _ = nevanlinna_residual(lambda k: yhat(V, k), sigma, 2j, 200.0)
     ok = resid < 0.05
     _report(8, ok, "residual %.4f at z=2i, sigma+ %.4f" % (resid, sigma))
     assert resid < 0.05

@@ -28,10 +28,9 @@ from resonances1d.asymptotics import (
     nevanlinna_residual,
     zero_density,
 )
-from resonances1d.czeros import Zero, ZeroSet, _search_halfplane, resonances
+from resonances1d.czeros import Rect, Zero, ZeroSet, resonances, winding_number
 from resonances1d.errors import (
     EvaluationAtZero,
-    IncompleteZeroSet,
     LowCountWarning,
     NonConvergentTail,
     PhaseStepTooLarge,
@@ -43,7 +42,7 @@ from resonances1d.potential import make_piecewise, square_well
 from resonances1d.scattering import log_abs_xhat, log_abs_yhat, xhat, yhat
 from resonances1d.wavekernel import Window, kernel_fourier, solve_kernels
 
-from conftest import wells, yhat_type
+from conftest import wells
 
 
 # -- indicator function -----------------------------------------------------
@@ -349,20 +348,21 @@ def test_blaschke_pole_detection():
 
 def test_nevanlinna_trivial():
     one = lambda z: np.ones_like(np.asarray(z, dtype=complex))
-    assert nevanlinna_residual(one, (), 0.0, 2j, 100.0) < 1e-12
+    resid, zs = nevanlinna_residual(one, 0.0, 2j, 100.0)
+    assert resid < 1e-12 and zs.zeros == ()
 
 
 def test_nevanlinna_pure_exponential():
     f = lambda z: np.exp(2j * np.asarray(z, dtype=complex))
-    assert nevanlinna_residual(f, (), -2.0, 2j, 100.0) < 1e-8
+    assert nevanlinna_residual(f, -2.0, 2j, 100.0)[0] < 1e-8
 
 
 def test_nevanlinna_failed_zero_count_raises():
     one = lambda z: np.ones_like(np.asarray(z, dtype=complex))
-    with mock.patch("resonances1d.asymptotics.winding_number",
+    with mock.patch("resonances1d.asymptotics.find_zeros",
                     side_effect=PhaseStepTooLarge("phase step")):
         with pytest.raises(PhaseStepTooLarge):
-            nevanlinna_residual(one, (), 0.0, 2j, 100.0)
+            nevanlinna_residual(one, 0.0, 2j, 100.0)
 
 
 def test_nevanlinna_unconverged_integral_raises(monkeypatch):
@@ -370,38 +370,52 @@ def test_nevanlinna_unconverged_integral_raises(monkeypatch):
     on [-200, 200]; two levels leave the Poisson integral far from its
     tolerance, and the residual raises rather than return a number."""
     V = square_well(-1.0, -0.5, 0.5)
-    f = lambda k: yhat(V, k)
-    zs = _search_halfplane(lambda k: f(-k), 12.0, yhat_type(V), "yhat")
     monkeypatch.setattr(asymptotics, "_LEVELS", 2)
     with pytest.raises(QuadratureNotConverged):
-        nevanlinna_residual(f, tuple(-zs.locations), 0.0, 2j, 200.0)
+        nevanlinna_residual(lambda k: yhat(V, k), 0.0, 2j, 200.0)
+
+
+def _yhat_sigma(V, r_max):
+    return indicator_estimate(lambda k: log_abs_yhat(V, k), np.pi / 2, r_max, logabs=True).h
 
 
 def test_nevanlinna_yhat_shallow_well():
     V = square_well(-1.0, -0.5, 0.5)
-    f = lambda k: yhat(V, k)
-    # the upper zeros of yhat are the lower zeros of yhat(-k), negated
-    zs = _search_halfplane(lambda k: f(-k), 12.0, yhat_type(V), "yhat")
-    sigma = indicator_estimate(
-        lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
-    ).h
-    resid = nevanlinna_residual(f, tuple(-zs.locations), sigma, 2j, 200.0)
+    resid, _ = nevanlinna_residual(lambda k: yhat(V, k), _yhat_sigma(V, 60.0), 2j, 200.0)
     assert resid < 0.05
 
 
 def test_nevanlinna_yhat_with_upper_zeros():
-    # yhat of this asymmetric step has 7 upper zeros within radius 12, so the
-    # Blaschke factor and the count reconciliation both see a non-empty list
+    # yhat of this asymmetric step has 7 upper zeros in the residual's
+    # rectangle, so the Blaschke factor is built from a non-empty set
     V = make_piecewise([-1.0, 0.0, 1.0], [-3.0, 2.0])
+    resid, zs = nevanlinna_residual(lambda k: yhat(V, k), _yhat_sigma(V, 60.0), 2j, 200.0)
+    assert zs.total_multiplicity() == 7
+    assert resid < 0.05
+
+
+@pytest.mark.parametrize("V, count", [
+    (make_piecewise([-1.0, 0.0, 1.0], [-3.0, 2.0]), 7),
+    (make_piecewise([-0.7, 0.3, 1.1], [1.5, -2.0]), 4),
+])
+def test_nevanlinna_zeros_are_all_its_rectangle_counts(V, count):
+    """chi is built from every zero the rectangle Rect(-R + 0.05i, R + Ri),
+    R = max(10, 2|z|) = 10, holds, each as often as its multiplicity."""
     f = lambda k: yhat(V, k)
-    zs = _search_halfplane(lambda k: f(-k), 12.0, yhat_type(V), "yhat")
-    assert len(zs.locations) == 7
-    sigma = indicator_estimate(
-        lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
-    ).h
-    assert nevanlinna_residual(f, tuple(-zs.locations), sigma, 2j, 200.0) < 0.05
-    with pytest.raises(IncompleteZeroSet):
-        nevanlinna_residual(f, (), sigma, 2j, 200.0)
+    _, zs = nevanlinna_residual(f, _yhat_sigma(V, 60.0), 2j, 200.0)
+    assert zs.total_multiplicity() == winding_number(f, Rect(-10 + 0.05j, 10 + 10j)) == count
+
+
+def test_nevanlinna_square_well_reads_red_by_its_sigma_plus():
+    """The residual is linear in sigma+ with slope Im z.  The indicator at
+    r 40 gives 1.9558, short of 2b = 2, the top of yhat's Fourier support
+    [2a, 2b]; that shortfall times Im z = 2, 0.0884, is the residual of 0.0887
+    to within 1e-3."""
+    V = square_well(-4.0, -1.0, 1.0)
+    sigma = _yhat_sigma(V, 40.0)
+    resid, zs = nevanlinna_residual(lambda k: yhat(V, k), sigma, 2j, 200.0)
+    assert zs.total_multiplicity() == 1
+    assert abs(resid - 2.0 * (2 * V.hull[1] - sigma)) < 1e-3
 
 
 # -- windowed-difference experiment -----------------------------------------
@@ -454,7 +468,7 @@ assert cli.main(["cartwright-check", "--potential", sys.argv[1] + "/sw4.json",
                  "--radius", "40", "--out", sys.argv[1] + "/c.json"]) == 0
 V = square_well(-1.0, -0.5, 0.5)
 one = lambda k: yhat(V, k) ** 0
-assert nevanlinna_residual(one, (), 0.0, 2j, 100.0) < 1e-12
+assert nevanlinna_residual(one, 0.0, 2j, 100.0)[0] < 1e-12
 print(sorted(m for m in sys.modules if m.startswith("scipy.")))
 """
     src = os.path.dirname(os.path.dirname(resonances1d.__file__))

@@ -172,7 +172,7 @@ def test_nevanlinna_check_zero_finder_failure_exits_2(tmp_path, capsys):
     pot = tmp_path / "shallow.json"
     square_well(-1.0, -0.5, 0.5).save(pot)
     out = tmp_path / "nl.json"
-    with mock.patch("resonances1d.czeros.find_zeros",
+    with mock.patch("resonances1d.asymptotics.find_zeros",
                     side_effect=BoundaryZero("zero on the contour")):
         code = cli.main(
             ["nevanlinna-check", "--potential", str(pot), "--out", str(out)]
@@ -193,6 +193,19 @@ def test_nevanlinna_check_on_the_square_well_gets_to_its_verdict(well_file, tmp_
     assert code == cli.FAIL_EXIT
     d = json.loads(out.read_text())
     assert np.isfinite(d["residual"]) and d["n_upper_zeros"] == 1 and not d["pass"]
+    assert '"error"' not in capsys.readouterr().err
+
+
+def test_nevanlinna_check_on_the_two_cell_well_gets_to_its_verdict(tmp_path, capsys):
+    """yhat's upper zeros here lie at Im k 0.32-0.46, far above the well's
+    bound states; the residual finds the 4 in its own rectangle and reports
+    0.0530, above the 0.05 bound."""
+    pot, out = tmp_path / "two.json", tmp_path / "nev.json"
+    make_piecewise([-0.7, 0.3, 1.1], [1.5, -2.0]).save(pot)
+    code = cli.main(["nevanlinna-check", "--potential", str(pot), "--out", str(out)])
+    assert code == cli.FAIL_EXIT
+    d = json.loads(out.read_text())
+    assert np.isfinite(d["residual"]) and d["n_upper_zeros"] == 4 and not d["pass"]
     assert '"error"' not in capsys.readouterr().err
 
 

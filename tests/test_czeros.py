@@ -717,6 +717,22 @@ def test_resonance_symmetry():
     assert zs.halfplane_counts[0] == 0
 
 
+@pytest.mark.parametrize("height", [60.0, 100.0])
+def test_narrow_resonances_all_come_back(height):
+    """A triple-barrier resonator's sharpest resonances lie within 1e-8 of
+    the axis (at -9.2e-11 and -6.4e-10 for height 100); every zero the
+    counted box holds comes back with its mirror, as find_zeros finds the
+    right half down to 1e-14 of the axis."""
+    V = make_piecewise([-3.5, -2.5, -0.5, 0.5, 2.5, 3.5], [height, 0, height, 0, height])
+    zs = resonances(V, 6.0)
+    assert len(zs.zeros) == zs.total_multiplicity() == 16
+    ref = find_zeros(lambda k: xhat(V, k), Rect(0.05 - 3j, 6 - 1e-14j))
+    assert len(ref.zeros) == ref.total_multiplicity() == 8
+    right = zs.locations[zs.locations.real > 0]
+    np.testing.assert_allclose(np.sort_complex(right), np.sort_complex(ref.locations),
+                               rtol=0, atol=1e-10)
+
+
 def test_free_potential_has_no_resonances(zero_potential):
     zs = resonances(zero_potential, 5.0)
     assert zs.zeros == ()

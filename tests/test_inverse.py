@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from resonances1d import inverse
 from resonances1d.czeros import bound_states
-from resonances1d.errors import PoleAtK, SharedPartMismatch
+from resonances1d.errors import DivergedLoss, PoleAtK, SharedPartMismatch
 from resonances1d.inverse import (
     InverseProblemSpec,
     distinguishability,
@@ -167,6 +167,42 @@ def test_recover_left_evaluates_each_point_once(monkeypatch):
     assert res.converged and res.iterations > 2
     assert len(points) == 1 + len(trials)
     assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("m, seed", [(2, 1), (4, 2), (4, 3)])
+def test_recover_left_returns_at_its_noise_floor(m, seed):
+    """Noisy det S data fits no potential exactly; the fit stops at its
+    least-squares floor, from either start, within delta sqrt(2n) / sigma_min
+    of the truth (sigma_min the least singular value of the Jacobian there),
+    and converges only where the floor lies below 1e-10."""
+    ks = np.linspace(0.3, 8.0, 60)
+    left = np.random.default_rng(seed).uniform(-3.0, 1.0, m)
+    truth = make_piecewise(list(np.linspace(-1.0, 0.0, m + 1)) + [0.5, 1.0],
+                           list(left) + [-2.0, 1.5])
+    spec = synthesize_data(RIGHT, -1.0, m, truth, ks)
+    _, J = det_s_jacobian(truth, ks, m)
+    sigma_min = np.linalg.svd(np.concatenate([J.real, J.imag]), compute_uv=False)[-1]
+    rng = np.random.default_rng(100 + m)
+    for delta in (1e-8, 1e-6, 1e-4, 1e-3):
+        noise = delta * (rng.standard_normal(60) + 1j * rng.standard_normal(60)) / np.sqrt(2)
+        noisy = InverseProblemSpec(RIGHT, -1.0, m, spec.k_samples,
+                                   tuple(np.asarray(spec.det_s_values) + noise))
+        for init in (np.zeros(m), left + 0.01):
+            res = recover_left(noisy, init)
+            err = np.linalg.norm(np.asarray(res.recovered_left) - left)
+            assert err <= delta * np.sqrt(2 * len(ks)) / sigma_min
+            if delta >= 1e-4:
+                assert not res.converged
+
+
+def test_recover_left_raises_where_the_loss_never_falls(monkeypatch):
+    spec, _ = _spec([-3.0, 1.0])
+    start = inverse._residual(spec, [0.0, 0.0])
+    worse = (start[0], start[1], 2 * start[2])
+    monkeypatch.setattr(inverse, "_residual",
+                        lambda spec, p: start if not np.any(p) else worse)
+    with pytest.raises(DivergedLoss):
+        recover_left(spec, [0.0, 0.0])
 
 
 def _raises_pole(f):
