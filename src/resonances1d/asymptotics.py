@@ -413,9 +413,7 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
     r_fit = radius
     width_g = indicator_width(G, r_fit)
     width_x = indicator_width(lambda k: xhat(V1, k), r_fit)
-    # G's kernel windows lie in [2a - 2b, 0]: it has type 2 (b - a), as xhat has
-    sigma = max(2 * (V.hull[1] - V.hull[0]) for V in (V1, V2))
-    zg = _search_halfplane(G, radius, sigma, "G")
+    zg = _search_halfplane(G, radius, "G")
     zx = resonances(V1, radius)
     sector = (-np.pi + 0.05, -0.05)
     with warnings.catch_warnings():

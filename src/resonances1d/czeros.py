@@ -21,12 +21,14 @@ within 1e-7 of their diagonals merge, adding their counts.  Split counts are
 exact, so the multiplicities of one search sum to its count.
 A half-plane search takes f with f(-conj k) = conj f(k), as xhat of a real
 potential is: its zeros off the imaginary axis come in pairs k, -conj k.  It
-counts one rectangle about the right half of the lower half-disk, reaching
-just past the axis, bisects it, and returns each zero right of the axis
-with its mirror -conj k; its contours start at a spacing set by f's
-exponential type.  Bound states, on the positive imaginary axis, are searched
-in a strip about it.  Rectangles, not disks: covering a half-disk and dodging
-zero chains that hug the real axis is easier with axis-aligned subdivision.
+runs find_zeros on one rectangle about the right half of the lower
+half-disk, reaching just past the axis, and returns each zero right of the
+axis with its mirror -conj k.  Bound states, on the positive imaginary axis,
+are searched in a strip about it.  Every search counts its contours one way:
+each starts at _N_BOUNDARY samples and is refined where its own start steps
+show log|f| rising fast.  Rectangles, not disks: covering a half-disk and
+dodging zero chains that hug the real axis is easier with axis-aligned
+subdivision.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
 from .potential import Potential
 from .scattering import xhat
 
-_N_BOUNDARY = 256  # least start samples per counting contour
+_N_BOUNDARY = 256  # start samples per counting contour
 _MAX_EVALS = 200_000  # refinement budget per contour
 _P = 4  # power sums per contour; a box of count <= _P is located from them
 _SEP = 1e-2  # least distance between a box's polishes, over its diagonal
@@ -169,19 +171,18 @@ def _shifted(counts, sums, d):
     return np.einsum("kpj,kj->kp", _BINOM[1:] * powers[:, _EXP[1:]], s)
 
 
-def _windings(f, rects, sigma=0.0):
+def _windings(f, rects):
     """(count, power sums about its centre) of each rect, or the BoundaryZero
     or PhaseStepTooLarge its contour raised; a sample that is not finite
     raises OverflowAtRadius.
 
     The contours are sampled together over one ragged array, closed contours
     laid end to end, with one call of f for the start samples and one per
-    refinement round.  A contour starts with at least _N_BOUNDARY samples,
-    and enough that f of exponential type sigma turns by at most pi/2 per
-    step from its type alone; the last sample closes it.  Each round halves
-    every wide step, dip, corner step or long step until a contour has none
-    left.  A step is wide when its phase turns by more than pi/2, a dip when
-    it sits in a dip of |f|, and a corner step when it meets a corner and
+    refinement round.  A contour starts with _N_BOUNDARY + 1 samples evenly
+    spaced in its parameter, the last closing it.  Each round halves every
+    wide step, dip, corner step or long step until a contour has none left.
+    A step is wide when its phase turns by more than pi/2, a dip when it
+    sits in a dip of |f|, and a corner step when it meets a corner and
     |d log|f|| + |d arg f| > pi/2 across it.  A contour fails alone: at a
     sample near zero, past _MAX_EVALS samples, or after 60 rounds.
 
@@ -189,27 +190,26 @@ def _windings(f, rects, sigma=0.0):
     of its two neighbours on the closed contour, a midpoint against the
     larger reference magnitude of the two samples it bisects, where a start
     sample's reference is its own |f|.  |f| may span many decades along
-    the contour far from any zero; from f's type alone it changes by at most
-    a factor of about e^(pi/2) between start samples.
+    the contour far from any zero.
 
     A start step outside a dip across which log|f| changes by more than pi
     shows that the spacing is too wide for f: by Cauchy-Riemann the phase
     turns as fast across a side where |f| barely changes, and a turn of 2 pi
-    + x reads as x.  Steps are then long above pi/2 at the fastest such rate.
+    + x reads as x.  Steps are then long above pi/2 at the fastest such rate,
+    so this rule alone refines where |f| changes fast.
     """
     out = [None] * len(rects)
     lo = np.array([r.lo for r in rects], dtype=complex)
     hi = np.array([r.hi for r in rects], dtype=complex)
     w, h = hi.real - lo.real, hi.imag - lo.imag
-    n = np.maximum(_N_BOUNDARY, np.ceil(4 * (w + h) * sigma / np.pi)).astype(int)
+    n = _N_BOUNDARY
     # the parameters of the corners between the sides, one column per contour
     corners = np.cumsum([w, h, w, h], axis=0)
     corners = corners[:3] / corners[3]
     # contour ids[k] holds size[k] samples from first[k] on, the last closing it
-    ids, size = np.arange(len(rects)), n + 1
-    first = np.cumsum(size) - size
-    ts = (np.arange(np.sum(size)) - np.repeat(first, size)) * np.repeat(1.0 / n, size)
-    ts[first + n] = 1.0
+    ids, size = np.arange(len(rects)), np.full(len(rects), n + 1)
+    first = np.arange(len(rects)) * (n + 1)
+    ts = np.tile(np.arange(n + 1) / n, len(rects))
     zs = _boundary_points(np.repeat(lo, size), np.repeat(hi, size), ts)
     fs = np.asarray(f(zs), dtype=complex)
     if not np.all(np.isfinite(fs)):
@@ -323,11 +323,11 @@ def _merged(x, y, moved, new, keep):
     return out[keep]
 
 
-def _count(f, rect, sigma=0.0):
+def _count(f, rect):
     """(winding_number, power sums, rect counted): after BoundaryZero the
     rect counted is rect dilated by 1 + 1e-6, up to three times."""
     for attempt in range(4):
-        got = _windings(f, [rect], sigma)[0]
+        got = _windings(f, [rect])[0]
         if attempt == 3 or not isinstance(got, BoundaryZero):
             break
         rect = rect.dilated(1 + 1e-6)
@@ -378,19 +378,6 @@ def _newton_batch(f, z0, scale):
     return z, err, ok
 
 
-def find_zeros(f, rect: Rect, max_zeros: int = 200,
-               function_tag: str = "") -> ZeroSet:
-    """Locate all zeros of f in rect, or in the dilated rect that was counted
-    when a zero sits on its boundary: a count, then _bisect.
-
-    Each zero's multiplicity is 1, or the count of the tiny box it was
-    polished in; zeros within 1e-7 of the diagonal of those boxes merge,
-    adding their counts, so the multiplicities sum to winding_number(f, rect).
-    """
-    total, sums, rect = _count(f, rect)
-    return _bisect(f, rect, total, sums, max_zeros, function_tag)
-
-
 def _starts(box, count, sums):
     """Newton starts for a box of count <= _P: the roots of the monic
     polynomial whose power sums about the box centre are sums (Newton's
@@ -409,12 +396,16 @@ def _starts(box, count, sums):
     return list(z) if all(inside) else []
 
 
-def _bisect(f, rect, total, sums, max_zeros, function_tag, sigma=0.0):
-    """The zeros of f in rect, counted total with power sums `sums` about its
-    centre: bisection on counts, a level of boxes at a time, each level's
-    first children counted together and its starts polished in one
-    _newton_batch; sigma spaces the start samples of the split contours, as
-    in _windings.
+def find_zeros(f, rect: Rect, max_zeros: int = 200,
+               function_tag: str = "") -> ZeroSet:
+    """Locate all zeros of f in rect, or in the dilated rect that was counted
+    when a zero sits on its boundary: a count, then bisection on counts, a
+    level of boxes at a time, each level's first children counted together
+    and its starts polished in one _newton_batch.
+
+    Each zero's multiplicity is 1, or the count of the tiny box it was
+    polished in; zeros within 1e-7 of the diagonal of those boxes merge,
+    adding their counts, so the multiplicities sum to winding_number(f, rect).
 
     A box of count <= _P is polished from _starts unless it has none or its
     count is 2 or more and did not fall at its last split (Newton's noise
@@ -429,6 +420,7 @@ def _bisect(f, rect, total, sums, max_zeros, function_tag, sigma=0.0):
     kept unconverged at its centre unless the polish converges within three
     diagonals.  Every tolerance is set by the box polished or by |z|, not
     by rect, so a large rect resolves its zeros as finely as a small one."""
+    total, sums, rect = _count(f, rect)
     if total == 0:
         return ZeroSet((), function_tag)
     if total > max_zeros:
@@ -467,12 +459,12 @@ def _bisect(f, rect, total, sums, max_zeros, function_tag, sigma=0.0):
                 split.append((box, count, sums, tiny, z))
         split = [(box, count, sums) for box, count, sums, *_ in split]
         level = [(c, n, s, n < count, first)
-                 for (_, count, _), children in zip(split, _split_level(f, split, sigma))
+                 for (_, count, _), children in zip(split, _split_level(f, split))
                  for first, (c, n, s) in zip((True, False), children) if n]
     return _finalize(found, function_tag)
 
 
-def _split_level(f, boxes, sigma=0.0):
+def _split_level(f, boxes):
     """The two children (box, count, power sums) of each (box, count, power
     sums) of boxes, split in two; a cut is nudged if a zero obstructs it.
 
@@ -495,7 +487,7 @@ def _split_level(f, boxes, sigma=0.0):
         cuts = [_split_axis(boxes[i][0], frac,
                             (boxes[i][0].width >= boxes[i][0].height) == long_side)
                 for i in todo]
-        for i, cut, got in zip(todo, cuts, _windings(f, [c0 for c0, _ in cuts], sigma)):
+        for i, cut, got in zip(todo, cuts, _windings(f, [c0 for c0, _ in cuts])):
             if not isinstance(got, Exception) and got[0] <= boxes[i][1]:
                 first[i] = (*cut, *got)
         todo = [i for i in todo if first[i] is None]
@@ -571,8 +563,7 @@ def _finalize(found, function_tag):
 
 def resonances(V: Potential, radius: float) -> ZeroSet:
     """All zeros of xhat with |k| <= radius in the open lower half-plane."""
-    a, b = V.hull
-    return _search_halfplane(lambda k: xhat(V, k), radius, 2 * (b - a), "xhat")
+    return _search_halfplane(lambda k: xhat(V, k), radius, "xhat")
 
 
 def _bound_state_height(V: Potential) -> float:
@@ -598,7 +589,7 @@ def bound_states(V: Potential):
     return zs, energies
 
 
-def _search_halfplane(f, radius, sigma, tag):
+def _search_halfplane(f, radius, tag):
     """Zeros of f with |k| <= radius in the open lower half-plane, where
     f(-conj k) = conj f(k), so that its zeros off the imaginary axis come in
     pairs k, -conj k of equal multiplicity.  xhat and yhat(-k) of a real
@@ -607,9 +598,7 @@ def _search_halfplane(f, radius, sigma, tag):
 
     One rectangle, Re k in [-0.137, radius], holds the right half of the lower
     half-disk and a strip left of the axis, so no zero on or near the axis
-    lies on its edge: find_zeros' count (dilated if a zero sits on its
-    contour), then _bisect, with contours started at a spacing set by sigma,
-    the exponential type of f (2 (b - a) for xhat).  A zero right of the axis
+    lies on its edge: find_zeros searches it.  A zero right of the axis
     comes back with its mirror -conj k, which copies its multiplicity,
     residual and convergence; an axis zero (_on_axis) comes back once, and
     one left of the axis not at all, as its partner is mirrored.  The zeros
@@ -619,9 +608,8 @@ def _search_halfplane(f, radius, sigma, tag):
     zeros returned.
     """
     rect = Rect(complex(-0.137, -radius - 0.137), complex(radius, -1e-9))
-    total, sums, rect = _count(f, rect, sigma)
     out = []
-    for z in _bisect(f, rect, total, sums, 500, tag, sigma).zeros:
+    for z in find_zeros(f, rect, 500, tag).zeros:
         k = z.location
         if abs(k) <= radius and k.imag < 0:
             if _on_axis(k):

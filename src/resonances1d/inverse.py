@@ -44,6 +44,9 @@ class InverseProblemSpec:
             raise ValueError("k samples must be distinct")
         if len(self.det_s_values) != len(ks):
             raise ValueError("data length must match k samples")
+        if not (np.all(np.isfinite(ks))
+                and np.all(np.isfinite(np.asarray(self.det_s_values, dtype=complex)))):
+            raise ValueError("k samples and det S values must be finite")
 
     def candidate(self, params):
         """Assemble the trial potential for a left-cell value vector.
@@ -89,10 +92,11 @@ class InverseProblemSpec:
         if d.get("loss_kind", _LOSS_KIND) != _LOSS_KIND:
             raise ValueError("unsupported loss_kind %r" % d["loss_kind"])
         data = d.get("data", {})
-        vals = tuple(
-            complex(re, im)
-            for re, im in zip(data.get("det_s_re", []), data.get("det_s_im", []))
-        )
+        re, im = data.get("det_s_re", []), data.get("det_s_im", [])
+        if len(re) != len(im):
+            raise ValueError("det_s_re and det_s_im differ in length: %d and %d"
+                             % (len(re), len(im)))
+        vals = tuple(complex(x, y) for x, y in zip(re, im))
         return cls(kr, float(d["a"]), int(d["n_params"]),
                    k_samples=tuple(data.get("k", [])), det_s_values=vals)
 

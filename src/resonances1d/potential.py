@@ -13,6 +13,7 @@ a full potential.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,9 +30,12 @@ from .errors import (
 
 
 def _clean(breakpoints, values):
-    """Trim zero edge cells and merge equal-valued neighbours."""
+    """Trim zero edge cells and merge equal-valued neighbours; a breakpoint
+    or value that is not finite is a ValueError."""
     bp = [float(x) for x in breakpoints]
     vs = [float(v) for v in values]
+    if not all(map(math.isfinite, bp + vs)):
+        raise ValueError("breakpoints and values must be finite")
     if len(bp) != len(vs) + 1:
         raise NonIncreasingBreakpoints(
             "need len(breakpoints) == len(values) + 1, got %d and %d"

@@ -59,6 +59,20 @@ def test_malformed_potential_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", ['{"breakpoints": [-1, NaN, 1], "values": [1, 2]}',
+                                     '{"breakpoints": [-1, 1], "values": [Infinity]}'])
+@pytest.mark.parametrize("command", [["scattering-grid"], ["resonances", "--radius", "5"],
+                                     ["bound-states"]])
+def test_non_finite_potential_file(tmp_path, capsys, content, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    out = str(tmp_path / "o.out")
+    code = cli.main([*command, "--potential", str(bad), "--out", out])
+    assert code == cli.USAGE_EXIT
+    assert not os.path.exists(out)
+    assert "finite" in capsys.readouterr().err
+
+
 def test_scattering_grid(well_file, tmp_path):
     out = tmp_path / "grid.csv"
     svg = tmp_path / "grid.svg"
@@ -265,6 +279,25 @@ def test_inverse_recover_malformed_spec(tmp_path, capsys):
     assert code == cli.USAGE_EXIT
     assert not out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit", [lambda d: d["data"]["k"].__setitem__(3, float("nan")),
+                                  lambda d: d["data"]["det_s_re"].__setitem__(3, float("inf")),
+                                  lambda d: d["data"]["det_s_im"].append(0.5)])
+def test_inverse_recover_rejects_a_spec_it_cannot_fit(tmp_path, capsys, edit):
+    """A non-finite k or det S sample, or det S parts of unequal length, is
+    a malformed spec: exit 1, before any fit."""
+    right = Fragment((0.0, 1.0), (-2.0,))
+    truth = make_piecewise([-1.0, -0.5, 0.0, 1.0], [-3.0, 1.0, -2.0])
+    d = synthesize_data(right, -1.0, 2, truth, np.linspace(0.3, 10.0, 30)).to_json()
+    edit(d)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(d))
+    out = tmp_path / "rec.json"
+    code = cli.main(["inverse-recover", "--spec", str(spec), "--out", str(out)])
+    assert code == cli.USAGE_EXIT
+    assert not out.exists()
+    assert "malformed" in capsys.readouterr().err
 
 
 def test_inverse_recover_rejects_other_loss_kinds(tmp_path, capsys):

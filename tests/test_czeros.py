@@ -240,12 +240,11 @@ def test_newton_batch_gives_each_start_its_one_start_path(size):
             assert bits(z, err) == bits(got[0][i], got[1][i]) and ok == got[2][i]
 
 
-def _phase_winding(f, rect, sigma=0.0):
+def _phase_winding(f, rect):
     """The one-rectangle count that czeros._windings replaced, with _refine
     and _steps below, kept as its reference: (count, power sums about the
     centre), or the BoundaryZero or PhaseStepTooLarge it raises."""
-    n = max(256, int(np.ceil(4 * (rect.width + rect.height) * sigma / np.pi)))
-    ts = np.append(np.linspace(0.0, 1.0, n, endpoint=False), 1.0)
+    ts = np.append(np.linspace(0.0, 1.0, 256, endpoint=False), 1.0)
     zs = rect.boundary_points(ts)
     return _refine(f, rect, ts, zs, np.asarray(f(zs), dtype=complex))
 
@@ -432,10 +431,9 @@ def test_search_matches_a_find_zeros_loop(V, radius):
     find_zeros call per tile of the whole lower half-disk: inside R - 1e-6,
     the same multiplicities at locations within 1e-8 (1 + |z|)."""
     f = lambda k: xhat(V, k)
-    a, b = V.hull
     got, ref = (
         [z for z in zs if abs(z.location) < radius - 1e-6]
-        for zs in (czeros._search_halfplane(f, radius, 2 * (b - a), "xhat").zeros,
+        for zs in (czeros._search_halfplane(f, radius, "xhat").zeros,
                    _tile_by_tile(f, radius, 3.0, "xhat")))
     assert len(got) == len(ref)
     locs = np.array([z.location for z in got])
@@ -459,7 +457,7 @@ def test_search_dilates_where_a_zero_sits_on_a_start_sample():
     assert isinstance(czeros._windings(f, [rect])[0], BoundaryZero)
     n, _, counted = czeros._count(f, rect)
     assert n == 3 and counted != rect
-    zs = czeros._search_halfplane(f, radius, 0.0, "")
+    zs = czeros._search_halfplane(f, radius, "")
     np.testing.assert_allclose(zs.locations, [-2.5 - 0.7j, -0.2 - 2.9j, 0.2 - 2.9j, 2.5 - 0.7j],
                                atol=1e-10)
 
@@ -477,7 +475,7 @@ def test_search_refines_where_a_zero_sits_just_inside_its_top_edge():
     calls = []
     czeros._windings(lambda z: calls.append(z) or f(z), [rect])
     assert len(calls) > 1
-    zs = czeros._search_halfplane(f, radius, 0.0, "")
+    zs = czeros._search_halfplane(f, radius, "")
     np.testing.assert_allclose(sorted(zs.locations, key=lambda z: z.real),
                                [-np.conj(z0), -2.5 - 0.7j, 2.5 - 0.7j, z0], atol=1e-10)
 
@@ -487,7 +485,7 @@ def test_search_cost_on_sw4_at_radius_40(monkeypatch):
     search on a 3 x 3 tile grid that it replaced.  Its split contours are
     counted a bisection level at a time, one call of xhat per refinement
     round, in at most 35 calls; counting the right half of the lower
-    half-disk and mirroring its zeros takes 5,760 points, where the whole
+    half-disk and mirroring its zeros takes 5,585 points, where the whole
     half-disk took 10,474."""
     sizes = []
 
@@ -499,7 +497,23 @@ def test_search_cost_on_sw4_at_radius_40(monkeypatch):
     zs = resonances(square_well(-4.0, -1.0, 1.0), 40.0)
     assert len(zs.zeros) == 48
     assert sum(sizes) <= 46_000
-    assert len(sizes) <= 35 and abs(sum(sizes) - 5_760) <= 0.01 * 5_760
+    assert len(sizes) <= 35 and abs(sum(sizes) - 5_585) <= 0.01 * 5_585
+
+
+@pytest.mark.parametrize("V", [square_well(-4.0, -1.0, 1.0),
+                               make_piecewise([-0.7, 0.3, 1.1], [1.5, -2.0])])
+def test_resonances_right_of_the_axis_are_find_zeros_of_its_rectangle(V):
+    """resonances counts and bisects one rectangle as find_zeros does: its
+    zeros right of the axis are, bit for bit, those of find_zeros over that
+    rectangle that lie in the lower half-disk and right of the axis."""
+    R = 40.0
+    right = lambda zs: [z for z in zs if not czeros._on_axis(z.location)
+                        and z.location.real > 0 and z.location.imag < 0
+                        and abs(z.location) <= R]
+    got = right(resonances(V, R).zeros)
+    rect = Rect(-0.137 - (R + 0.137) * 1j, R - 1e-9j)
+    want = right(find_zeros(lambda k: xhat(V, k), rect, 500).zeros)
+    assert len(got) > 10 and got == want
 
 
 @pytest.mark.parametrize("radius, want", [(80.0, 99), (160.0, 200)])
@@ -519,7 +533,7 @@ def test_search_keeps_a_close_pair_apart_at_a_large_radius():
     is 2.3e-5)."""
     z1 = 100.0 - 50.0j
     f = _mirrored([z1, z1 + 2e-6, -3.0 - 40.0j])
-    zs = czeros._search_halfplane(f, 160.0, 0.0, "")
+    zs = czeros._search_halfplane(f, 160.0, "")
     mirrors = [-np.conj(z1) - 2e-6, -np.conj(z1)]
     np.testing.assert_allclose(sorted(zs.locations, key=lambda z: z.real),
                                [*mirrors, -3.0 - 40.0j, 3.0 - 40.0j, z1, z1 + 2e-6],

@@ -51,6 +51,21 @@ def test_spec_validation():
                            det_s_values=(1j,))
 
 
+@pytest.mark.parametrize("k, value", [(np.nan, 1j), (np.inf, 1j), (2.0, np.nan + 0j),
+                                      (2.0, complex(0.0, np.inf))])
+def test_spec_rejects_non_finite_samples(k, value):
+    with pytest.raises(ValueError, match="finite"):
+        InverseProblemSpec(RIGHT, -1.0, 2, k_samples=(1.0, k), det_s_values=(1j, value))
+
+
+def test_spec_from_json_rejects_unequal_det_s_parts():
+    spec, _ = _spec([-3.0, 1.0])
+    d = spec.to_json()
+    d["data"]["det_s_im"].append(0.5)
+    with pytest.raises(ValueError, match="differ in length"):
+        InverseProblemSpec.from_json(d)
+
+
 def test_candidate_construction():
     spec, truth = _spec([-3.0, 1.0])
     cand = spec.candidate([-3.0, 1.0])

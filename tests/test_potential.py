@@ -63,6 +63,17 @@ def test_bad_breakpoints():
         make_piecewise([-1.0, 1.0], [0.0])
 
 
+@pytest.mark.parametrize("bp, vs", [([-1.0, np.nan, 1.0], [1.0, 2.0]),
+                                    ([-np.inf, 1.0], [1.0]),
+                                    ([-1.0, 1.0], [np.inf]),
+                                    ([-1.0, 0.0, 1.0], [np.nan, 0.0])])
+def test_non_finite_breakpoints_or_values(bp, vs):
+    with pytest.raises(ValueError, match="finite"):
+        make_piecewise(bp, vs)
+    with pytest.raises(ValueError, match="finite"):
+        Fragment([x + 2.0 for x in bp], vs)
+
+
 def test_value_at_interior_and_breakpoints():
     V = make_piecewise([-1.0, 0.0, 1.0], [2.0, -4.0])
     assert V.value_at(-0.5) == 2.0
