@@ -7,7 +7,9 @@ real line, Blaschke products over upper-half-plane zeros, and the
 Poisson-integral residual of the Nevanlinna-Levin representation.  Every
 limit is replaced by a fit over a geometric ladder of radii with the fit
 residual reported alongside the estimate.  The line integrals use one
-level-batched adaptive Gauss-Kronrod routine in numpy, `_quad`.
+level-batched adaptive Gauss-Kronrod routine in numpy, `_quad`.  The growth
+fits take ln|f| itself as a real array, which `scattering.log_abs_xhat` gives
+without overflow; a complex array (f itself) raises TypeError.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     ZeroInLowerHalfPlane,
 )
 from .potential import Potential, _require_shared_right
-from .scattering import _like, _points, xhat
+from .scattering import _like, _points, log_abs_xhat, xhat
 from .wavekernel import Window, default_window_r, kernel_fourier, solve_kernels
 
 
@@ -51,21 +53,10 @@ class IndicatorReport:
         return self.fit_residual <= 0.05 * (1.0 + abs(self.h))
 
 
-def _log_abs(f, z, logabs):
-    """ln|f| at z, a point or an array; -inf at an exact zero of f.
-
-    Set ``logabs`` when f already returns ln|f| (as its real part).  A point
-    takes Python's abs, which rounds unlike numpy's array loop.
-    """
-    vals = _like(z, np.asarray(f(_points(z))))
-    if logabs:
-        return vals.real
-    with np.errstate(divide="ignore"):
-        return _like(z, np.log(abs(vals)))
-
-
-def _logabs_on_ray(f, theta, radii, logabs):
-    L = _log_abs(f, radii * np.exp(1j * theta), logabs)
+def _ln_on_ray(f, theta, radii):
+    L = np.asarray(f(radii * np.exp(1j * theta)))
+    if np.iscomplexobj(L):
+        raise TypeError("f must return ln|f| as a real array, not complex values")
     if not np.all(np.isfinite(L)):
         raise OverflowAtRadius(
             "log|f| not finite along theta=%g up to r=%g" % (theta, radii.max())
@@ -73,17 +64,15 @@ def _logabs_on_ray(f, theta, radii, logabs):
     return L
 
 
-def indicator_estimate(f, theta: float, r_max: float,
-                       logabs: bool = False) -> IndicatorReport:
-    """Estimate h_f(theta) from log|f(r e^{i theta})| on geometric radii.
+def indicator_estimate(f, theta: float, r_max: float) -> IndicatorReport:
+    """Estimate h(theta) from f = log|.|, a real array, at r e^{i theta}.
 
     The model  log|f| = h r + beta log r + c  is fitted by least squares over
     r = r_max / 2^j, j = 0..6; beta absorbs algebraic prefactors so that h
-    converges at finite radius.  Set ``logabs=True`` when f already returns
-    log|f| (scaled evaluation for functions that overflow).
+    converges at finite radius.
     """
     radii = r_max / 2.0 ** np.arange(7)[::-1]
-    L = _logabs_on_ray(f, theta, radii, logabs)
+    L = _ln_on_ray(f, theta, radii)
     A = np.column_stack([radii, np.log(radii), np.ones_like(radii)])
     coef, *_ = np.linalg.lstsq(A, L, rcond=None)
     h, beta, c = (float(v) for v in coef)
@@ -93,10 +82,10 @@ def indicator_estimate(f, theta: float, r_max: float,
                            beta, c)
 
 
-def indicator_width(f, r_max: float, logabs: bool = False) -> float:
-    """Width of the indicator diagram, d = h(pi/2) + h(-pi/2)."""
-    up = indicator_estimate(f, np.pi / 2, r_max, logabs=logabs)
-    dn = indicator_estimate(f, -np.pi / 2, r_max, logabs=logabs)
+def indicator_width(f, r_max: float) -> float:
+    """Width of the indicator diagram, d = h(pi/2) + h(-pi/2), from f = log|.|."""
+    up = indicator_estimate(f, np.pi / 2, r_max)
+    dn = indicator_estimate(f, -np.pi / 2, r_max)
     return up.h + dn.h
 
 
@@ -177,11 +166,11 @@ class CartwrightReport:
         return self.value + self.tail_estimate
 
 
-def _tail_fit(f, cutoff, sign, logabs):
-    """Fit ln|f(x)| = p log|x| + q over the outermost decade of the real ray
-    toward sign * infinity; returns (p, q, largest misfit)."""
+def _tail_fit(f, cutoff, sign):
+    """Fit f(x) = ln|.| = p log|x| + q over the outermost decade of the real
+    ray toward sign * infinity; returns (p, q, largest misfit)."""
     xs = cutoff * np.exp(np.linspace(-np.log(10.0), 0.0, 12))
-    L = _logabs_on_ray(f, 0.0 if sign > 0 else np.pi, xs, logabs)
+    L = _ln_on_ray(f, 0.0 if sign > 0 else np.pi, xs)
     A = np.column_stack([np.log(xs), np.ones(len(xs))])
     coef, *_ = np.linalg.lstsq(A, L, rcond=None)
     return float(coef[0]), float(coef[1]), float(np.max(np.abs(L - A @ coef)))
@@ -256,8 +245,8 @@ def _quad_tail(g, c, sign):
     return _quad(lambda u: g(sign * c * np.exp(u)) * (c * np.exp(u)), 0.0, _U_MAX)
 
 
-def cartwright_integral(f, cutoff: float, logabs: bool = False) -> CartwrightReport:
-    """Integral of ln+|f(x)| / (1+x^2) over the real line.
+def cartwright_integral(f, cutoff: float) -> CartwrightReport:
+    """Integral of ln+|.| / (1+x^2) over the real line from f = ln|.|, a real array.
 
     [-cutoff, cutoff] by `_quad` (one call of f per level); beyond the
     cutoff, ln|f| is modelled as  p*log|x| + q  fitted over the outermost
@@ -268,13 +257,14 @@ def cartwright_integral(f, cutoff: float, logabs: bool = False) -> CartwrightRep
     """
 
     def lp(x):
-        return np.maximum(_log_abs(f, x, logabs), 0.0) / (1.0 + x * x)
+        return np.maximum(f(x), 0.0) / (1.0 + x * x)
 
+    # the tail fits check f's values, so a complex f raises before any integral
+    fits = {sign: _tail_fit(f, cutoff, sign) for sign in (+1.0, -1.0)}
     main, err = _quad(lp, -cutoff, cutoff)
     converged = err <= _tol(main)
     tail = order = 0.0
-    for sign in (+1.0, -1.0):
-        p, q, misfit = _tail_fit(f, cutoff, sign, logabs)
+    for sign, (p, q, misfit) in fits.items():
         if misfit > 0.5:
             raise NonConvergentTail(
                 "ln|f| is not polynomially bounded near x=%g" % (sign * cutoff)
@@ -334,7 +324,9 @@ def nevanlinna_residual(f, sigma_plus: float, z: complex, line_cutoff: float):
     boundary integral runs over [-line_cutoff, line_cutoff] with a
     polynomial-growth tail correction.  The three integrals run through
     `_quad` (x is a breakpoint); one that misses `_tol` raises
-    QuadratureNotConverged.
+    QuadratureNotConverged.  FOUND: the tail model's misfit goes unchecked.
+    On ln|yhat| of sw4 and five other test wells at cutoffs 40 and 200 it is
+    0.50-3.65, past the 0.5 at which `cartwright_integral` raises.
     """
     z = complex(z)
     x, y = z.real, z.imag
@@ -347,17 +339,21 @@ def nevanlinna_residual(f, sigma_plus: float, z: complex, line_cutoff: float):
     # a floor of 0.05 gives 11 zeros and 0.1075, one of 0.005 gives 513 and 0.0001
     zs = find_zeros(f, Rect(complex(-R, 0.05), complex(R, R)))
 
-    kern = lambda t: _log_abs(f, t, False) * (y / np.pi) / ((t - x) ** 2 + y * y)
+    def ln_f(t):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(f(t)))
+
+    kern = lambda t: ln_f(t) * (y / np.pi) / ((t - x) ** 2 + y * y)
     parts = [_quad(kern, -line_cutoff, line_cutoff, points=(x,))]
     for sign in (+1.0, -1.0):
-        p, q, _ = _tail_fit(f, line_cutoff, sign, False)
+        p, q, _ = _tail_fit(ln_f, line_cutoff, sign)
         model = lambda t: (p * np.log(abs(t)) + q) * (y / np.pi) / ((t - x) ** 2 + y * y)
         parts.append(_quad_tail(model, line_cutoff, sign))
     if not all(err <= _tol(v) for v, err in parts):
         raise QuadratureNotConverged("Poisson integral (value, error) parts %r" % parts)
     chi = blaschke_chi(np.repeat(zs.locations, [w.multiplicity for w in zs.zeros]), z)
     log_chi = float(np.log(abs(chi))) if chi != 0 else -np.inf
-    lhs = _log_abs(f, z, False)
+    lhs = float(ln_f(z))
     return abs(lhs - sum(v for v, _ in parts) - sigma_plus * y - log_chi), zs
 
 
@@ -410,9 +406,9 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
     if g_scale < 1e-10 * max(1.0, x_scale):
         return GReport(True, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, r_window)
 
-    r_fit = radius
-    width_g = indicator_width(G, r_fit)
-    width_x = indicator_width(lambda k: xhat(V1, k), r_fit)
+    with np.errstate(divide="ignore"):
+        width_g = indicator_width(lambda k: np.log(np.abs(G(k))), radius)
+    width_x = indicator_width(lambda k: log_abs_xhat(V1, k), radius)
     zg = _search_halfplane(G, radius, "G")
     zx = resonances(V1, radius)
     sector = (-np.pi + 0.05, -0.05)

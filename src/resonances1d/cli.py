@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, czeros, inverse, plots, scattering, wavekernel
+from . import asymptotics, czeros, errors, inverse, plots, scattering, wavekernel
 from .errors import LowCountWarning, Resonances1DError, UsageError
 from .potential import Potential
 
@@ -59,14 +59,15 @@ def _emit_json(path, obj):
 
 
 def _load(path, cls=Potential):
-    """A cls read from its JSON file; a missing file or content that does not
-    parse is a UsageError."""
+    """A cls read from its JSON file; a missing file, content that does not
+    parse, or a potential it cannot build is a UsageError."""
     if not os.path.exists(path):
         raise UsageError("no such file: %s" % path)
     try:
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+    except (KeyError, TypeError, ValueError, errors.AllZero,  # JSONDecodeError too
+            errors.HullDoesNotStraddleZero, errors.NonIncreasingBreakpoints) as exc:
         raise UsageError("malformed %s file %s: %s" % (cls.__name__, path, exc))
 
 
@@ -151,10 +152,10 @@ def _cmd_density(args):
 def _cmd_indicator(args):
     V = _load(args.potential)
     f = lambda k: scattering.log_abs_xhat(V, k)
-    reps = [asymptotics.indicator_estimate(f, th, args.r_max, logabs=True)
+    reps = [asymptotics.indicator_estimate(f, th, args.r_max)
             for th in np.linspace(-np.pi, np.pi, args.n_theta)]
     _atomic_via(args.out, lambda p: asymptotics.write_indicator_csv(reps, p))
-    width = asymptotics.indicator_width(f, args.r_max, logabs=True)
+    width = asymptotics.indicator_width(f, args.r_max)
     if args.report:
         _atomic_json(
             args.report,
@@ -167,8 +168,8 @@ def _cmd_indicator(args):
 def _cmd_cartwright_check(args):
     V = _load(args.potential)
     f = lambda k: scattering.log_abs_xhat(V, k)
-    cart = asymptotics.cartwright_integral(f, args.radius, logabs=True)
-    width = asymptotics.indicator_width(f, args.radius, logabs=True)
+    cart = asymptotics.cartwright_integral(f, args.radius)
+    width = asymptotics.indicator_width(f, args.radius)
     zs = czeros.resonances(V, args.radius)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowCountWarning)
@@ -197,9 +198,8 @@ def _cmd_nevanlinna_check(args):
     """The residual of yhat at z, with sigma+ from its indicator at r_max 40 and
     the upper zeros nevanlinna_residual finds, counted by multiplicity."""
     V = _load(args.potential)
-    sigma = asymptotics.indicator_estimate(
-        lambda k: scattering.log_abs_yhat(V, k), np.pi / 2, 40.0, logabs=True
-    ).h
+    sigma = asymptotics.indicator_estimate(lambda k: scattering.log_abs_yhat(V, k),
+                                           np.pi / 2, 40.0).h
     resid, upper = asymptotics.nevanlinna_residual(
         lambda k: scattering.yhat(V, k), sigma, complex(args.z_re, args.z_im), args.cutoff
     )

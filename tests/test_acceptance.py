@@ -158,15 +158,13 @@ def test_acceptance_06_indicator_width():
     rels = []
     for v, a, b in ((-4.0, -1.0, 1.0), (-2.5, -0.7, 1.3), (-6.0, -1.8, 0.4)):
         V = square_well(v, a, b)
-        w = indicator_width(lambda k: log_abs_xhat(V, k), 40.0, logabs=True)
+        w = indicator_width(lambda k: log_abs_xhat(V, k), 40.0)
         rels.append(abs(w - 2 * (b - a)) / (2 * (b - a)))
     V = square_well(-4.0, -1.0, 1.0)
     field = solve_kernels(V, 1024)
     r = 0.5
-    w2 = indicator_width(
-        lambda k: kernel_fourier(field, Window.X2, np.asarray(k, dtype=complex), r=r),
-        100.0,
-    )
+    x2 = lambda k: kernel_fourier(field, Window.X2, np.asarray(k, dtype=complex), r=r)
+    w2 = indicator_width(lambda k: np.log(np.abs(x2(k))), 100.0)
     rel2 = abs(w2 - 2 * r) / (2 * r)
     ok = max(rels) < 0.05 and rel2 < 0.05
     _report(
@@ -213,9 +211,7 @@ def test_acceptance_07_domain_of_influence():
 
 def test_acceptance_08_nevanlinna_residual():
     V = square_well(-1.0, -0.5, 0.5)
-    sigma = indicator_estimate(
-        lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0, logabs=True
-    ).h
+    sigma = indicator_estimate(lambda k: log_abs_yhat(V, k), np.pi / 2, 60.0).h
     resid, _ = nevanlinna_residual(lambda k: yhat(V, k), sigma, 2j, 200.0)
     ok = resid < 0.05
     _report(8, ok, "residual %.4f at z=2i, sigma+ %.4f" % (resid, sigma))

@@ -48,14 +48,22 @@ from conftest import wells
 # -- indicator function -----------------------------------------------------
 
 
+def _ln(f):
+    """ln|f| as a real array, -inf at an exact zero of f: what the growth fits read."""
+    def ln(z):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(f(z)))
+    return ln
+
+
 def test_indicator_of_polynomial_is_zero():
-    rep = indicator_estimate(lambda z: 1j * z, 0.7, 50.0)
+    rep = indicator_estimate(_ln(lambda z: 1j * z), 0.7, 50.0)
     assert abs(rep.h) < 0.01
     assert rep.passes()
 
 
 def test_indicator_of_pure_exponential():
-    f = lambda z: np.exp(1j * z)
+    f = _ln(lambda z: np.exp(1j * z))
     up = indicator_estimate(f, np.pi / 2, 50.0)
     dn = indicator_estimate(f, -np.pi / 2, 50.0)
     assert abs(up.h - (-1.0)) < 0.01
@@ -64,18 +72,18 @@ def test_indicator_of_pure_exponential():
 
 
 def test_indicator_width_of_constant():
-    assert abs(indicator_width(lambda z: np.ones_like(z), 50.0)) < 1e-9
+    assert abs(indicator_width(_ln(lambda z: np.ones_like(z)), 50.0)) < 1e-9
 
 
 def test_indicator_width_xhat():
     V = square_well(-4.0, -1.0, 1.0)
-    d = indicator_width(lambda k: log_abs_xhat(V, k), 40.0, logabs=True)
+    d = indicator_width(lambda k: log_abs_xhat(V, k), 40.0)
     assert abs(d - 4.0) < 0.05 * 4.0
 
 
 def test_indicator_width_yhat():
     V = square_well(-4.0, -1.0, 1.0)
-    d = indicator_width(lambda k: log_abs_yhat(V, k), 40.0, logabs=True)
+    d = indicator_width(lambda k: log_abs_yhat(V, k), 40.0)
     assert abs(d - 4.0) < 0.05 * 4.0
 
 
@@ -86,12 +94,26 @@ def test_subadditivity_under_products_and_sums():
     f = lambda k: xhat(V1, k)
     g = lambda k: xhat(V2, k)
     for theta in (np.pi / 2, -np.pi / 2, 2.1, -0.9):
-        hf = indicator_estimate(f, theta, 30.0).h
-        hg = indicator_estimate(g, theta, 30.0).h
-        hfg = indicator_estimate(lambda k: f(k) * g(k), theta, 30.0).h
-        hsum = indicator_estimate(lambda k: f(k) + g(k), theta, 30.0).h
+        hf = indicator_estimate(_ln(f), theta, 30.0).h
+        hg = indicator_estimate(_ln(g), theta, 30.0).h
+        hfg = indicator_estimate(_ln(lambda k: f(k) * g(k)), theta, 30.0).h
+        hsum = indicator_estimate(_ln(lambda k: f(k) + g(k)), theta, 30.0).h
         assert hfg <= hf + hg + 0.05
         assert hsum <= max(hf, hg) + 0.05
+
+
+@pytest.mark.parametrize("fit", [lambda f: indicator_estimate(f, np.pi / 2, 40.0),
+                                 lambda f: indicator_width(f, 40.0),
+                                 lambda f: cartwright_integral(f, 40.0)])
+def test_growth_fits_refuse_f_itself(fit):
+    """The fits read ln|f|.  Given plain xhat, read as ln|xhat|, indicator_width
+    gave -1.7e63 on sw4 at r 40 and cartwright_integral 4.06, converged;
+    complex values now raise before any fit or integral runs."""
+    V = square_well(-4.0, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="real array"):
+            fit(lambda k: xhat(V, k))
 
 
 # -- zero density -----------------------------------------------------------
@@ -151,13 +173,13 @@ def test_density_of_square_well_resonances():
 
 
 def test_cartwright_constant():
-    rep = cartwright_integral(lambda z: np.ones_like(np.asarray(z)), 50.0)
+    rep = cartwright_integral(_ln(lambda z: np.ones_like(np.asarray(z))), 50.0)
     assert abs(float(rep)) < 1e-12
 
 
 def test_cartwright_ik_self_refinement():
     """Tail-corrected value is cutoff-independent and matches the exact one."""
-    f = lambda z: 1j * np.asarray(z)
+    f = _ln(lambda z: 1j * np.asarray(z))
     v1 = float(cartwright_integral(f, 50.0))
     v2 = float(cartwright_integral(f, 500.0))
     assert abs(v1 - v2) < 1e-6
@@ -167,7 +189,7 @@ def test_cartwright_ik_self_refinement():
 
 def test_cartwright_xhat_converges():
     V = square_well(-4.0, -1.0, 1.0)
-    rep = cartwright_integral(lambda k: log_abs_xhat(V, k), 100.0, logabs=True)
+    rep = cartwright_integral(lambda k: log_abs_xhat(V, k), 100.0)
     assert rep.converged
     assert np.isfinite(float(rep))
     assert abs(rep.growth_order - 1.0) < 0.2
@@ -175,7 +197,7 @@ def test_cartwright_xhat_converges():
 
 def test_cartwright_rejects_exponential_growth():
     with pytest.raises(NonConvergentTail):
-        cartwright_integral(lambda z: np.exp(np.abs(np.asarray(z))), 30.0)
+        cartwright_integral(_ln(lambda z: np.exp(np.abs(np.asarray(z)))), 30.0)
 
 
 def _log_plus(V):
@@ -193,7 +215,7 @@ def test_cartwright_calls_f_once_per_level():
         calls.append(np.size(k))
         return log_abs_xhat(V, k)
 
-    rep = cartwright_integral(f, 40.0, logabs=True)
+    rep = cartwright_integral(f, 40.0)
     assert len(calls) <= 30
     assert rep.converged is True
     got, got_err = _quad(_log_plus(V), -40.0, 40.0)
@@ -201,7 +223,7 @@ def test_cartwright_calls_f_once_per_level():
     want, want_err = quad(lambda x: float(_log_plus(V)(x)), -40.0, 40.0, limit=400)
     assert abs(got - want) <= got_err + want_err
     for sign in (+1.0, -1.0):
-        p, q, _ = _tail_fit(f, 40.0, sign, True)
+        p, q, _ = _tail_fit(f, 40.0, sign)
         model = lambda x: np.maximum(p * np.log(x) + q, 0.0) / (1.0 + x * x)
         got, got_err = _quad_tail(model, 40.0, 1.0)
         want, want_err = quad(model, 40.0, np.inf, limit=400)
@@ -222,7 +244,7 @@ def test_kinks_of_log_plus_count_their_mass():
          1.6711498972930316, 3.6345851670149725, -1.1950498189880676,
          0.5848394144704429])
     cutoff = 29.328860766130763
-    rep = cartwright_integral(lambda k: log_abs_xhat(V, k), cutoff, logabs=True)
+    rep = cartwright_integral(lambda k: log_abs_xhat(V, k), cutoff)
     value, err = _quad(_log_plus(V), -cutoff, cutoff)
     assert value == rep.value
     assert not rep.converged or abs(value - 1.5570252144) <= err + 1e-9
@@ -246,11 +268,11 @@ def test_cartwright_converged_covers_the_main_integral(monkeypatch):
     f = lambda k: log_abs_xhat(V, k)
     monkeypatch.setattr(asymptotics, "_LEVELS", 3)
     for sign in (+1.0, -1.0):
-        p, q, _ = _tail_fit(f, 40.0, sign, True)
+        p, q, _ = _tail_fit(f, 40.0, sign)
         t, err = _quad_tail(
             lambda x: np.maximum(p * np.log(x) + q, 0.0) / (1.0 + x * x), 40.0, 1.0)
         assert err < 1e-8 * (1.0 + abs(t))
-    assert cartwright_integral(f, 40.0, logabs=True).converged is False
+    assert cartwright_integral(f, 40.0).converged is False
 
 
 @given(wells(), st.floats(2.0, 40.0))
@@ -376,7 +398,7 @@ def test_nevanlinna_unconverged_integral_raises(monkeypatch):
 
 
 def _yhat_sigma(V, r_max):
-    return indicator_estimate(lambda k: log_abs_yhat(V, k), np.pi / 2, r_max, logabs=True).h
+    return indicator_estimate(lambda k: log_abs_yhat(V, k), np.pi / 2, r_max).h
 
 
 def test_nevanlinna_yhat_shallow_well():

@@ -73,6 +73,24 @@ def test_non_finite_potential_file(tmp_path, capsys, content, command):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ['{"breakpoints": [1, -1], "values": [2]}',
+                                     '{"breakpoints": [0.5, 1], "values": [2]}',
+                                     '{"breakpoints": [-1, 1], "values": [0]}',
+                                     '{"breakpoints": [-1, 0, 1], "values": [2]}'])
+@pytest.mark.parametrize("command", [["scattering-grid"], ["resonances", "--radius", "5"]])
+def test_potential_file_it_cannot_build(tmp_path, capsys, content, command):
+    """Decreasing breakpoints, a hull off the origin, an all-zero well and a
+    length mismatch raise the library's own construction errors; from a
+    file, each is a malformed file: exit 1, not 2."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    out = str(tmp_path / "o.out")
+    code = cli.main([*command, "--potential", str(bad), "--out", out])
+    assert code == cli.USAGE_EXIT
+    assert not os.path.exists(out)
+    assert "malformed Potential file" in capsys.readouterr().err
+
+
 def test_scattering_grid(well_file, tmp_path):
     out = tmp_path / "grid.csv"
     svg = tmp_path / "grid.svg"
@@ -143,6 +161,19 @@ def test_density(well_file, tmp_path):
     d = json.loads(out.read_text())
     assert d["delta"] > 0
     assert csv.read_text().startswith("r,n")
+
+
+def test_density_with_no_zeros_writes_an_empty_fit(well_file, tmp_path):
+    """sw4 has no resonance within radius 0.5: the report reads zero, and the
+    CSV and the SVG are still written."""
+    out, csv, svg = tmp_path / "dens.json", tmp_path / "dens.csv", tmp_path / "dens.svg"
+    code = cli.main(["density", "--potential", well_file, "--radius", "0.5",
+                     "--out", str(out), "--csv", str(csv), "--svg", str(svg)])
+    assert code == cli.PASS_EXIT
+    d = json.loads(out.read_text())
+    assert d["delta"] == 0.0 and d["n_in_sector"] == 0
+    assert csv.read_text() == "r,n\n"
+    assert svg.read_text().startswith("<svg")
 
 
 def test_indicator(well_file, tmp_path):
@@ -271,6 +302,20 @@ def test_inverse_recover(tmp_path):
     assert trace.read_text().startswith("iteration,loss")
 
 
+def test_inverse_recover_from_a_random_start_is_seeded(tmp_path):
+    right = Fragment((0.0, 1.0), (-2.0,))
+    truth = make_piecewise([-1.0, -0.5, 0.0, 1.0], [-3.0, 1.0, -2.0])
+    spec = synthesize_data(right, -1.0, 2, truth, np.linspace(0.3, 10.0, 30))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec.to_json()))
+    outs = [tmp_path / "rec1.json", tmp_path / "rec2.json"]
+    for out in outs:
+        assert cli.main(["--seed", "5", "inverse-recover", "--spec", str(spec_path),
+                         "--init", "random", "--out", str(out)]) == cli.PASS_EXIT
+    assert json.loads(outs[0].read_text())["converged"]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_inverse_recover_malformed_spec(tmp_path, capsys):
     bad = tmp_path / "spec.json"
     bad.write_text('{"a": -1.0}')
@@ -283,10 +328,13 @@ def test_inverse_recover_malformed_spec(tmp_path, capsys):
 
 @pytest.mark.parametrize("edit", [lambda d: d["data"]["k"].__setitem__(3, float("nan")),
                                   lambda d: d["data"]["det_s_re"].__setitem__(3, float("inf")),
-                                  lambda d: d["data"]["det_s_im"].append(0.5)])
+                                  lambda d: d["data"]["det_s_im"].append(0.5),
+                                  lambda d: d["known_right"].__setitem__("breakpoints",
+                                                                         [0.5, 0.2])])
 def test_inverse_recover_rejects_a_spec_it_cannot_fit(tmp_path, capsys, edit):
-    """A non-finite k or det S sample, or det S parts of unequal length, is
-    a malformed spec: exit 1, before any fit."""
+    """A non-finite k or det S sample, det S parts of unequal length, or a
+    known right part that cannot be built is a malformed spec: exit 1,
+    before any fit."""
     right = Fragment((0.0, 1.0), (-2.0,))
     truth = make_piecewise([-1.0, -0.5, 0.0, 1.0], [-3.0, 1.0, -2.0])
     d = synthesize_data(right, -1.0, 2, truth, np.linspace(0.3, 10.0, 30)).to_json()

@@ -627,6 +627,25 @@ def test_winding_near_close_zeros_does_not_alias(f, rect, want):
     assert winding_number(f, rect) == want
 
 
+@pytest.mark.xfail(strict=True, reason="a simple zero near a corner goes uncounted")
+@pytest.mark.parametrize("rect, roots", [
+    (Rect(0.5096852967626231 - 0.19775929944701587j, 3.2130832147123987 + 0.5533042396491141j),
+     [(3.1768623541897894 - 0.18572019748431084j, 1),
+      (3.2119070767602143 - 0.1976549372189336j, 1),
+      (3.206945765925266 - 0.1734765335652848j, 2)]),
+    (Rect(-0.2702338907425901 + 0.999655895481544j, -0.04070723423947656 + 1.0298723172317927j),
+     [(-0.27020084814321244 + 1.0298631535832807j, 1),
+      (-0.27006337611990044 + 1.0284834686571855j, 3)]),
+])
+def test_zeros_crowding_a_corner_are_all_counted(rect, roots):
+    """4 zeros within 3e-2 of the longer side from one corner, as a count on
+    2^20 boundary samples confirms.  The count reads 3 and find_zeros
+    returns 3 with no error: the simple zero nearest the corner is lost."""
+    f = lambda z: np.prod([(z - r) ** m for r, m in roots], axis=0)
+    assert winding_number(f, rect) == 4
+    assert find_zeros(f, rect).total_multiplicity() == 4
+
+
 @st.composite
 def root_sets(draw):
     """1-4 distinct roots, each at least 0.05 inside Rect(-1-1i, 1+1i):

@@ -19,7 +19,7 @@ from resonances1d.inverse import (
     uniqueness_report,
     write_loss_trace_csv,
 )
-from resonances1d.potential import Fragment, Potential, make_piecewise
+from resonances1d.potential import Fragment, Potential, glue, make_piecewise
 from resonances1d.scattering import det_s, det_s_jacobian
 
 
@@ -74,6 +74,24 @@ def test_candidate_construction():
     # zero cells are kept so the parameter vector length never changes
     cand0 = spec.candidate([0.0, 0.0])
     assert len(cand0.values) == len(cand.values)
+
+
+def test_candidate_fills_the_gap_before_a_right_part_off_the_origin():
+    """A known right part starting at 0.25 gets a zero cell on [0, 0.25]:
+    the candidate is the glued truth, cell for cell and in det S bit for
+    bit, and the fit from zeros recovers it."""
+    right = Fragment((0.25, 0.5, 1.0), (-2.0, 1.5))
+    params = (-1.5, 0.7, -0.3)
+    truth = glue(Fragment(tuple(np.linspace(-1.0, 0.0, 4)), params), right)
+    ks = np.linspace(0.3, 12.0, 60)
+    spec = synthesize_data(right, -1.0, 3, truth, ks)
+    cand = spec.candidate(params)
+    assert cand.breakpoints == truth.breakpoints
+    assert cand.values == truth.values
+    assert det_s(cand, ks).tobytes() == det_s(truth, ks).tobytes()
+    result = recover_left(spec, np.zeros(3))
+    assert result.converged
+    np.testing.assert_allclose(result.recovered_left, params, rtol=0, atol=1e-6)
 
 
 def test_json_round_trip(tmp_path):
