@@ -10,11 +10,8 @@ left half of a potential from determinant data.
 from .errors import Resonances1DError
 from .potential import Fragment, Potential, glue, make_piecewise, square_well
 from .scattering import (
-    JostCoefficients,
     ScatteringSample,
-    TransferMatrix,
     det_s,
-    jost_coefficients,
     log_abs_xhat,
     log_abs_yhat,
     sample,
@@ -69,8 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Resonances1DError",
     "Fragment", "Potential", "glue", "make_piecewise", "square_well",
-    "JostCoefficients", "ScatteringSample", "TransferMatrix", "det_s",
-    "jost_coefficients", "log_abs_xhat", "log_abs_yhat", "sample",
+    "ScatteringSample", "det_s", "log_abs_xhat", "log_abs_yhat", "sample",
     "transfer_matrix", "unitary_residual", "xhat", "yhat",
     "KernelField", "KernelWindow", "Window", "default_window_r",
     "domain_of_influence_check", "kernel_fourier", "solve_kernels",

@@ -255,6 +255,20 @@ def _cmd_inverse_recover(args):
 # argument parsing
 
 
+def _flag(convert, test, what):
+    """An argparse type: convert(text) if it passes test, else a usage error."""
+    def number(text):  # argparse names it in "invalid number value: 'abc'"
+        if not test(x := convert(text)):
+            raise argparse.ArgumentTypeError("%r is not %s" % (text, what))
+        return x
+    return number
+
+
+_FINITE = _flag(float, np.isfinite, "a finite number")
+_POSITIVE = _flag(float, lambda x: 0 < x < np.inf, "a finite number > 0")
+_COUNT = _flag(int, lambda n: n >= 1, "an integer >= 1")
+
+
 @functools.cache  # built once per process; parsing does not change it
 def _build_parser():
     ap = argparse.ArgumentParser(
@@ -267,9 +281,9 @@ def _build_parser():
 
     p = sub.add_parser("scattering-grid", help="sample scattering functions on a real k grid")
     p.add_argument("--potential", required=True)
-    p.add_argument("--k-min", type=float, default=-10.0)
-    p.add_argument("--k-max", type=float, default=10.0)
-    p.add_argument("--n", type=int, default=201)
+    p.add_argument("--k-min", type=_FINITE, default=-10.0)
+    p.add_argument("--k-max", type=_FINITE, default=10.0)
+    p.add_argument("--n", type=_COUNT, default=201)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_scattering_grid)
@@ -282,7 +296,7 @@ def _build_parser():
 
     p = sub.add_parser("resonances", help="zeros of xhat in the lower half-plane")
     p.add_argument("--potential", required=True)
-    p.add_argument("--radius", type=float, default=30.0)
+    p.add_argument("--radius", type=_POSITIVE, default=30.0)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_resonances)
@@ -294,7 +308,7 @@ def _build_parser():
 
     p = sub.add_parser("density", help="sectorial zero-density fit")
     p.add_argument("--potential", required=True)
-    p.add_argument("--radius", type=float, default=40.0)
+    p.add_argument("--radius", type=_POSITIVE, default=40.0)
     p.add_argument("--alpha", type=float, default=-np.pi + 1e-9)
     p.add_argument("--beta", type=float, default=-1e-9)
     p.add_argument("--out", required=True)
@@ -304,8 +318,8 @@ def _build_parser():
 
     p = sub.add_parser("indicator", help="indicator-function sweep for xhat")
     p.add_argument("--potential", required=True)
-    p.add_argument("--r-max", type=float, default=40.0)
-    p.add_argument("--n-theta", type=int, default=25)
+    p.add_argument("--r-max", type=_POSITIVE, default=40.0)
+    p.add_argument("--n-theta", type=_COUNT, default=25)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_indicator)
@@ -313,16 +327,16 @@ def _build_parser():
     p = sub.add_parser("cartwright-check",
                        help="log-plus integrability and density vs d/(2 pi)")
     p.add_argument("--potential", required=True)
-    p.add_argument("--radius", type=float, default=40.0)
+    p.add_argument("--radius", type=_POSITIVE, default=40.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_cartwright_check)
 
     p = sub.add_parser("nevanlinna-check",
                        help="Poisson-representation residual for yhat")
     p.add_argument("--potential", required=True)
-    p.add_argument("--z-re", type=float, default=0.0)
-    p.add_argument("--z-im", type=float, default=2.0)
-    p.add_argument("--cutoff", type=float, default=200.0)
+    p.add_argument("--z-re", type=_FINITE, default=0.0)
+    p.add_argument("--z-im", type=_POSITIVE, default=2.0)
+    p.add_argument("--cutoff", type=_POSITIVE, default=200.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_nevanlinna_check)
 
@@ -330,8 +344,8 @@ def _build_parser():
                        help="windowed-difference function of a glued pair")
     p.add_argument("--potential1", required=True)
     p.add_argument("--potential2", required=True)
-    p.add_argument("--radius", type=float, default=12.0)
-    p.add_argument("--r-window", type=float, default=None)
+    p.add_argument("--radius", type=_POSITIVE, default=12.0)
+    p.add_argument("--r-window", type=_POSITIVE, default=None)
     p.add_argument("--ngrid", type=int, default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_g_experiment)
@@ -339,7 +353,7 @@ def _build_parser():
     p = sub.add_parser("distinguish", help="uniqueness-experiment report for a pair")
     p.add_argument("--potential1", required=True)
     p.add_argument("--potential2", required=True)
-    p.add_argument("--radius", type=float, default=20.0)
+    p.add_argument("--radius", type=_POSITIVE, default=20.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_distinguish)
 

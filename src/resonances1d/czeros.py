@@ -33,7 +33,6 @@ subdivision.
 
 from __future__ import annotations
 
-import json
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -95,15 +94,11 @@ class Rect:
         c = self.center
         return Rect(c + (self.lo - c) * factor, c + (self.hi - c) * factor)
 
-    def boundary_points(self, ts):
-        """Map parameters ts (mod 1) to boundary points, counterclockwise
-        from the lower-left corner."""
-        return _boundary_points(self.lo, self.hi, ts)
-
 
 def _boundary_points(lo, hi, ts):
-    """Rect.boundary_points of the rectangles with corners lo, hi (scalars,
-    or arrays of one rectangle per parameter)."""
+    """Boundary points at parameters ts (mod 1), counterclockwise from the
+    lower-left corner, of the rectangles with corners lo, hi (scalars, or
+    arrays of one rectangle per parameter)."""
     x0, y0, x1, y1 = lo.real, lo.imag, hi.real, hi.imag
     w, h = x1 - x0, y1 - y0
     s = (np.asarray(ts) % 1.0) * (2 * (w + h))
@@ -129,13 +124,6 @@ class ZeroSet:
     def locations(self):
         return np.array([z.location for z in self.zeros], dtype=complex)
 
-    @property
-    def halfplane_counts(self):
-        locs = self.locations
-        if len(locs) == 0:
-            return (0, 0)
-        return (int(np.sum(locs.imag > 0)), int(np.sum(locs.imag < 0)))
-
     def total_multiplicity(self):
         return sum(z.multiplicity for z in self.zeros)
 
@@ -152,10 +140,6 @@ class ZeroSet:
         if radius is not None:
             d["radius"] = radius
         return d
-
-    def save(self, path, radius=None):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(radius), fh, indent=2)
 
 
 # _BINOM[p, j] = C(p, j) and _EXP[p, j] = p - j where j <= p, for _shifted

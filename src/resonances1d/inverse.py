@@ -9,7 +9,6 @@ distinct left parts must produce visibly different determinants.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -97,13 +96,10 @@ class InverseProblemSpec:
             raise ValueError("det_s_re and det_s_im differ in length: %d and %d"
                              % (len(re), len(im)))
         vals = tuple(complex(x, y) for x, y in zip(re, im))
-        return cls(kr, float(d["a"]), int(d["n_params"]),
+        if type(d["n_params"]) is not int:  # not 2.5, true or "2"
+            raise ValueError("n_params must be an integer, got %r" % (d["n_params"],))
+        return cls(kr, float(d["a"]), d["n_params"],
                    k_samples=tuple(data.get("k", [])), det_s_values=vals)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -143,10 +139,6 @@ def _residual(spec, params):
     diff = model - np.asarray(spec.det_s_values, dtype=complex)
     r = np.concatenate([diff.real, diff.imag])
     return r, np.concatenate([J.real, J.imag]), float(np.dot(r, r))
-
-
-def loss(spec: InverseProblemSpec, params) -> float:
-    return _residual(spec, params)[2]
 
 
 def recover_left(spec: InverseProblemSpec, init, max_iter: int = 100) -> RecoveryResult:

@@ -79,11 +79,6 @@ class Fragment:
     def hull(self):
         return (self.breakpoints[0], self.breakpoints[-1])
 
-    def integral(self):
-        return float(
-            np.dot(np.asarray(self.values), np.diff(np.asarray(self.breakpoints)))
-        )
-
 
 @dataclass(frozen=True)
 class Potential:
@@ -212,11 +207,6 @@ class Potential:
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def make_piecewise(breakpoints: Sequence[float], values: Sequence[float],

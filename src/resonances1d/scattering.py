@@ -160,15 +160,6 @@ def _add_cells(logscale, t):
     return np.cumsum(np.concatenate([logscale[None], t]), axis=0)[-1]
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Unscaled 2x2 propagator of (psi, psi') data across the hull."""
-
-    entries: np.ndarray
-    k: complex
-    potential: Potential
-
-
 def _points(k):
     """k as a complex array of at least one dimension."""
     return np.atleast_1d(np.asarray(k, dtype=complex))
@@ -179,12 +170,12 @@ def _like(k, out):
     return out.item() if np.ndim(k) == 0 else out
 
 
-def transfer_matrix(V: Potential, k) -> TransferMatrix:
-    """Transfer matrix at a single complex k (entire in k)."""
+def transfer_matrix(V: Potential, k) -> np.ndarray:
+    """The unscaled transfer matrix of (psi, psi') data across the hull at a
+    single complex k (entire in k), as a (2, 2) complex array."""
     M11, M12, M21, M22, ls = _scaled_transfer(V, _points(complex(k)))
     f = np.exp(ls)
-    ent = np.array([[M11 * f, M12 * f], [M21 * f, M22 * f]], dtype=complex)
-    return TransferMatrix(ent[..., 0], complex(k), V)
+    return np.array([[M11 * f, M12 * f], [M21 * f, M22 * f]], dtype=complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +453,6 @@ def unitary_residual(V: Potential, k):
 # S-matrix entries
 
 
-@dataclass(frozen=True)
-class JostCoefficients:
-    t: complex
-    r_right: complex
-    r_left: complex
-    k_zero_limit: bool = False
-
-
 def _quotient(num, den):
     """num conj(den) / |den|^2, both first scaled by the power of two that
     brings |den| into [1/2, 1), so a subnormal den gives no nan.  Each part
@@ -510,14 +493,6 @@ def _jost_from(V, k, P):
         r = (M11 - M22 - (a + b) * M21) / d
         out[:, zero] = [2 * np.exp(-ls) / d, r, -r]
     return out
-
-
-def jost_coefficients(V: Potential, k) -> JostCoefficients:
-    """Transmission and the two reflections at one complex k."""
-    k = complex(k)
-    kk = _points(k)
-    rows = _jost_from(V, kk, _scaled_transfer(V, kk))
-    return JostCoefficients(*(r.item() for r in rows), k_zero_limit=k == 0)
 
 
 def _det_s_from(V, k, P):

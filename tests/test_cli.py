@@ -91,6 +91,37 @@ def test_potential_file_it_cannot_build(tmp_path, capsys, content, command):
     assert "malformed Potential file" in capsys.readouterr().err
 
 
+_OUT_OF_RANGE = [("resonances", "--radius", "-1"), ("resonances", "--radius", "nan"),
+                 ("density", "--radius", "-1"), ("density", "--radius", "nan"),
+                 ("distinguish", "--radius", "-1"), ("distinguish", "--radius", "nan"),
+                 ("indicator", "--r-max", "0"), ("indicator", "--r-max", "-5"),
+                 ("indicator", "--n-theta", "-1"),
+                 ("cartwright-check", "--radius", "0"), ("cartwright-check", "--radius", "inf"),
+                 ("nevanlinna-check", "--cutoff", "0"), ("nevanlinna-check", "--z-im", "-1"),
+                 ("nevanlinna-check", "--z-re", "nan"),
+                 ("g-experiment", "--radius", "-4"), ("g-experiment", "--radius", "inf"),
+                 ("g-experiment", "--r-window", "-1"),
+                 ("scattering-grid", "--k-min", "nan"), ("scattering-grid", "--k-max", "inf"),
+                 ("scattering-grid", "--n", "-1")]
+
+
+@pytest.mark.parametrize("command, flag, value", _OUT_OF_RANGE)
+def test_out_of_range_numeric_flag_is_a_usage_error(well_file, tmp_path, capsys,
+                                                    command, flag, value):
+    """A radius, cutoff or height that is not finite and positive, a k bound
+    that is not finite or a count below 1 is argparse's one-line usage
+    error: exit 1 before any numerics, where these runs raised a traceback,
+    blamed the numerics with exit 2, or wrote a meaningless result."""
+    out = tmp_path / "o.out"
+    inputs = (["--potential1", well_file, "--potential2", well_file]
+              if command in ("distinguish", "g-experiment") else ["--potential", well_file])
+    code = cli.main([command, *inputs, flag, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.USAGE_EXIT
+    assert "Traceback" not in err and "error: argument %s" % flag in err
+    assert not out.exists()
+
+
 def test_scattering_grid(well_file, tmp_path):
     out = tmp_path / "grid.csv"
     svg = tmp_path / "grid.svg"
@@ -254,6 +285,22 @@ def test_nevanlinna_check_on_the_two_cell_well_gets_to_its_verdict(tmp_path, cap
     assert '"error"' not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cartwright-check", "nevanlinna-check", "distinguish"])
+def test_report_on_stdout_is_the_out_file(well_file, pair_files, tmp_path, capsys, command):
+    """Without --out the report is printed: byte for byte the file --out
+    writes, with the same exit code (sw4's nevanlinna-check exits 2)."""
+    p1, p2 = pair_files
+    args = {"cartwright-check": ["--potential", well_file, "--radius", "20"],
+            "nevanlinna-check": ["--potential", well_file],
+            "distinguish": ["--potential1", p1, "--potential2", p2, "--radius", "8"]}[command]
+    printed = cli.main([command, *args])
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert cli.main([command, *args, "--out", str(out)]) == printed
+    assert stdout.encode() == out.read_bytes()
+    assert capsys.readouterr().out == ""
+
+
 def test_g_experiment(pair_files, tmp_path):
     p1, p2 = pair_files
     out = tmp_path / "g.json"
@@ -330,11 +377,15 @@ def test_inverse_recover_malformed_spec(tmp_path, capsys):
                                   lambda d: d["data"]["det_s_re"].__setitem__(3, float("inf")),
                                   lambda d: d["data"]["det_s_im"].append(0.5),
                                   lambda d: d["known_right"].__setitem__("breakpoints",
-                                                                         [0.5, 0.2])])
+                                                                         [0.5, 0.2]),
+                                  lambda d: d.__setitem__("n_params", 2.5),
+                                  lambda d: d.__setitem__("n_params", True),
+                                  lambda d: d.__setitem__("n_params", "2")])
 def test_inverse_recover_rejects_a_spec_it_cannot_fit(tmp_path, capsys, edit):
-    """A non-finite k or det S sample, det S parts of unequal length, or a
-    known right part that cannot be built is a malformed spec: exit 1,
-    before any fit."""
+    """A non-finite k or det S sample, det S parts of unequal length, a
+    known right part that cannot be built, or an n_params that is not an
+    integer (2.5, true and "2" were read as 2, 1 and 2) is a malformed
+    spec: exit 1, before any fit."""
     right = Fragment((0.0, 1.0), (-2.0,))
     truth = make_piecewise([-1.0, -0.5, 0.0, 1.0], [-3.0, 1.0, -2.0])
     d = synthesize_data(right, -1.0, 2, truth, np.linspace(0.3, 10.0, 30)).to_json()

@@ -13,7 +13,6 @@ from resonances1d.errors import DivergedLoss, PoleAtK, SharedPartMismatch
 from resonances1d.inverse import (
     InverseProblemSpec,
     distinguishability,
-    loss,
     recover_left,
     synthesize_data,
     uniqueness_report,
@@ -99,14 +98,15 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     with open(path, "w") as fh:
         json.dump(spec.to_json(), fh)
-    back = InverseProblemSpec.load(path)
+    with open(path) as fh:
+        back = InverseProblemSpec.from_json(json.load(fh))
     assert back == spec
 
 
 def test_loss_vanishes_at_truth():
     spec, _ = _spec([-3.0, 1.0])
-    assert loss(spec, [-3.0, 1.0]) < 1e-22
-    assert loss(spec, [-2.0, 1.0]) > 1e-4
+    assert inverse._residual(spec, [-3.0, 1.0])[2] < 1e-22
+    assert inverse._residual(spec, [-2.0, 1.0])[2] > 1e-4
 
 
 def test_recovery_fixed_point():

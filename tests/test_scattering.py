@@ -12,7 +12,6 @@ from resonances1d.errors import PoleAtK
 from resonances1d.potential import Potential, make_piecewise, square_well
 from resonances1d.scattering import (
     det_s,
-    jost_coefficients,
     log_abs_xhat,
     sample,
     transfer_matrix,
@@ -43,7 +42,7 @@ def test_single_cell_matches_closed_form(rng):
     V = square_well(-3.0, -0.7, 0.7)
     for _ in range(25):
         k = complex(rng.uniform(-8, 8), rng.uniform(-3, 3))
-        M = transfer_matrix(V, k).entries
+        M = transfer_matrix(V, k)
         O = _single_cell_oracle(-3.0, 1.4, k)
         np.testing.assert_allclose(M, O, rtol=1e-12, atol=1e-12)
 
@@ -52,7 +51,7 @@ def test_multi_cell_is_product_of_cells(rng):
     V = make_piecewise([-1.2, -0.3, 0.4, 1.0], [2.0, -5.0, 1.0])
     for _ in range(10):
         k = complex(rng.uniform(-6, 6), rng.uniform(-2, 2))
-        M = transfer_matrix(V, k).entries
+        M = transfer_matrix(V, k)
         O = np.eye(2, dtype=complex)
         for x0, x1, v in zip(V.breakpoints, V.breakpoints[1:], V.values):
             O = _single_cell_oracle(v, x1 - x0, k) @ O
@@ -63,7 +62,7 @@ def test_transfer_determinant_is_one(rng):
     V = make_piecewise([-1.0, -0.2, 0.8], [-4.0, 2.5])
     for _ in range(20):
         k = complex(rng.uniform(-10, 10), rng.uniform(-4, 4))
-        M = transfer_matrix(V, k).entries
+        M = transfer_matrix(V, k)
         assert abs(np.linalg.det(M) - 1.0) < 1e-10 * max(1.0, np.abs(M).max())
 
 
@@ -96,16 +95,16 @@ def test_square_well_transmission_oracle():
         expected = 1.0 / (
             1.0 + v0 * v0 * np.sin(kappa * w) ** 2 / (4 * E * (E - v0))
         )
-        t = jost_coefficients(V, k).t
+        t = sample(V, k).t
         assert abs(abs(t) ** 2 - expected) < 1e-10
 
 
 def test_flux_conservation_on_real_axis(rng):
     V = make_piecewise([-0.9, -0.1, 0.3, 1.2], [1.5, -3.0, 2.0])
     for k in rng.uniform(0.2, 15, 25):
-        jc = jost_coefficients(V, k)
-        assert abs(abs(jc.t) ** 2 + abs(jc.r_right) ** 2 - 1.0) < 1e-10
-        assert abs(abs(jc.t) ** 2 + abs(jc.r_left) ** 2 - 1.0) < 1e-10
+        s = sample(V, k)
+        assert abs(abs(s.t) ** 2 + abs(s.r_right) ** 2 - 1.0) < 1e-10
+        assert abs(abs(s.t) ** 2 + abs(s.r_left) ** 2 - 1.0) < 1e-10
 
 
 def test_det_s_unimodular_on_reals(rng):
@@ -180,36 +179,34 @@ def test_log_abs_matches_direct_evaluation():
 
 def test_jost_k_zero_limit():
     V = square_well(-1.0, -0.5, 0.5)
-    jc = jost_coefficients(V, 0.0)
-    assert jc.k_zero_limit
+    s = sample(V, 0.0)
     # generic potentials are totally reflecting at zero energy
-    assert jc.t == 0 and jc.r_right == jc.r_left == -1
+    assert s.t == 0 and s.r_right == s.r_left == -1
 
 
 def test_zero_energy_resonance_in_closed_form():
     """The exceptional well transmits totally at k = 0: t = -1, r = 0 and
-    det S = 1, by jost_coefficients, det_s and sample alike."""
+    det S = 1, by det_s and sample alike."""
     V = EXCEPTIONAL
-    jc, s = jost_coefficients(V, 0.0), sample(V, 0.0)
-    for t, r_right, r_left, ds in ((jc.t, jc.r_right, jc.r_left, det_s(V, 0.0)),
-                                   (s.t, s.r_right, s.r_left, s.det_s)):
-        assert abs(t + 1) < 1e-12
-        assert abs(r_right) < 1e-12 and abs(r_left) < 1e-12
+    s = sample(V, 0.0)
+    assert abs(s.t + 1) < 1e-12
+    assert abs(s.r_right) < 1e-12 and abs(s.r_left) < 1e-12
+    for ds in (det_s(V, 0.0), s.det_s):
         assert abs(ds - 1) < 1e-12
 
 
 def test_generic_well_reflects_totally_at_zero():
     """On sw4 xhat(0) != 0 gives t = 0, r = -1 and det S = -1 exactly."""
     V = square_well(-4.0, -1.0, 1.0)
-    jc, s = jost_coefficients(V, 0.0), sample(V, 0.0)
-    assert jc.t == s.t == 0
-    assert jc.r_right == jc.r_left == s.r_right == s.r_left == -1
+    s = sample(V, 0.0)
+    assert s.t == 0
+    assert s.r_right == s.r_left == -1
     assert det_s(V, 0.0) == s.det_s == -1
 
 
 @pytest.mark.parametrize("V", [square_well(-4.0, -1.0, 1.0), EXCEPTIONAL],
                          ids=["sw4", "exceptional"])
-@pytest.mark.parametrize("call", [jost_coefficients, det_s, sample])
+@pytest.mark.parametrize("call", [det_s, sample])
 def test_one_cell_product_at_zero(V, call):
     with mock.patch.object(scattering, "_scaled_transfer",
                            wraps=scattering._scaled_transfer) as transfer:
