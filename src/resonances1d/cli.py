@@ -123,9 +123,11 @@ def _cmd_bound_states(args):
 
 
 def _cmd_density(args):
+    sector = (args.alpha, args.beta)
+    if args.alpha >= args.beta:
+        raise UsageError("empty sector: --alpha %r is not below --beta %r" % sector)
     V = _load(args.potential)
     zs = czeros.resonances(V, args.radius)
-    sector = (args.alpha, args.beta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LowCountWarning)
         rep = asymptotics.zero_density(zs, sector)
@@ -309,8 +311,8 @@ def _build_parser():
     p = sub.add_parser("density", help="sectorial zero-density fit")
     p.add_argument("--potential", required=True)
     p.add_argument("--radius", type=_POSITIVE, default=40.0)
-    p.add_argument("--alpha", type=float, default=-np.pi + 1e-9)
-    p.add_argument("--beta", type=float, default=-1e-9)
+    p.add_argument("--alpha", type=_FINITE, default=-np.pi + 1e-9)
+    p.add_argument("--beta", type=_FINITE, default=-1e-9)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
@@ -361,7 +363,7 @@ def _build_parser():
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--init", choices=["zeros", "random"], default="zeros")
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=_COUNT, default=100)
     p.add_argument("--truth", default=None)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=_cmd_inverse_recover)

@@ -56,7 +56,6 @@ Sign convention resolved numerically (large real k):  xhat(k) - ik tends to
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import reduce
 
@@ -617,13 +616,12 @@ def sample(V: Potential, k) -> ScatteringSample:
 
 
 def write_samples_csv(path, samples):
-    """One row per k-point of a ScatteringSample."""
+    """One row per k-point of a ScatteringSample.  The bytes are
+    csv.writer's: repr of each float, CRLF line ends."""
     cols = [np.ravel(getattr(samples, f)).tolist()
             for f in ("k", "xhat", "yhat", "det_s", "residual_u")]
+    lines = ["k_re,k_im,xhat_re,xhat_im,yhat_re,yhat_im,dets_re,dets_im,residual_U"]
+    lines += [f"{k.real!r},{k.imag!r},{x.real!r},{x.imag!r},{y.real!r},{y.imag!r},"
+              f"{ds.real!r},{ds.imag!r},{u!r}" for k, x, y, ds, u in zip(*cols)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k_re", "k_im", "xhat_re", "xhat_im", "yhat_re", "yhat_im",
-                    "dets_re", "dets_im", "residual_U"])
-        for k, x, y, ds, u in zip(*cols):
-            w.writerow([k.real, k.imag, x.real, x.imag, y.real, y.imag,
-                        ds.real, ds.imag, u])
+        fh.write("\r\n".join(lines) + "\r\n")

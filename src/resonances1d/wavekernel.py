@@ -25,23 +25,24 @@ Supports are exact: X_reg lives on [-2(b-a), 0], Y_reg on [2a, 2b].
 
 V depends on x = (xi+eta)/2 alone, so it is constant on each anti-diagonal
 xi + eta = const of the grid.  The march advances one anti-diagonal at a
-time, reads only the two before it, and adds each one's V u into the X and
-Y quadratures as it goes: O(n) memory for an n-by-n triangle.  V is sampled
-once per anti-diagonal, at x_d = a + d (b-a)/n; the exit line x = b takes
-the last cell's value exactly, not a rounded (xi+eta)/2 that may land past b.
-The update coefficients of every anti-diagonal are computed once, before the
-march, and the march rotates three preallocated length-(n+1) buffers, writing
-each step in place: it allocates no array per anti-diagonal.
+time and reads only the two before it.  V is sampled once per anti-diagonal,
+at x_d = a + d (b-a)/n; the exit line x = b takes the last cell's value
+exactly, not a rounded (xi+eta)/2 that may land past b.  The update
+coefficients of every anti-diagonal are computed once, before the march.
+The march writes each step in place into a preallocated block of _FLUSH + 2
+rows of length n + 1, and adds the V u of _FLUSH anti-diagonals at a time
+into the X and Y quadratures, one matrix-vector product each: O(n) memory,
+(_FLUSH + 2)(n + 1) doubles, for an n-by-n triangle, and no array allocated
+per anti-diagonal.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field as dfield
-from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import GridTooCoarse, ImaginaryPartTooLarge, SharedPartMismatch
 from .potential import Potential, _require_shared_right
@@ -50,6 +51,8 @@ from .scattering import _like, _points
 # k per exp(-i k s) block of a windowed transform: each block holds at most
 # _K_ROWS * len(s) entries, however many k one call takes
 _K_ROWS = 257
+# anti-diagonals per flush of the march's quadrature sums
+_FLUSH = 32
 
 
 class Window(enum.Enum):
@@ -108,6 +111,12 @@ def _march(V: Potential, n: int):
     """March the Goursat problem over the triangle xi + eta <= 2b.
 
     Anti-diagonal d holds u(xi_i, eta_{d-i}), i = 0..d, all at time x_d.
+    The diagonals of one block go into rows 2.. of a (_FLUSH + 2)-row
+    buffer, the two before the block into rows 0 and 1; each row holds zeros
+    past its own diagonal, since a row only ever takes longer ones.  Once per
+    block, the quadrature sums take the block's V u in one product each: the
+    columns through a view whose row stride is one longer than the buffer's,
+    which shifts diagonal d right by n - d.
     Returns (x_grid, X_reg, y_grid, Y_reg, y_leading).
     """
     a, b = V.hull
@@ -126,24 +135,34 @@ def _march(V: Potential, n: int):
     p, s = np.zeros(n + 1), np.zeros(n + 1)
     p[2:] = (1.0 + c * v[1:-1]) / (1.0 - c * v[2:])
     s[2:] = c * (v[1:-1] + v[:-2]) / (1.0 - c * v[2:])
-    rows = np.zeros(n + 1)   # sum over eta of V u, per xi_i
-    cols = np.zeros(n + 1)   # sum over xi of V u, per eta_j, at index n - j
-    # diagonal d lives in u[:d+1]; older's spent buffer takes V u
-    u, prev, older = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
-    for d, (pd, sd, vd, ed) in enumerate(zip(p, s, v, edge)):
-        if d >= 2:
-            mid, old = u[1:d], older[:d - 1]
-            np.add(prev[:d - 1], prev[1:d], out=mid)
-            mid -= old
-            mid *= pd
-            old *= sd
-            mid += old
-        u[d] = 0.0                             # u = 0 on eta = 2a
-        u[0] = ed
-        w = np.multiply(u[:d + 1], vd, out=older[:d + 1])
-        rows[:d + 1] += w
-        cols[n - d:] += w
-        older, prev, u = prev, u, older
+    W = n + 1
+    rows = np.zeros(W)   # sum over eta of V u, per xi_i
+    cols = np.zeros(W)   # sum over xi of V u, per eta_j, at index n - j
+    block, tmp = np.zeros((_FLUSH + 2, W)), np.empty(W)
+    flat, step = block.reshape(-1), block.itemsize
+    for d0 in range(0, W, _FLUSH):
+        nb = min(_FLUSH, W - d0)
+        for r, d in enumerate(range(d0, d0 + nb), 2):
+            u = block[r]
+            if d >= 2:
+                mid, old = u[1:d], block[r - 2, :d - 1]
+                np.add(block[r - 1, :d - 1], block[r - 1, 1:d], out=mid)
+                mid -= old
+                mid *= p[d]
+                mid += np.multiply(old, s[d], out=tmp[:d - 1])
+            u[d] = 0.0                         # u = 0 on eta = 2a
+            u[0] = edge[d]
+        # the block's diagonals fill columns :m; in the sheared view, row
+        # 2 + j starts m - 1 - d0 - j entries early, in the zero tail of the
+        # row before it
+        m = d0 + nb
+        vb = v[d0:m]
+        rows[:m] += np.matmul(vb, block[2:nb + 2, :m], out=tmp[:m])
+        sheared = as_strided(flat[2 * W + 1 - nb:], (nb, m), ((W + 1) * step, step),
+                             writeable=False)
+        cols[W - m:] += np.matmul(vb, sheared, out=tmp[:m])
+        block[:2] = block[nb:nb + 2]
+    w = block[1] * v[-1]                       # the exit diagonal's V u
     # trapezoid end corrections: a row starts on eta = 2a, where u = 0, and
     # ends on the exit line; a column starts on xi = 0 and ends there too
     X = -0.25 * h * (rows - 0.5 * w)
@@ -307,10 +326,11 @@ def domain_of_influence_check(V1: Potential, V2: Potential, r: float,
 
 
 def write_kernels_csv(field: KernelField, path):
-    """One row per sample: grid (X or Y), coordinate, value."""
+    """One row per sample: grid (X or Y), coordinate, value.  The bytes are
+    csv.writer's: repr of each float, CRLF line ends."""
+    lines = ["grid,coordinate,value"]
+    for name, grid, values in (("X", field.x_grid, field.X_reg),
+                               ("Y", field.y_grid, field.Y_reg)):
+        lines += [f"{name},{x!r},{y!r}" for x, y in zip(grid.tolist(), values.tolist())]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["grid", "coordinate", "value"])
-        for name, grid, values in (("X", field.x_grid, field.X_reg),
-                                   ("Y", field.y_grid, field.Y_reg)):
-            w.writerows(zip(repeat(name), grid.tolist(), values.tolist()))
+        fh.write("\r\n".join(lines) + "\r\n")

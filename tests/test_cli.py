@@ -102,7 +102,9 @@ _OUT_OF_RANGE = [("resonances", "--radius", "-1"), ("resonances", "--radius", "n
                  ("g-experiment", "--radius", "-4"), ("g-experiment", "--radius", "inf"),
                  ("g-experiment", "--r-window", "-1"),
                  ("scattering-grid", "--k-min", "nan"), ("scattering-grid", "--k-max", "inf"),
-                 ("scattering-grid", "--n", "-1")]
+                 ("scattering-grid", "--n", "-1"),
+                 ("density", "--alpha", "nan"), ("density", "--beta", "inf"),
+                 ("inverse-recover", "--max-iter", "0"), ("inverse-recover", "--max-iter", "-1")]
 
 
 @pytest.mark.parametrize("command, flag, value", _OUT_OF_RANGE)
@@ -113,8 +115,9 @@ def test_out_of_range_numeric_flag_is_a_usage_error(well_file, tmp_path, capsys,
     error: exit 1 before any numerics, where these runs raised a traceback,
     blamed the numerics with exit 2, or wrote a meaningless result."""
     out = tmp_path / "o.out"
-    inputs = (["--potential1", well_file, "--potential2", well_file]
-              if command in ("distinguish", "g-experiment") else ["--potential", well_file])
+    inputs = {"distinguish": ["--potential1", well_file, "--potential2", well_file],
+              "g-experiment": ["--potential1", well_file, "--potential2", well_file],
+              "inverse-recover": ["--spec", well_file]}.get(command, ["--potential", well_file])
     code = cli.main([command, *inputs, flag, value, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == cli.USAGE_EXIT
@@ -205,6 +208,20 @@ def test_density_with_no_zeros_writes_an_empty_fit(well_file, tmp_path):
     assert d["delta"] == 0.0 and d["n_in_sector"] == 0
     assert csv.read_text() == "r,n\n"
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("alpha, beta", [("1", "-1"), ("-0.5", "-0.5")])
+def test_density_of_an_empty_sector_is_a_usage_error(well_file, tmp_path, capsys,
+                                                     alpha, beta):
+    """A sector with alpha >= beta holds no zero: exit 1 before any search,
+    where it wrote a fit with delta 0."""
+    out = tmp_path / "dens.json"
+    with mock.patch.object(cli.czeros, "resonances") as search:
+        code = cli.main(["density", "--potential", well_file, "--alpha", alpha,
+                         "--beta", beta, "--out", str(out)])
+    assert code == cli.USAGE_EXIT
+    assert "empty sector" in capsys.readouterr().err
+    assert not search.called and not out.exists()
 
 
 def test_indicator(well_file, tmp_path):

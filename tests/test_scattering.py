@@ -1,5 +1,6 @@
 """Forward scattering: transfer matrices, xhat/yhat, det S, unitarity."""
 
+import csv
 from unittest import mock
 
 import mpmath as mp
@@ -237,6 +238,35 @@ def test_sample_csv_round_trip(tmp_path, rng):
         "k_re,k_im,xhat_re,xhat_im,yhat_re,yhat_im,dets_re,dets_im,residual_U"
     )
     assert len(rows) == 4
+
+
+def _samples_csv_by_rows(path, samples):
+    """The samples CSV as first written: one csv.writer row per k-point."""
+    cols = [np.ravel(getattr(samples, f)).tolist()
+            for f in ("k", "xhat", "yhat", "det_s", "residual_u")]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k_re", "k_im", "xhat_re", "xhat_im", "yhat_re", "yhat_im",
+                    "dets_re", "dets_im", "residual_U"])
+        for k, x, y, ds, u in zip(*cols):
+            w.writerow([k.real, k.imag, x.real, x.imag, y.real, y.imag,
+                        ds.real, ds.imag, u])
+
+
+def test_samples_csv_bytes_match_the_row_writer(tmp_path):
+    """repr of each float prints as csv.writer does: k = 0, -0.0 and the inf
+    of det S at a pole (a bound state) included."""
+    V = square_well(-4.0, -1.0, 1.0)
+    pole = bound_states(V)[0].zeros[0].location
+    ks = np.array([pole, 0.0, complex(-0.0, 0.0), complex(1.5, -0.0), 3e-9 - 2.5j,
+                   -7.25 + 0.4j])
+    samples = sample(V, ks)
+    assert samples.det_s[0] == np.inf
+    write_samples_csv(tmp_path / "new.csv", samples)
+    _samples_csv_by_rows(tmp_path / "old.csv", samples)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert b",inf," in new and b"-0.0," in new
+    assert new == (tmp_path / "old.csv").read_bytes()
 
 
 def test_sample_multiplies_the_cells_once(monkeypatch):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -98,12 +98,24 @@ def _reference_march(V, n):
     return -h * np.arange(n, -1, -1), X[::-1], 2 * a + h * np.arange(n + 1), Y, v / 4.0
 
 
-@given(wells(), st.sampled_from([64, 128, 512]))
+# n + 1 below one block of _FLUSH anti-diagonals, and n + 1 leaving
+# _FLUSH - 1, 2, _FLUSH - 1 and 0 in a last block (64, 128 and 512 leave 1)
+_F = wavekernel._FLUSH
+_BLOCK_EDGES = [_F - 2, 2 * _F - 2, 2 * _F + 1, 3 * _F - 2, 3 * _F - 1]
+_EDGE_WELL = make_piecewise([-1.0, -0.2, 0.3, 0.6, 1.0], [1.5, -2.0, 0.7, -1.1])
+
+
+@given(wells(), st.sampled_from([64, 128, 512, *_BLOCK_EDGES]))
+@example(_EDGE_WELL, _BLOCK_EDGES[0])
+@example(_EDGE_WELL, _BLOCK_EDGES[1])
+@example(_EDGE_WELL, _BLOCK_EDGES[2])
+@example(_EDGE_WELL, _BLOCK_EDGES[3])
+@example(_EDGE_WELL, _BLOCK_EDGES[4])
 @settings(max_examples=30, deadline=None)
 def test_march_matches_the_reference_march(V, n):
-    """Precomputed coefficients and in-place buffers reorder the rounding
-    only: the kernels agree within 1e-11 of the kernel scale, the grids and
-    y_leading bit for bit."""
+    """Precomputed coefficients, in-place buffers and sums flushed once per
+    block of anti-diagonals reorder the rounding only: the kernels agree
+    within 1e-11 of the kernel scale, the grids and y_leading bit for bit."""
     got, want = wavekernel._march(V, n), _reference_march(V, n)
     for i in (0, 2, 4):
         assert np.array_equal(got[i], want[i])
