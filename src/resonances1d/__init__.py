@@ -34,7 +34,6 @@ from .czeros import (
     Zero,
     ZeroSet,
     bound_states,
-    conjugate_symmetry_defect,
     find_zeros,
     resonances,
     winding_number,
@@ -70,8 +69,8 @@ __all__ = [
     "transfer_matrix", "unitary_residual", "xhat", "yhat",
     "KernelField", "KernelWindow", "Window", "default_window_r",
     "domain_of_influence_check", "kernel_fourier", "solve_kernels",
-    "Rect", "Zero", "ZeroSet", "bound_states", "conjugate_symmetry_defect",
-    "find_zeros", "resonances", "winding_number",
+    "Rect", "Zero", "ZeroSet", "bound_states", "find_zeros",
+    "resonances", "winding_number",
     "CartwrightReport", "DensityReport", "IndicatorReport", "blaschke",
     "blaschke_chi", "cartwright_integral", "g_function_experiment",
     "indicator_estimate", "indicator_width", "nevanlinna_residual",

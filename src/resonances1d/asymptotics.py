@@ -380,9 +380,15 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
     """Compare the windowed difference G against the full transforms.
 
     G(k) is built from the window-1 and window-3 kernel transforms of the
-    two potentials (window 2, attached to the shared right part, is
-    dropped); its indicator width and lower-half-plane zero density are
-    measured alongside those of the first potential's full transform.
+    two potentials; its indicator width and lower-half-plane zero density
+    are measured alongside those of the first potential's full transform.
+
+    Window 2 is dropped because the paper has the shared right part fix it.
+    domain_of_influence_check does not bear that out: for the values
+    [-1.5, -2.0] and [-1.0, -2.0] on breakpoints [-1, 0, 1] (n = 1024,
+    r = 0.1) it measures X2 and Y2 gaps of 0.0529 and 0.138, against 10x
+    the truncation estimate, 0.00122.  Until that is settled, G differs
+    from the difference of the two xhat by the transform of the X2 gap.
     """
     if r_window is None:
         r_window = default_window_r(V1)
@@ -409,7 +415,7 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
     with np.errstate(divide="ignore"):
         width_g = indicator_width(lambda k: np.log(np.abs(G(k))), radius)
     width_x = indicator_width(lambda k: log_abs_xhat(V1, k), radius)
-    zg = _search_halfplane(G, radius, "G")
+    zg = _search_halfplane(G, radius)
     zx = resonances(V1, radius)
     sector = (-np.pi + 0.05, -0.05)
     with warnings.catch_warnings():
@@ -420,21 +426,3 @@ def g_function_experiment(V1: Potential, V2: Potential, radius: float,
         False, width_g, width_x, width_x - width_g, dg.delta, dx.delta,
         len(zg.zeros), len(zx.zeros), r_window,
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-
-
-def write_density_csv(report: DensityReport, path):
-    with open(path, "w") as fh:
-        fh.write("r,n\n")
-        for r, n in zip(report.radii, report.counts):
-            fh.write("%.17g,%g\n" % (r, n))
-
-
-def write_indicator_csv(reports, path):
-    with open(path, "w") as fh:
-        fh.write("theta,h,fit_residual\n")
-        for rep in reports:
-            fh.write("%.17g,%.17g,%.17g\n" % (rep.theta, rep.h, rep.fit_residual))

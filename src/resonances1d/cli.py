@@ -45,9 +45,20 @@ def _atomic_via(path, writer):
         raise
 
 
+def _atomic_text(path, text):
+    """Write text to path atomically, with no newline translation."""
+    _atomic_via(path, lambda p: Path(p).write_text(text, newline=""))
+
+
 def _atomic_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    _atomic_via(path, lambda p: Path(p).write_text(text))
+    _atomic_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _atomic_csv(path, header, *columns):
+    """The header, then one row per entry of the columns, in csv.writer's
+    bytes: str of each value (repr of a float) and CRLF line ends."""
+    row = ",".join(["{}"] * len(columns)).format
+    _atomic_text(path, "\r\n".join([",".join(header), *map(row, *columns), ""]))
 
 
 def _emit_json(path, obj):
@@ -77,8 +88,11 @@ def _load(path, cls=Potential):
 
 def _cmd_scattering_grid(args):
     V = _load(args.potential)
-    samples = scattering.sample(V, np.linspace(args.k_min, args.k_max, args.n))
-    _atomic_via(args.out, lambda p: scattering.write_samples_csv(p, samples))
+    s = scattering.sample(V, np.linspace(args.k_min, args.k_max, args.n))
+    _atomic_csv(args.out, ["k_re", "k_im", "xhat_re", "xhat_im", "yhat_re", "yhat_im",
+                           "dets_re", "dets_im", "residual_U"],
+                *(part(c).tolist() for c in (s.k, s.xhat, s.yhat, s.det_s)
+                  for part in (np.real, np.imag)), s.residual_u.tolist())
     if args.svg:
         grid_r = np.linspace(args.k_min, args.k_max, 160)
         grid_i = np.linspace(-4.0, 4.0, 120)
@@ -96,15 +110,25 @@ def _cmd_scattering_grid(args):
 
 def _cmd_kernels(args):
     V = _load(args.potential)
-    field = wavekernel.solve_kernels(V, args.ngrid)
-    _atomic_via(args.out, lambda p: wavekernel.write_kernels_csv(field, p))
+    f = wavekernel.solve_kernels(V, args.ngrid)
+    _atomic_csv(args.out, ["grid", "coordinate", "value"],
+                ["X"] * len(f.x_grid) + ["Y"] * len(f.y_grid),
+                f.x_grid.tolist() + f.y_grid.tolist(), f.X_reg.tolist() + f.Y_reg.tolist())
     return PASS_EXIT
+
+
+def _zeros_json(zs):
+    """The report of a ZeroSet of xhat."""
+    return {"function": "xhat",
+            "zeros": [{"re": z.location.real, "im": z.location.imag,
+                       "mult": z.multiplicity, "residual": z.refined_residual,
+                       "converged": z.converged} for z in zs.zeros]}
 
 
 def _cmd_resonances(args):
     V = _load(args.potential)
     zs = czeros.resonances(V, args.radius)
-    _atomic_json(args.out, zs.to_json(radius=args.radius))
+    _atomic_json(args.out, {**_zeros_json(zs), "radius": args.radius})
     if args.svg:
         _atomic_via(
             args.svg,
@@ -116,9 +140,7 @@ def _cmd_resonances(args):
 def _cmd_bound_states(args):
     V = _load(args.potential)
     zs, energies = czeros.bound_states(V)
-    out = zs.to_json()
-    out["energies"] = energies
-    _atomic_json(args.out, out)
+    _atomic_json(args.out, {**_zeros_json(zs), "energies": energies})
     return PASS_EXIT
 
 
@@ -140,7 +162,7 @@ def _cmd_density(args):
     }
     _atomic_json(args.out, out)
     if args.csv:
-        _atomic_via(args.csv, lambda p: asymptotics.write_density_csv(rep, p))
+        _atomic_csv(args.csv, ["r", "n"], rep.radii, rep.counts)
     if args.svg:
         _atomic_via(
             args.svg,
@@ -156,7 +178,8 @@ def _cmd_indicator(args):
     f = lambda k: scattering.log_abs_xhat(V, k)
     reps = [asymptotics.indicator_estimate(f, th, args.r_max)
             for th in np.linspace(-np.pi, np.pi, args.n_theta)]
-    _atomic_via(args.out, lambda p: asymptotics.write_indicator_csv(reps, p))
+    cols = ["theta", "h", "fit_residual"]
+    _atomic_csv(args.out, cols, *([getattr(r, c) for r in reps] for c in cols))
     width = asymptotics.indicator_width(f, args.r_max)
     if args.report:
         _atomic_json(
@@ -230,7 +253,7 @@ def _cmd_distinguish(args):
     V1 = _load(args.potential1)
     V2 = _load(args.potential2)
     rep = inverse.uniqueness_report((V1, V2), args.radius)
-    _emit_json(args.out, rep.to_json())
+    _emit_json(args.out, dataclasses.asdict(rep))
     return PASS_EXIT if rep.implication_pass else FAIL_EXIT
 
 
@@ -242,14 +265,16 @@ def _cmd_inverse_recover(args):
     else:
         init = rng.uniform(-1.0, 1.0, spec.n_params)
     result = inverse.recover_left(spec, init, max_iter=args.max_iter)
+    out = dataclasses.asdict(result)
+    trace = out.pop("loss_trace")
     if args.truth:
         edges = np.linspace(spec.a, 0.0, spec.n_params + 1)
         tv = _load(args.truth).value_at((edges[:-1] + edges[1:]) / 2)
-        err = float(np.linalg.norm(np.asarray(result.recovered_left) - tv))
-        result = dataclasses.replace(result, l2_error_vs_truth=err)
-    _atomic_json(args.out, result.to_json())
+        err = np.linalg.norm(np.asarray(result.recovered_left) - tv)
+        out["l2_error_vs_truth"] = float(err)
+    _atomic_json(args.out, out)
     if args.trace:
-        _atomic_via(args.trace, lambda p: inverse.write_loss_trace_csv(result, p))
+        _atomic_csv(args.trace, ["iteration", "loss"], range(len(trace)), trace)
     return PASS_EXIT if result.converged else FAIL_EXIT
 
 
@@ -269,6 +294,8 @@ def _flag(convert, test, what):
 _FINITE = _flag(float, np.isfinite, "a finite number")
 _POSITIVE = _flag(float, lambda x: 0 < x < np.inf, "a finite number > 0")
 _COUNT = _flag(int, lambda n: n >= 1, "an integer >= 1")
+_NGRID = _flag(int, lambda n: n >= wavekernel._MIN_GRID,
+               "an integer >= %d" % wavekernel._MIN_GRID)
 
 
 @functools.cache  # built once per process; parsing does not change it
@@ -292,7 +319,7 @@ def _build_parser():
 
     p = sub.add_parser("kernels", help="solve the characteristic kernels")
     p.add_argument("--potential", required=True)
-    p.add_argument("--ngrid", type=int, default=1024)
+    p.add_argument("--ngrid", type=_NGRID, default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_kernels)
 
@@ -348,7 +375,7 @@ def _build_parser():
     p.add_argument("--potential2", required=True)
     p.add_argument("--radius", type=_POSITIVE, default=12.0)
     p.add_argument("--r-window", type=_POSITIVE, default=None)
-    p.add_argument("--ngrid", type=int, default=1024)
+    p.add_argument("--ngrid", type=_NGRID, default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_g_experiment)
 

@@ -118,7 +118,6 @@ class Zero:
 @dataclass(frozen=True)
 class ZeroSet:
     zeros: tuple
-    function_tag: str = ""
 
     @property
     def locations(self):
@@ -126,20 +125,6 @@ class ZeroSet:
 
     def total_multiplicity(self):
         return sum(z.multiplicity for z in self.zeros)
-
-    def to_json(self, radius=None):
-        d = {
-            "zeros": [
-                {"re": z.location.real, "im": z.location.imag,
-                 "mult": z.multiplicity, "residual": z.refined_residual,
-                 "converged": z.converged}
-                for z in self.zeros
-            ],
-            "function": self.function_tag,
-        }
-        if radius is not None:
-            d["radius"] = radius
-        return d
 
 
 # _BINOM[p, j] = C(p, j) and _EXP[p, j] = p - j where j <= p, for _shifted
@@ -380,8 +365,7 @@ def _starts(box, count, sums):
     return list(z) if all(inside) else []
 
 
-def find_zeros(f, rect: Rect, max_zeros: int = 200,
-               function_tag: str = "") -> ZeroSet:
+def find_zeros(f, rect: Rect, max_zeros: int = 200) -> ZeroSet:
     """Locate all zeros of f in rect, or in the dilated rect that was counted
     when a zero sits on its boundary: a count, then bisection on counts, a
     level of boxes at a time, each level's first children counted together
@@ -406,7 +390,7 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
     by rect, so a large rect resolves its zeros as finely as a small one."""
     total, sums, rect = _count(f, rect)
     if total == 0:
-        return ZeroSet((), function_tag)
+        return ZeroSet(())
     if total > max_zeros:
         raise MaxZerosExceeded("%d zeros counted, max_zeros=%d" % (total, max_zeros))
     found = []
@@ -445,7 +429,7 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200,
         level = [(c, n, s, n < count, first)
                  for (_, count, _), children in zip(split, _split_level(f, split))
                  for first, (c, n, s) in zip((True, False), children) if n]
-    return _finalize(found, function_tag)
+    return _finalize(found)
 
 
 def _split_level(f, boxes):
@@ -517,7 +501,7 @@ def _order(z):
     return (0.0 if _on_axis(z) else z.real, z.imag)
 
 
-def _finalize(found, function_tag):
+def _finalize(found):
     """The one sort (by _order), and merge by pairwise distance, of (zero,
     diagonal of the box it was polished in) pairs.  A zero within 1e-7 of the
     larger box diagonal of a kept one adds its multiplicity to the first such
@@ -542,12 +526,12 @@ def _finalize(found, function_tag):
         else:
             w, e = kept[i]
             kept[i] = (replace(w, multiplicity=w.multiplicity + z.multiplicity), max(d, e))
-    return ZeroSet(tuple(z for z, _ in kept), function_tag)
+    return ZeroSet(tuple(z for z, _ in kept))
 
 
 def resonances(V: Potential, radius: float) -> ZeroSet:
     """All zeros of xhat with |k| <= radius in the open lower half-plane."""
-    return _search_halfplane(lambda k: xhat(V, k), radius, "xhat")
+    return _search_halfplane(lambda k: xhat(V, k), radius)
 
 
 def _bound_state_height(V: Potential) -> float:
@@ -568,12 +552,12 @@ def bound_states(V: Potential):
     f = lambda k: xhat(V, k)
     h = kmax / 8
     rect = Rect(complex(-1.37 * h, 1e-7), complex(h, kmax))
-    zs = find_zeros(f, rect, max_zeros=500, function_tag="xhat")
+    zs = find_zeros(f, rect, max_zeros=500)
     energies = [-(z.location.imag ** 2) for z in _converged(zs)]
     return zs, energies
 
 
-def _search_halfplane(f, radius, tag):
+def _search_halfplane(f, radius):
     """Zeros of f with |k| <= radius in the open lower half-plane, where
     f(-conj k) = conj f(k), so that its zeros off the imaginary axis come in
     pairs k, -conj k of equal multiplicity.  xhat and yhat(-k) of a real
@@ -593,21 +577,11 @@ def _search_halfplane(f, radius, tag):
     """
     rect = Rect(complex(-0.137, -radius - 0.137), complex(radius, -1e-9))
     out = []
-    for z in find_zeros(f, rect, 500, tag).zeros:
+    for z in find_zeros(f, rect, 500).zeros:
         k = z.location
         if abs(k) <= radius and k.imag < 0:
             if _on_axis(k):
                 out.append(z)
             elif k.real > 0:
                 out += [z, replace(z, location=-k.conjugate())]
-    return ZeroSet(tuple(sorted(out, key=lambda z: _order(z.location))), tag)
-
-
-def conjugate_symmetry_defect(zs: ZeroSet) -> float:
-    """Max distance from each zero to the reflected set under k -> -conj(k)."""
-    locs = zs.locations
-    if len(locs) == 0:
-        return 0.0
-    refl = -np.conj(locs)
-    d = np.abs(locs[:, None] - refl[None, :])
-    return float(np.max(np.min(d, axis=1)))
+    return ZeroSet(tuple(sorted(out, key=lambda z: _order(z.location))))

@@ -9,7 +9,7 @@ distinct left parts must produce visibly different determinants.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,19 +108,7 @@ class RecoveryResult:
     final_loss: float
     iterations: int
     converged: bool
-    l2_error_vs_truth: float = None
     loss_trace: tuple = ()
-
-    def to_json(self):
-        d = {
-            "recovered_left": list(self.recovered_left),
-            "final_loss": self.final_loss,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-        if self.l2_error_vs_truth is not None:
-            d["l2_error_vs_truth"] = self.l2_error_vs_truth
-        return d
 
 
 def synthesize_data(spec_like_right, a, n_params, truth: Potential,
@@ -213,9 +201,6 @@ class UniquenessReport:
     identical_left: bool
     implication_pass: bool
 
-    def to_json(self):
-        return asdict(self)
-
 
 def _hausdorff(z1, z2):
     if len(z1) == 0 and len(z2) == 0:
@@ -245,10 +230,3 @@ def uniqueness_report(truth_pair, radius: float) -> UniquenessReport:
     else:
         ok = dist > 1e-8
     return UniquenessReport(dist, sup_x, sup_y, h, identical, ok)
-
-
-def write_loss_trace_csv(result: RecoveryResult, path):
-    with open(path, "w") as fh:
-        fh.write("iteration,loss\n")
-        for i, v in enumerate(result.loss_trace):
-            fh.write("%d,%.17g\n" % (i, v))

@@ -613,15 +613,3 @@ def sample(V: Potential, k) -> ScatteringSample:
     fields = (kk, _collapse(*_xhat_from(V, kk, P)), _collapse(*_yhat_from(V, kk, P)),
               *_jost_from(V, kk, P), _det_s_from(V, kk, P)[0], _unitary_from(V, kk, P))
     return ScatteringSample(*(_like(k, f) for f in fields))
-
-
-def write_samples_csv(path, samples):
-    """One row per k-point of a ScatteringSample.  The bytes are
-    csv.writer's: repr of each float, CRLF line ends."""
-    cols = [np.ravel(getattr(samples, f)).tolist()
-            for f in ("k", "xhat", "yhat", "det_s", "residual_u")]
-    lines = ["k_re,k_im,xhat_re,xhat_im,yhat_re,yhat_im,dets_re,dets_im,residual_U"]
-    lines += [f"{k.real!r},{k.imag!r},{x.real!r},{x.imag!r},{y.real!r},{y.imag!r},"
-              f"{ds.real!r},{ds.imag!r},{u!r}" for k, x, y, ds, u in zip(*cols)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")

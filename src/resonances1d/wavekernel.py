@@ -53,6 +53,8 @@ from .scattering import _like, _points
 _K_ROWS = 257
 # anti-diagonals per flush of the march's quadrature sums
 _FLUSH = 32
+# the coarsest n_grid solve_kernels takes
+_MIN_GRID = 64
 
 
 class Window(enum.Enum):
@@ -182,8 +184,8 @@ def solve_kernels(V: Potential, n_grid: int) -> KernelField:
     Also runs the half-resolution grid to estimate the truncation error;
     raises GridTooCoarse when that estimate exceeds 1% of the kernel scale.
     """
-    if n_grid < 64:
-        raise GridTooCoarse("n_grid must be at least 64")
+    if n_grid < _MIN_GRID:
+        raise GridTooCoarse("n_grid must be at least %d" % _MIN_GRID)
     n = int(n_grid) + (int(n_grid) % 2)
     x_grid, X_reg, y_grid, Y_reg, ylead = _march(V, n)
     xg2, X2, yg2, Y2, _ = _march(V, n // 2)
@@ -323,14 +325,3 @@ def domain_of_influence_check(V1: Potential, V2: Potential, r: float,
         x2_pass=diffs["X2"] <= 10 * trunc,
         y2_pass=diffs["Y2"] <= 10 * trunc,
     )
-
-
-def write_kernels_csv(field: KernelField, path):
-    """One row per sample: grid (X or Y), coordinate, value.  The bytes are
-    csv.writer's: repr of each float, CRLF line ends."""
-    lines = ["grid,coordinate,value"]
-    for name, grid, values in (("X", field.x_grid, field.X_reg),
-                               ("Y", field.y_grid, field.Y_reg)):
-        lines += [f"{name},{x!r},{y!r}" for x, y in zip(grid.tolist(), values.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")

@@ -124,7 +124,7 @@ def _synthetic_chain(n=80):
         Zero(complex(s * m, -0.1), 1, 0.0)
         for m in range(1, n + 1) for s in (+1, -1)
     )
-    return ZeroSet(zeros, "synthetic")
+    return ZeroSet(zeros)
 
 
 def test_density_of_arithmetic_progression():
@@ -145,7 +145,7 @@ def test_density_sector_restriction():
 
 
 def test_low_count_warning():
-    zs = ZeroSet((Zero(1 - 1j, 1, 0.0),), "tiny")
+    zs = ZeroSet((Zero(1 - 1j, 1, 0.0),))
     with pytest.warns(LowCountWarning):
         zero_density(zs, (-np.pi, 0.0))
 
@@ -154,7 +154,7 @@ def test_density_leaves_out_unconverged_zeros():
     zs = _synthetic_chain()
     phantom = Zero(complex(0.3, -40.0), 1, 1.0, converged=False)
     with pytest.warns(UnconvergedZeroWarning):
-        rep = zero_density(ZeroSet(zs.zeros + (phantom,), "synthetic"),
+        rep = zero_density(ZeroSet(zs.zeros + (phantom,)),
                            (-np.pi, 0.0))
     assert rep == zero_density(zs, (-np.pi, 0.0))
 

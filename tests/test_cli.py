@@ -1,5 +1,6 @@
 """Command-line plumbing: exit codes, output files, determinism."""
 
+import csv
 import json
 import os
 from unittest import mock
@@ -28,6 +29,16 @@ def pair_files(tmp_path):
     V1.save(p1)
     V2.save(p2)
     return str(p1), str(p2)
+
+
+@pytest.fixture
+def spec_file(tmp_path):
+    right = Fragment((0.0, 1.0), (-2.0,))
+    truth = make_piecewise([-1.0, -0.5, 0.0, 1.0], [-3.0, 1.0, -2.0])
+    spec = synthesize_data(right, -1.0, 2, truth, np.linspace(0.3, 10.0, 30))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_json()))
+    return str(path)
 
 
 def test_no_command_is_usage_error(capsys):
@@ -104,16 +115,19 @@ _OUT_OF_RANGE = [("resonances", "--radius", "-1"), ("resonances", "--radius", "n
                  ("scattering-grid", "--k-min", "nan"), ("scattering-grid", "--k-max", "inf"),
                  ("scattering-grid", "--n", "-1"),
                  ("density", "--alpha", "nan"), ("density", "--beta", "inf"),
-                 ("inverse-recover", "--max-iter", "0"), ("inverse-recover", "--max-iter", "-1")]
+                 ("inverse-recover", "--max-iter", "0"), ("inverse-recover", "--max-iter", "-1"),
+                 ("kernels", "--ngrid", "10"), ("kernels", "--ngrid", "-4"),
+                 ("g-experiment", "--ngrid", "0")]
 
 
 @pytest.mark.parametrize("command, flag, value", _OUT_OF_RANGE)
 def test_out_of_range_numeric_flag_is_a_usage_error(well_file, tmp_path, capsys,
                                                     command, flag, value):
     """A radius, cutoff or height that is not finite and positive, a k bound
-    that is not finite or a count below 1 is argparse's one-line usage
-    error: exit 1 before any numerics, where these runs raised a traceback,
-    blamed the numerics with exit 2, or wrote a meaningless result."""
+    that is not finite, a count below 1 or a grid below 64 is argparse's
+    one-line usage error: exit 1 before any numerics, where these runs
+    raised a traceback, blamed the numerics with exit 2 (GridTooCoarse for
+    the grid), or wrote a meaningless result."""
     out = tmp_path / "o.out"
     inputs = {"distinguish": ["--potential1", well_file, "--potential2", well_file],
               "g-experiment": ["--potential1", well_file, "--potential2", well_file],
@@ -137,6 +151,44 @@ def test_scattering_grid(well_file, tmp_path):
     assert rows[0].startswith("k_re,k_im,xhat_re")
     assert len(rows) == 52
     assert svg.read_text().startswith("<svg")
+
+
+_CSV_HEADERS = {
+    "scattering-grid": "k_re,k_im,xhat_re,xhat_im,yhat_re,yhat_im,dets_re,dets_im,residual_U",
+    "kernels": "grid,coordinate,value",
+    "density": "r,n",
+    "indicator": "theta,h,fit_residual",
+    "inverse-recover": "iteration,loss"}
+
+
+@pytest.mark.parametrize("command", _CSV_HEADERS)
+def test_every_csv_is_written_as_csv_writer_writes_it(well_file, spec_file, tmp_path,
+                                                      command):
+    """Each CSV the CLI writes (the density fit and the loss trace included):
+    every line ends in CRLF, csv.reader reads the header and then rows of
+    its length, and each number is the repr of its float (of its int for
+    the iteration column)."""
+    path, report = tmp_path / "out.csv", tmp_path / "report.json"
+    argv = {"scattering-grid": ["--potential", well_file, "--n", "21", "--out", path],
+            "kernels": ["--potential", well_file, "--ngrid", "128", "--out", path],
+            "density": ["--potential", well_file, "--radius", "20", "--out", report,
+                        "--csv", path],
+            "indicator": ["--potential", well_file, "--r-max", "30", "--n-theta", "9",
+                          "--out", path],
+            "inverse-recover": ["--spec", spec_file, "--out", report, "--trace", path]}
+    assert cli.main([command, *map(str, argv[command])]) == cli.PASS_EXIT
+    data = path.read_bytes()
+    assert data.endswith(b"\r\n")
+    assert data.count(b"\n") == data.count(b"\r") == data.count(b"\r\n")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == _CSV_HEADERS[command].split(",") and len(rows) > 1
+    kinds = {"grid": str, "iteration": int}
+    for row in rows[1:]:
+        assert len(row) == len(rows[0])
+        for name, cell in zip(rows[0], row):
+            kind = kinds.get(name, float)
+            assert cell in ("X", "Y") if kind is str else cell == repr(kind(cell))
 
 
 def test_scattering_grid_deterministic(well_file, tmp_path):

@@ -1,5 +1,6 @@
 """Argument-principle zero finding: counting, location, resonances, bound states."""
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -10,11 +11,10 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from resonances1d import czeros
+from resonances1d import cli, czeros
 from resonances1d.czeros import (
     Rect,
     bound_states,
-    conjugate_symmetry_defect,
     find_zeros,
     resonances,
     winding_number,
@@ -392,12 +392,12 @@ def _mirrored(roots):
     return lambda z: np.prod([(z - r) * (z + np.conj(r)) for r in roots], axis=0)
 
 
-def _tile_by_tile(f, radius, tile, tag):
+def _tile_by_tile(f, radius, tile):
     """A reference search: the zeros of one find_zeros call per tile of a grid
     over the lower half-disk, with a zero on an edge of two tiles kept once."""
     kept = []
     for rect in _tiles(radius, tile):
-        for z in find_zeros(f, rect, max_zeros=500, function_tag=tag).zeros:
+        for z in find_zeros(f, rect, max_zeros=500).zeros:
             if (abs(z.location) <= radius and z.location.imag < -1e-9
                     and all(abs(z.location - w.location) > 1e-7 for w in kept)):
                 kept.append(z)
@@ -437,8 +437,8 @@ def test_search_matches_a_find_zeros_loop(V, radius):
     f = lambda k: xhat(V, k)
     got, ref = (
         [z for z in zs if abs(z.location) < radius - 1e-6]
-        for zs in (czeros._search_halfplane(f, radius, "xhat").zeros,
-                   _tile_by_tile(f, radius, 3.0, "xhat")))
+        for zs in (czeros._search_halfplane(f, radius).zeros,
+                   _tile_by_tile(f, radius, 3.0)))
     assert len(got) == len(ref)
     locs = np.array([z.location for z in got])
     for w in ref:
@@ -461,7 +461,7 @@ def test_search_dilates_where_a_zero_sits_on_a_start_sample():
     assert isinstance(czeros._windings(f, [rect])[0], BoundaryZero)
     n, _, counted = czeros._count(f, rect)
     assert n == 3 and counted != rect
-    zs = czeros._search_halfplane(f, radius, "")
+    zs = czeros._search_halfplane(f, radius)
     np.testing.assert_allclose(zs.locations, [-2.5 - 0.7j, -0.2 - 2.9j, 0.2 - 2.9j, 2.5 - 0.7j],
                                atol=1e-10)
 
@@ -479,7 +479,7 @@ def test_search_refines_where_a_zero_sits_just_inside_its_top_edge():
     calls = []
     czeros._windings(lambda z: calls.append(z) or f(z), [rect])
     assert len(calls) > 1
-    zs = czeros._search_halfplane(f, radius, "")
+    zs = czeros._search_halfplane(f, radius)
     np.testing.assert_allclose(sorted(zs.locations, key=lambda z: z.real),
                                [-np.conj(z0), -2.5 - 0.7j, 2.5 - 0.7j, z0], atol=1e-10)
 
@@ -537,7 +537,7 @@ def test_search_keeps_a_close_pair_apart_at_a_large_radius():
     is 2.3e-5)."""
     z1 = 100.0 - 50.0j
     f = _mirrored([z1, z1 + 2e-6, -3.0 - 40.0j])
-    zs = czeros._search_halfplane(f, 160.0, "")
+    zs = czeros._search_halfplane(f, 160.0)
     mirrors = [-np.conj(z1) - 2e-6, -np.conj(z1)]
     np.testing.assert_allclose(sorted(zs.locations, key=lambda z: z.real),
                                [*mirrors, -3.0 - 40.0j, 3.0 - 40.0j, z1, z1 + 2e-6],
@@ -564,12 +564,12 @@ def test_polishes_of_one_zero_from_two_boxes_add_their_counts():
                 (czeros.Zero(0.3 + 0j, 1, 1e-12), 1.0),
                 (czeros.Zero(0.5 + 0j, 1, 1e-12), 1e-3),
                 (czeros.Zero(0.5 + 1e-9j, 1, 1e-12), 1e-3)]
-    zs = czeros._finalize(polishes, "")
+    zs = czeros._finalize(polishes)
     assert list(zs.locations) == [0.3, 0.5, 0.5 + 1e-9j]
     assert [z.multiplicity for z in zs.zeros] == [2, 1, 1]
 
 
-def _finalize_by_scan(found, function_tag):
+def _finalize_by_scan(found):
     """Reference: _finalize's merge as a scan over every kept zero."""
     def key(pair):
         z = pair[0].location
@@ -584,7 +584,7 @@ def _finalize_by_scan(found, function_tag):
         else:
             w, e = kept[i]
             kept[i] = (replace(w, multiplicity=w.multiplicity + z.multiplicity), max(d, e))
-    return czeros.ZeroSet(tuple(z for z, _ in kept), function_tag)
+    return czeros.ZeroSet(tuple(z for z, _ in kept))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), clusters=st.integers(1, 12))
@@ -608,8 +608,8 @@ def test_windowed_merge_is_the_scan_over_every_kept_zero(seed, clusters):
                                       float(rng.random())),
                           d * rng.choice((1.0, 0.5, 2.0))))
     rng.shuffle(found)
-    want = _finalize_by_scan(found, "xhat")
-    assert czeros._finalize(found, "xhat") == want
+    want = _finalize_by_scan(found)
+    assert czeros._finalize(found) == want
     assert sum(z.multiplicity for z in want.zeros) == sum(z.multiplicity for z, _ in found)
 
 
@@ -745,12 +745,13 @@ def test_resonances_against_grid_scan():
 
 def test_resonance_symmetry():
     """The mirrors of the search's zeros are where an unmirrored search of
-    the left half finds zeros; conjugate_symmetry_defect, exact by
-    construction, reads 0."""
+    the left half finds zeros, and, by construction, the zero locations are
+    exactly their own mirror set -conj k."""
     V = make_piecewise([-1.0, -0.2, 0.8], [2.5, -3.5])
     zs = resonances(V, 12.0)
     assert mirror_defect(lambda k: xhat(V, k), zs, 12.0) < 1e-8
-    assert conjugate_symmetry_defect(zs) == 0.0
+    locs = zs.locations
+    np.testing.assert_array_equal(np.sort_complex(locs), np.sort_complex(-np.conj(locs)))
     assert not np.any(zs.locations.imag > 0)
 
 
@@ -895,16 +896,20 @@ def test_disk_inside_one_tile_keeps_its_zero(radius):
     np.testing.assert_allclose(got, ref, atol=1e-10)
 
 
-def test_zeroset_json():
+def test_zeroset_json(tmp_path):
+    """The resonances report lists the zeros of resonances(V, radius)."""
     V = square_well(-4.0, -1.0, 1.0)
     zs = resonances(V, 6.0)
-    import json
-
-    d = json.loads(json.dumps(zs.to_json(radius=6.0)))
+    V.save(tmp_path / "sw4.json")
+    out = tmp_path / "res.json"
+    assert cli.main(["resonances", "--potential", str(tmp_path / "sw4.json"),
+                     "--radius", "6", "--out", str(out)]) == cli.PASS_EXIT
+    d = json.loads(out.read_text())
     assert d["radius"] == 6.0
     assert d["function"] == "xhat"
     assert len(d["zeros"]) == len(zs.zeros)
     assert {"re", "im", "mult"} <= set(d["zeros"][0])
+    assert [complex(z["re"], z["im"]) for z in d["zeros"]] == list(zs.locations)
 
 
 def test_overflow_is_not_a_vanishing_function(monkeypatch):

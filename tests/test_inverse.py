@@ -1,13 +1,15 @@
 """Left-part recovery from det S data, distinguishability, uniqueness reports."""
 
+import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resonances1d import inverse
+from resonances1d import cli, inverse
 from resonances1d.czeros import bound_states
 from resonances1d.errors import DivergedLoss, PoleAtK, SharedPartMismatch
 from resonances1d.inverse import (
@@ -16,7 +18,6 @@ from resonances1d.inverse import (
     recover_left,
     synthesize_data,
     uniqueness_report,
-    write_loss_trace_csv,
 )
 from resonances1d.potential import Fragment, Potential, glue, make_piecewise
 from resonances1d.scattering import det_s, det_s_jacobian
@@ -128,12 +129,23 @@ def test_recovery_round_trip(left):
     assert list(res.loss_trace) == sorted(res.loss_trace, reverse=True)
 
 
-def test_recovery_result_json():
+def _recover_by_cli(tmp_path, spec, *flags):
+    """Run inverse-recover on spec from zeros; the path of its report."""
+    path, out = tmp_path / "spec.json", tmp_path / "rec.json"
+    path.write_text(json.dumps(spec.to_json()))
+    assert cli.main(["inverse-recover", "--spec", str(path), "--out", str(out),
+                     *flags]) == cli.PASS_EXIT
+    return out
+
+
+def test_recovery_result_json(tmp_path):
     spec, _ = _spec([-3.0, 1.0])
     res = recover_left(spec, [0.0, 0.0])
-    d = res.to_json()
+    d = json.loads(_recover_by_cli(tmp_path, spec).read_text())
     assert d["converged"] is True
     assert len(d["recovered_left"]) == 2
+    assert d["recovered_left"] == list(res.recovered_left)
+    assert d["final_loss"] == res.final_loss and d["iterations"] == res.iterations
 
 
 def _det_s_residual(spec, params):
@@ -301,21 +313,32 @@ def test_uniqueness_report_identical():
     assert rep.resonance_hausdorff < 1e-8
 
 
-def test_uniqueness_report_distinct():
-    rep = uniqueness_report((_truth([-3.0, 1.0]), _truth([-1.0, -1.0])), 8.0)
+def test_uniqueness_report_distinct(tmp_path):
+    """distinguish reports every field of the uniqueness report."""
+    V1, V2 = _truth([-3.0, 1.0]), _truth([-1.0, -1.0])
+    rep = uniqueness_report((V1, V2), 8.0)
     assert not rep.identical_left
     assert rep.implication_pass
     assert rep.distinguishability > 1e-7
     assert rep.resonance_hausdorff > 1e-7
-    d = rep.to_json()
+    V1.save(tmp_path / "v1.json")
+    V2.save(tmp_path / "v2.json")
+    out = tmp_path / "dist.json"
+    assert cli.main(["distinguish", "--potential1", str(tmp_path / "v1.json"),
+                     "--potential2", str(tmp_path / "v2.json"), "--radius", "8",
+                     "--out", str(out)]) == cli.PASS_EXIT
+    d = json.loads(out.read_text())
     assert d["identical_left"] is False
+    assert d == asdict(rep)
 
 
 def test_loss_trace_csv(tmp_path):
     spec, _ = _spec([-3.0, 1.0])
     res = recover_left(spec, [0.0, 0.0])
     path = tmp_path / "trace.csv"
-    write_loss_trace_csv(res, path)
+    _recover_by_cli(tmp_path, spec, "--trace", str(path))
     rows = path.read_text().strip().split("\n")
     assert rows[0] == "iteration,loss"
     assert len(rows) == 1 + len(res.loss_trace)
+    with open(path, newline="") as fh:
+        assert [float(loss) for _, loss in list(csv.reader(fh))[1:]] == list(res.loss_trace)

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from resonances1d import scattering
+from resonances1d import cli, scattering
 from resonances1d.czeros import bound_states
 from resonances1d.errors import PoleAtK
 from resonances1d.potential import Potential, make_piecewise, square_well
@@ -17,7 +17,6 @@ from resonances1d.scattering import (
     sample,
     transfer_matrix,
     unitary_residual,
-    write_samples_csv,
     xhat,
     yhat,
 )
@@ -228,11 +227,19 @@ def test_quotient_is_exact_at_plus_minus_one(rng):
     assert np.all(scattering._quotient(-den, den) == -1)
 
 
-def test_sample_csv_round_trip(tmp_path, rng):
-    V = square_well(-4.0, -1.0, 1.0)
-    samples = sample(V, np.array([0.5, 1.0 + 0.3j, -2.0]))
+def _scattering_grid(tmp_path, V, monkeypatch, ks):
+    """The CSV scattering-grid writes for sample(V, ks), whatever its k grid."""
+    V.save(tmp_path / "well.json")
+    monkeypatch.setattr(scattering, "sample", lambda W, k: sample(W, ks))
     path = tmp_path / "samples.csv"
-    write_samples_csv(path, samples)
+    assert cli.main(["scattering-grid", "--potential", str(tmp_path / "well.json"),
+                     "--out", str(path)]) == cli.PASS_EXIT
+    return path
+
+
+def test_sample_csv_round_trip(tmp_path, monkeypatch):
+    V = square_well(-4.0, -1.0, 1.0)
+    path = _scattering_grid(tmp_path, V, monkeypatch, np.array([0.5, 1.0 + 0.3j, -2.0]))
     rows = path.read_text().strip().split("\n")
     assert rows[0] == (
         "k_re,k_im,xhat_re,xhat_im,yhat_re,yhat_im,dets_re,dets_im,residual_U"
@@ -253,18 +260,17 @@ def _samples_csv_by_rows(path, samples):
                         ds.real, ds.imag, u])
 
 
-def test_samples_csv_bytes_match_the_row_writer(tmp_path):
-    """repr of each float prints as csv.writer does: k = 0, -0.0 and the inf
-    of det S at a pole (a bound state) included."""
+def test_samples_csv_bytes_match_the_row_writer(tmp_path, monkeypatch):
+    """The CLI's CSV prints each float as csv.writer does: k = 0, -0.0 and
+    the inf of det S at a pole (a bound state) included."""
     V = square_well(-4.0, -1.0, 1.0)
     pole = bound_states(V)[0].zeros[0].location
     ks = np.array([pole, 0.0, complex(-0.0, 0.0), complex(1.5, -0.0), 3e-9 - 2.5j,
                    -7.25 + 0.4j])
     samples = sample(V, ks)
     assert samples.det_s[0] == np.inf
-    write_samples_csv(tmp_path / "new.csv", samples)
+    new = _scattering_grid(tmp_path, V, monkeypatch, ks).read_bytes()
     _samples_csv_by_rows(tmp_path / "old.csv", samples)
-    new = (tmp_path / "new.csv").read_bytes()
     assert b",inf," in new and b"-0.0," in new
     assert new == (tmp_path / "old.csv").read_bytes()
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import resonances1d
-from resonances1d import wavekernel
+from resonances1d import cli, wavekernel
 from resonances1d.errors import (
     GridTooCoarse,
     ImaginaryPartTooLarge,
@@ -30,7 +30,6 @@ from resonances1d.wavekernel import (
     domain_of_influence_check,
     kernel_fourier,
     solve_kernels,
-    write_kernels_csv,
 )
 
 from conftest import make_zero_potential, wells
@@ -373,24 +372,32 @@ def _kernels_csv_by_rows(field, path):
             w.writerow(["Y", y, v])
 
 
+def _kernels_by_cli(tmp_path, V, n_grid):
+    """The CSV the kernels command writes for V at n_grid."""
+    V.save(tmp_path / "well.json")
+    path = tmp_path / "kernels.csv"
+    assert cli.main(["kernels", "--potential", str(tmp_path / "well.json"),
+                     "--ngrid", str(n_grid), "--out", str(path)]) == cli.PASS_EXIT
+    return path
+
+
 def test_kernels_csv_bytes_match_the_row_writer(tmp_path):
-    """Python floats from tolist() print as the numpy scalars did, -0.0 and
+    """The CLI's CSV prints each float as the numpy scalars did, -0.0 and
     exponent forms included."""
-    field = solve_kernels(make_piecewise([-1.0, -0.2, 0.3, 0.6, 1.0],
-                                         [1.5, -2.0, 0.7, -1.1]), 1024)
+    V = make_piecewise([-1.0, -0.2, 0.3, 0.6, 1.0], [1.5, -2.0, 0.7, -1.1])
+    field = solve_kernels(V, 1024)
     values = np.concatenate([field.X_reg, field.Y_reg])
     assert str(field.X_reg[0]) == "-0.0"
     assert np.any((values != 0) & (np.abs(values) < 1e-5))
-    write_kernels_csv(field, tmp_path / "new.csv")
+    new = _kernels_by_cli(tmp_path, V, 1024).read_bytes()
     _kernels_csv_by_rows(field, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
 
 
 def test_kernels_csv(tmp_path):
     V = square_well(-4.0, -1.0, 1.0)
     field = solve_kernels(V, 128)
-    path = tmp_path / "kernels.csv"
-    write_kernels_csv(field, path)
+    path = _kernels_by_cli(tmp_path, V, 128)
     rows = path.read_text().strip().split("\n")
     assert rows[0] == "grid,coordinate,value"
     assert len(rows) == 1 + len(field.x_grid) + len(field.y_grid)
