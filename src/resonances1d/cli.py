@@ -56,9 +56,10 @@ def _atomic_json(path, obj):
 
 def _atomic_csv(path, header, *columns):
     """The header, then one row per entry of the columns, in csv.writer's
-    bytes: str of each value (repr of a float) and CRLF line ends."""
-    row = ",".join(["{}"] * len(columns)).format
-    _atomic_text(path, "\r\n".join([",".join(header), *map(row, *columns), ""]))
+    bytes: str of each value (repr of a float) and CRLF line ends.  Each
+    column is formatted whole by map(str), then the rows joined."""
+    rows = map(",".join, zip(*(map(str, col) for col in columns)))
+    _atomic_text(path, "\r\n".join([",".join(header), *rows, ""]))
 
 
 def _emit_json(path, obj):

@@ -21,10 +21,14 @@ within 1e-7 of their diagonals merge, adding their counts.  Split counts are
 exact, so the multiplicities of one search sum to its count.
 A half-plane search takes f with f(-conj k) = conj f(k), as xhat of a real
 potential is: its zeros off the imaginary axis come in pairs k, -conj k.  It
-runs find_zeros on one rectangle about the right half of the lower
+locates the zeros of one rectangle about the right half of the lower
 half-disk, reaching just past the axis, and returns each zero right of the
-axis with its mirror -conj k.  Bound states, on the positive imaginary axis,
-are searched in a strip about it.  Every search counts its contours one way:
+axis with its mirror -conj k.  For xhat (resonances) the rectangle's first
+level is its tiles, counted together: slabs of the logarithmic strip below
+the axis where the zeros lie at large |k|, and the deep box below the strip;
+for any other f it is the rectangle itself.  Bound states, on the positive
+imaginary axis, are searched in a strip about it.  Every search counts its
+contours one way:
 each starts at _N_BOUNDARY samples and is refined where its own start steps
 show log|f| rising fast.  Rectangles, not disks: covering a half-disk and
 dodging zero chains that hug the real axis is easier with axis-aligned
@@ -389,13 +393,19 @@ def find_zeros(f, rect: Rect, max_zeros: int = 200) -> ZeroSet:
     diagonals.  Every tolerance is set by the box polished or by |z|, not
     by rect, so a large rect resolves its zeros as finely as a small one."""
     total, sums, rect = _count(f, rect)
-    if total == 0:
-        return ZeroSet(())
+    return _locate(f, rect, [(rect, total, sums)], max_zeros)
+
+
+def _locate(f, rect, tiles, max_zeros):
+    """The zeros of f in rect, from tiles (box, count, power sums) that
+    partition it, already counted: the level loop of find_zeros, whose first
+    level is the tiles of nonzero count."""
+    total = sum(n for _, n, _ in tiles)
     if total > max_zeros:
         raise MaxZerosExceeded("%d zeros counted, max_zeros=%d" % (total, max_zeros))
     found = []
     # (box, count, power sums, count fell at the last split, sums counted)
-    level = [(rect, total, sums, True, True)]
+    level = [(box, n, sums, True, True) for box, n, sums in tiles if n]
     while level:
         polish, split = [], []
         for box, count, sums, fell, counted in level:
@@ -530,8 +540,36 @@ def _finalize(found):
 
 
 def resonances(V: Potential, radius: float) -> ZeroSet:
-    """All zeros of xhat with |k| <= radius in the open lower half-plane."""
-    return _search_halfplane(lambda k: xhat(V, k), radius)
+    """All zeros of xhat with |k| <= radius in the open lower half-plane: the
+    half-plane search, started from _strip_tiles."""
+    return _search_halfplane(lambda k: xhat(V, k), radius, _strip_tiles(V, radius))
+
+
+def _strip_tiles(V: Potential, radius: float):
+    """Tiles partitioning the rectangle of _search_halfplane: the deep box
+    below Im k = -H, and round(radius L / (4 pi)) equal slabs (about four
+    zeros each) of the strip above it; None where fewer than 2 slabs are
+    predicted, V_a V_b = 0 or H reaches the bottom.
+
+    At large |k| the end jumps dominate xhat, whose zeros lie near
+    e^(2ikL) = 16 k^4 / (V_a V_b) (Regge, Nuovo Cimento 8, 1958; Zworski,
+    J. Funct. Anal. 73, 1987), so above Im k = -ln(16 |k|^4 / |V_a V_b|)
+    / (2L); L = b - a, and V_a, V_b are the end cells' values.  H is that at
+    |k| = radius plus 2, and at least _bound_state_height(V) and 2.  The
+    floor is a model, not a bound: anti-bound states may lie below it, so
+    the deep box is counted, not assumed empty."""
+    rect = _halfplane_rect(radius)
+    (a, b), va, vb = V.hull, V.values[0], V.values[-1]
+    slabs = round(radius * (b - a) / (4 * np.pi))
+    if slabs < 2 or va * vb == 0:
+        return None
+    h = max(np.log(16 * radius ** 4 / abs(va * vb)) / (2 * (b - a)) + 2.0,
+            _bound_state_height(V), 2.0)
+    if h >= -rect.lo.imag:
+        return None
+    x = np.linspace(rect.lo.real, rect.hi.real, slabs + 1)
+    return [Rect(rect.lo, complex(rect.hi.real, -h))] + [
+        Rect(complex(x0, -h), complex(x1, rect.hi.imag)) for x0, x1 in zip(x, x[1:])]
 
 
 def _bound_state_height(V: Potential) -> float:
@@ -557,16 +595,26 @@ def bound_states(V: Potential):
     return zs, energies
 
 
-def _search_halfplane(f, radius):
+def _halfplane_rect(radius):
+    """The rectangle _search_halfplane counts: Re k in [-0.137, radius],
+    Im k in [-radius - 0.137, -1e-9]."""
+    return Rect(complex(-0.137, -radius - 0.137), complex(radius, -1e-9))
+
+
+def _search_halfplane(f, radius, tiles=None):
     """Zeros of f with |k| <= radius in the open lower half-plane, where
     f(-conj k) = conj f(k), so that its zeros off the imaginary axis come in
     pairs k, -conj k of equal multiplicity.  xhat and yhat(-k) of a real
     potential, and the transform of a real kernel, meet this; find_zeros
     takes any f.
 
-    One rectangle, Re k in [-0.137, radius], holds the right half of the lower
+    One rectangle (_halfplane_rect) holds the right half of the lower
     half-disk and a strip left of the axis, so no zero on or near the axis
-    lies on its edge: find_zeros searches it.  A zero right of the axis
+    lies on its edge.  Without tiles, find_zeros searches it.  Tiles that
+    partition it are counted together, one _windings call for all, and the
+    nonzero ones are the first level of find_zeros' loop; if any tile's
+    contour fails, the rectangle is counted alone instead, so a zero on a
+    tile's edge is neither counted twice nor lost.  A zero right of the axis
     comes back with its mirror -conj k, which copies its multiplicity,
     residual and convergence; an axis zero (_on_axis) comes back once, and
     one left of the axis not at all, as its partner is mirrored.  The zeros
@@ -575,9 +623,14 @@ def _search_halfplane(f, radius):
     _order.  max_zeros = 500 caps the count of the rectangle, about half the
     zeros returned.
     """
-    rect = Rect(complex(-0.137, -radius - 0.137), complex(radius, -1e-9))
+    rect = _halfplane_rect(radius)
+    counted = tiles and _windings(f, tiles)
+    if counted and not any(isinstance(got, Exception) for got in counted):
+        zs = _locate(f, rect, [(t, *got) for t, got in zip(tiles, counted)], 500)
+    else:
+        zs = find_zeros(f, rect, 500)
     out = []
-    for z in find_zeros(f, rect, 500).zeros:
+    for z in zs.zeros:
         k = z.location
         if abs(k) <= radius and k.imag < 0:
             if _on_axis(k):

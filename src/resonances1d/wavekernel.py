@@ -222,8 +222,9 @@ def _samples(field: KernelField, which: Window):
 
 def _windowed_quadrature(grid, values, w0, w1, k, h_native):
     """Simpson quadrature of values(s) e^{-iks} over [w0, w1] (interpolated):
-    products exp(-i k s) @ (f w), with w = (1, 4, 2, ..., 4, 1) ds/3, over
-    _K_ROWS k at a time."""
+    sums of (cos, sin)(Re k s) f w e^{Im k s}, with w = (1, 4, 2, ..., 4, 1)
+    ds/3, over _K_ROWS k at a time.  Real sums by einsum, not a complex
+    matrix product, which a threaded BLAS may stall on."""
     w0 = max(w0, grid[0])
     w1 = min(w1, grid[-1])
     if w1 <= w0:
@@ -239,7 +240,11 @@ def _windowed_quadrature(grid, values, w0, w1, k, h_native):
     flat = k.ravel()
     out = np.empty(flat.shape, dtype=complex)
     for i in range(0, flat.size, _K_ROWS):
-        out[i:i + _K_ROWS] = np.exp(-1j * np.multiply.outer(flat[i:i + _K_ROWS], s)) @ fw
+        rows = flat[i:i + _K_ROWS]
+        phase = np.multiply.outer(rows.real, s)
+        amp = np.exp(np.multiply.outer(rows.imag, s)) * fw
+        out[i:i + _K_ROWS] = (np.einsum("ij,ij->i", np.cos(phase), amp)
+                              - 1j * np.einsum("ij,ij->i", np.sin(phase), amp))
     return out.reshape(k.shape)
 
 

@@ -485,12 +485,12 @@ def test_search_refines_where_a_zero_sits_just_inside_its_top_edge():
 
 
 def test_search_cost_on_sw4_at_radius_40(monkeypatch):
-    """resonances(sw4, 40) evaluates at most half the 92,587 points of the
-    search on a 3 x 3 tile grid that it replaced.  Its split contours are
-    counted a bisection level at a time, one call of xhat per refinement
-    round, in at most 35 calls; counting the right half of the lower
-    half-disk and mirroring its zeros takes 5,585 points, where the whole
-    half-disk took 10,474."""
+    """resonances(sw4, 40) counts its first level, the deep box and six
+    slabs of the strip above it, in one call of xhat over their 7 x 257
+    start samples.  Its split contours are counted a bisection level at a
+    time, one call per refinement round: 12 calls over 2,464 points in all,
+    where bisecting the one rectangle took 27 calls over 5,585 points, and a
+    3 x 3 tile grid 92,587 points."""
     sizes = []
 
     def counted(V, k):
@@ -500,24 +500,97 @@ def test_search_cost_on_sw4_at_radius_40(monkeypatch):
     monkeypatch.setattr(czeros, "xhat", counted)
     zs = resonances(square_well(-4.0, -1.0, 1.0), 40.0)
     assert len(zs.zeros) == 48
-    assert sum(sizes) <= 46_000
-    assert len(sizes) <= 35 and abs(sum(sizes) - 5_585) <= 0.01 * 5_585
+    assert sizes[0] == 7 * 257
+    assert len(sizes) <= 15 and abs(sum(sizes) - 2_464) <= 0.01 * 2_464
 
 
 @pytest.mark.parametrize("V", [square_well(-4.0, -1.0, 1.0),
                                make_piecewise([-0.7, 0.3, 1.1], [1.5, -2.0])])
 def test_resonances_right_of_the_axis_are_find_zeros_of_its_rectangle(V):
-    """resonances counts and bisects one rectangle as find_zeros does: its
-    zeros right of the axis are, bit for bit, those of find_zeros over that
-    rectangle that lie in the lower half-disk and right of the axis."""
+    """resonances, started from the strip's slabs, finds the zeros that
+    find_zeros finds by bisecting its one rectangle: right of the axis in
+    the lower half-disk, the same count and multiplicities, at locations
+    within 1e-9 (1 + |z|); measured, they lie at most 3.3e-10 apart."""
     R = 40.0
     right = lambda zs: [z for z in zs if not czeros._on_axis(z.location)
                         and z.location.real > 0 and z.location.imag < 0
                         and abs(z.location) <= R]
+    assert czeros._strip_tiles(V, R) is not None
     got = right(resonances(V, R).zeros)
-    rect = Rect(-0.137 - (R + 0.137) * 1j, R - 1e-9j)
-    want = right(find_zeros(lambda k: xhat(V, k), rect, 500).zeros)
-    assert len(got) > 10 and got == want
+    want = right(find_zeros(lambda k: xhat(V, k), _search_rect(R), 500).zeros)
+    assert len(got) > 10 and len(got) == len(want)
+    assert [z.multiplicity for z in got] == [w.multiplicity for w in want]
+    for z, w in zip(got, want):
+        assert z.converged and w.converged
+        assert abs(z.location - w.location) <= 1e-9 * (1 + abs(w.location))
+
+
+def test_anti_bound_states_below_the_model_floor_come_back():
+    """The end-jump model puts sw100's zeros at R = 40 above Im k = -4.08,
+    but its five anti-bound states lie at -4.43i .. -9.85i: a search of the
+    strip alone would return 40 of its 45 zeros.  The strip reaches down to
+    the bound-state height 11 and the box below it is counted too, so all 45
+    come back, as from the one rectangle."""
+    V, R = square_well(-100.0, -1.0, 1.0), 40.0
+    (a, b), va, vb = V.hull, V.values[0], V.values[-1]
+    floor = np.log(16 * R ** 4 / abs(va * vb)) / (2 * (b - a)) + 2
+    assert abs(floor - 4.0794) < 1e-4
+    zs = resonances(V, R)
+    full = czeros._search_halfplane(lambda k: xhat(V, k), R)
+    assert len(zs.zeros) == len(full.zeros) == 45
+    assert all(z.converged and z.multiplicity == 1 for z in zs.zeros)
+    axis = [z.location.imag for z in zs.zeros if czeros._on_axis(z.location)]
+    np.testing.assert_allclose(sorted(axis), [-9.8463, -9.3678, -8.5004, -7.0740, -4.4284],
+                               atol=1e-4)
+    assert max(axis) < -floor
+    np.testing.assert_allclose(zs.locations, full.locations, rtol=0, atol=1e-9 * (1 + R))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-7])
+def test_zeros_on_a_slab_edge_and_the_floor_line_are_counted_once(shift):
+    """sw4's slabs at R = 40, with zeros on (shift 0) or just right of and
+    above (shift 1e-7) the edge between the first two slabs and the floor
+    line, and one in the deep box.  On an edge the slab counts fail and the
+    rectangle is counted alone; beside it one slab counts the zero.  Either
+    way each zero comes back once, with its mirror."""
+    R = 40.0
+    tiles = czeros._strip_tiles(square_well(-4.0, -1.0, 1.0), R)
+    edge, floor = tiles[1].hi.real, tiles[1].lo.imag
+    roots = [complex(edge + shift, -3.0), complex(20.0, floor + shift), 15.0 - 25.0j]
+    f = _mirrored(roots)
+    failed = [isinstance(got, Exception) for got in czeros._windings(f, tiles)]
+    assert any(failed) == (shift == 0.0)
+    zs = czeros._search_halfplane(f, R, tiles)
+    want = sorted([*roots, *(-np.conj(r) for r in roots)], key=lambda z: z.real)
+    np.testing.assert_allclose(sorted(zs.locations, key=lambda z: z.real), want,
+                               rtol=0, atol=1e-9)
+    assert [z.multiplicity for z in zs.zeros] == [1] * 6
+
+
+@given(step_potentials(), st.integers(2, 3))
+@settings(max_examples=60, deadline=None)
+def test_resonances_count_what_the_rectangle_winds(V, slabs):
+    """On random step potentials at a radius of 2 or 3 slabs, up to the
+    radius 12 of test_search_matches_a_find_zeros_loop, the zeros that
+    resonances locates in its rectangle have a total multiplicity equal to
+    the rectangle's winding number, and it returns those in the disk below
+    the axis, mirrored."""
+    a, b = V.hull
+    radius = slabs * 4 * np.pi / (b - a)
+    assume(radius <= 12.0)
+    assert czeros._strip_tiles(V, radius) is not None
+    f = lambda k: xhat(V, k)
+    located = []
+    locate = czeros._locate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(czeros, "_locate", lambda *args: located.append(locate(*args)) or located[-1])
+        zs = resonances(V, radius)
+    assert located[-1].total_multiplicity() == winding_number(f, _search_rect(radius))
+    kept = [z for z in located[-1].zeros
+            if abs(z.location) <= radius and z.location.imag < 0
+            and (czeros._on_axis(z.location) or z.location.real > 0)]
+    assert zs.total_multiplicity() == sum(
+        z.multiplicity * (1 if czeros._on_axis(z.location) else 2) for z in kept)
 
 
 @pytest.mark.parametrize("radius, want", [(80.0, 99), (160.0, 200)])
