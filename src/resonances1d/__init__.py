@@ -22,7 +22,6 @@ from .scattering import (
 )
 from .wavekernel import (
     KernelField,
-    KernelWindow,
     Window,
     default_window_r,
     domain_of_influence_check,
@@ -67,7 +66,7 @@ __all__ = [
     "Fragment", "Potential", "glue", "make_piecewise", "square_well",
     "ScatteringSample", "det_s", "log_abs_xhat", "log_abs_yhat", "sample",
     "transfer_matrix", "unitary_residual", "xhat", "yhat",
-    "KernelField", "KernelWindow", "Window", "default_window_r",
+    "KernelField", "Window", "default_window_r",
     "domain_of_influence_check", "kernel_fourier", "solve_kernels",
     "Rect", "Zero", "ZeroSet", "bound_states", "find_zeros",
     "resonances", "winding_number",

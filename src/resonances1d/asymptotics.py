@@ -44,10 +44,7 @@ class IndicatorReport:
 
     theta: float
     h: float
-    r_list: tuple
     fit_residual: float
-    log_coef: float
-    const_coef: float
 
     def passes(self):
         return self.fit_residual <= 0.05 * (1.0 + abs(self.h))
@@ -75,11 +72,9 @@ def indicator_estimate(f, theta: float, r_max: float) -> IndicatorReport:
     L = _ln_on_ray(f, theta, radii)
     A = np.column_stack([radii, np.log(radii), np.ones_like(radii)])
     coef, *_ = np.linalg.lstsq(A, L, rcond=None)
-    h, beta, c = (float(v) for v in coef)
     top = radii >= r_max / 8.0
     resid = np.max(np.abs(L[top] - A[top] @ coef) / radii[top])
-    return IndicatorReport(float(theta), h, tuple(radii), float(resid),
-                           beta, c)
+    return IndicatorReport(float(theta), float(coef[0]), float(resid))
 
 
 def indicator_width(f, r_max: float) -> float:

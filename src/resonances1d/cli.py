@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -31,13 +30,14 @@ PASS_EXIT, USAGE_EXIT, FAIL_EXIT = 0, 1, 2
 # atomic output helpers
 
 
-def _atomic_via(path, writer):
-    """Run a path-taking writer against a temp file, then rename."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    os.close(fd)
+def _atomic_write(path, chunks):
+    """Write the str chunks to path atomically (temp file + rename), with no
+    newline translation; on any error neither path nor the temp file stays."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".tmp-", suffix=".part")
     try:
-        writer(tmp)
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,13 +45,8 @@ def _atomic_via(path, writer):
         raise
 
 
-def _atomic_text(path, text):
-    """Write text to path atomically, with no newline translation."""
-    _atomic_via(path, lambda p: Path(p).write_text(text, newline=""))
-
-
 def _atomic_json(path, obj):
-    _atomic_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _atomic_csv(path, header, *columns):
@@ -59,7 +54,7 @@ def _atomic_csv(path, header, *columns):
     bytes: str of each value (repr of a float) and CRLF line ends.  Each
     column is formatted whole by map(str), then the rows joined."""
     rows = map(",".join, zip(*(map(str, col) for col in columns)))
-    _atomic_text(path, "\r\n".join([",".join(header), *rows, ""]))
+    _atomic_write(path, ["\r\n".join([",".join(header), *rows, ""])])
 
 
 def _emit_json(path, obj):
@@ -88,6 +83,9 @@ def _load(path, cls=Potential):
 
 
 def _cmd_scattering_grid(args):
+    if args.svg and args.k_min == args.k_max:
+        raise UsageError("--svg needs a k range: --k-min and --k-max are both %r"
+                         % args.k_min)
     V = _load(args.potential)
     s = scattering.sample(V, np.linspace(args.k_min, args.k_max, args.n))
     _atomic_csv(args.out, ["k_re", "k_im", "xhat_re", "xhat_im", "yhat_re", "yhat_im",
@@ -99,13 +97,8 @@ def _cmd_scattering_grid(args):
         grid_i = np.linspace(-4.0, 4.0, 120)
         K = grid_r[None, :] + 1j * grid_i[:, None]
         logx = scattering.log_abs_xhat(V, K)
-        _atomic_via(
-            args.svg,
-            lambda p: plots.heatmap_svg(
-                logx, (args.k_min, args.k_max, -4.0, 4.0), p,
-                title="log|xhat(k)|",
-            ),
-        )
+        _atomic_write(args.svg, plots.heatmap_svg(
+            logx, (args.k_min, args.k_max, -4.0, 4.0), title="log|xhat(k)|"))
     return PASS_EXIT
 
 
@@ -131,10 +124,7 @@ def _cmd_resonances(args):
     zs = czeros.resonances(V, args.radius)
     _atomic_json(args.out, {**_zeros_json(zs), "radius": args.radius})
     if args.svg:
-        _atomic_via(
-            args.svg,
-            lambda p: plots.zero_scatter_svg(zs.locations, p, title="resonances"),
-        )
+        _atomic_write(args.svg, plots.zero_scatter_svg(zs.locations, title="resonances"))
     return PASS_EXIT
 
 
@@ -165,12 +155,8 @@ def _cmd_density(args):
     if args.csv:
         _atomic_csv(args.csv, ["r", "n"], rep.radii, rep.counts)
     if args.svg:
-        _atomic_via(
-            args.svg,
-            lambda p: plots.density_fit_svg(
-                rep.radii, rep.counts, rep.delta, p, title="n(r) and fitted slope"
-            ),
-        )
+        _atomic_write(args.svg, plots.density_fit_svg(
+            rep.radii, rep.counts, rep.delta, title="n(r) and fitted slope"))
     return PASS_EXIT
 
 

@@ -1,9 +1,10 @@
-"""Dependency-free SVG emission for the handful of plots the CLI offers.
+"""Dependency-free SVG text for the handful of plots the CLI offers.
 
 Only three figure kinds are needed (zero scatter, density fit line,
 log-magnitude heatmap), so the plots are hand-assembled SVG primitives
-rather than a plotting-stack dependency.  No timestamps or random ids are
-embedded: identical inputs give byte-identical files.
+rather than a plotting-stack dependency.  Each returns its SVG as str
+chunks for `cli` to write.  No timestamps or random ids are embedded:
+identical inputs give identical text.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ _OPEN = (
 )
 
 
-def _header(parts):
-    return _OPEN + "".join(parts) + "</svg>\n"
+def _svg(parts):
+    return [_OPEN, *parts, "</svg>\n"]
 
 
 def _axes(x0, x1, y0, y1):
@@ -60,7 +61,7 @@ def _bounds(v):
     return lo - 0.05 * span, hi + 0.05 * span
 
 
-def zero_scatter_svg(locations, path, title):
+def zero_scatter_svg(locations, title):
     """Scatter of complex zeros in the plane."""
     locs = np.asarray(locations, dtype=complex)
     if locs.size == 0:
@@ -79,11 +80,10 @@ def zero_scatter_svg(locations, path, title):
             '<circle cx="%.2f" cy="%.2f" r="3" fill="#1f4e9c"/>\n'
             % (sx(z.real), sy(z.imag))
         )
-    with open(path, "w") as fh:
-        fh.write(_header(parts))
+    return _svg(parts)
 
 
-def density_fit_svg(radii, counts, slope, path, title):
+def density_fit_svg(radii, counts, slope, title):
     """Counting function n(r) with the fitted line slope*r."""
     radii = np.asarray(radii, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -106,14 +106,13 @@ def density_fit_svg(radii, counts, slope, path, title):
         '<text x="%d" y="%d" font-size="12" fill="#c03030">slope %.4g</text>\n'
         % (_W - _PAD - 120, _PAD + 20, slope)
     )
-    with open(path, "w") as fh:
-        fh.write(_header(parts))
+    return _svg(parts)
 
 
-def heatmap_svg(values, extent, path, title):
+def heatmap_svg(values, extent, title):
     """Grayscale raster of a real 2D field (strided by n // _MAX_CELLS along
-    an axis of n > _MAX_CELLS cells), written row by row.  A non-finite cell
-    raises ValueError."""
+    an axis of n > _MAX_CELLS cells), one chunk per row of cells.  A
+    non-finite cell raises ValueError at the call, before any chunk."""
     vals = np.asarray(values, dtype=float)
     si, sj = (max(1, n // _MAX_CELLS) for n in vals.shape)
     vals = vals[::si, ::sj]
@@ -131,11 +130,14 @@ def heatmap_svg(values, extent, path, title):
     cells[::3] = ['<rect x="%.2f" y="' % (_PAD + j * cw) for j in range(nx)]
     fills = ['%d,%d,255)"/>\n' % (g, g) for g in range(256)]
     sx, sy, ax = _axes(x0, x1, y0, y1)
-    with open(path, "w") as fh:
-        fh.write(_OPEN)
+
+    def chunks():
+        yield _OPEN
         for i, row in enumerate(gray.astype(int).tolist()):
             cells[1::3] = ['%.2f" width="%.2f" height="%.2f" fill="rgb('
                            % (_H - _PAD - (i + 1) * ch, cw + 0.5, ch + 0.5)] * nx
             cells[2::3] = map(fills.__getitem__, row)
-            fh.write("".join(cells))
-        fh.write(ax + _title(title) + "</svg>\n")
+            yield "".join(cells)
+        yield ax + _title(title) + "</svg>\n"
+
+    return chunks()

@@ -120,20 +120,9 @@ class Potential:
     def b(self):
         return self.breakpoints[-1]
 
-    @property
-    def width(self):
-        return self.b - self.a
-
     def integral(self):
         return float(
             np.dot(np.asarray(self.values), np.diff(np.asarray(self.breakpoints)))
-        )
-
-    def l1_norm(self):
-        return float(
-            np.dot(
-                np.abs(np.asarray(self.values)), np.diff(np.asarray(self.breakpoints))
-            )
         )
 
     # -- evaluation -------------------------------------------------------
@@ -177,18 +166,6 @@ class Potential:
             Fragment(tuple(bp[: i0 + 1]), tuple(vs[:i0])),
             Fragment(tuple(bp[i0:]), tuple(vs[i0:])),
         )
-
-    def refined(self, factor: int):
-        """Split every cell into `factor` equal subcells (same step function)."""
-        bp = []
-        vs = []
-        for x0, x1, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
-            edges = np.linspace(x0, x1, factor + 1)[:-1]
-            bp.extend(edges)
-            vs.extend([v] * factor)
-        bp.append(self.breakpoints[-1])
-        # bypass the equal-value merge: forward solvers may want the fine cells
-        return Potential._unchecked(bp, vs, self.label)
 
     # -- serialization ----------------------------------------------------
 

@@ -68,25 +68,17 @@ class Window(enum.Enum):
     Y_FULL = "Y_FULL"
 
 
-@dataclass(frozen=True)
-class KernelWindow:
-    """One of the six restriction windows, with its small parameter r."""
-
-    which: Window
-    r: float
-    offset: float = 0.0  # the +-b shift used when quoting windows in y
-
-    def interval(self, a: float, b: float):
-        r = self.r
-        table = {
-            Window.X1: (2 * a, 0.0),
-            Window.X2: (2 * a - 2 * r, 2 * a),
-            Window.X3: (2 * a - 2 * b, 2 * a - 2 * r),
-            Window.Y1: (2 * a, 0.0),
-            Window.Y2: (0.0, 2 * r),
-            Window.Y3: (2 * r, 2 * b),
-        }
-        return table[self.which]
+def _interval(which: Window, a: float, b: float, r: float):
+    """The s-interval [w0, w1] of one of the six restriction windows, for
+    the hull [a, b] and the small parameter r."""
+    return {
+        Window.X1: (2 * a, 0.0),
+        Window.X2: (2 * a - 2 * r, 2 * a),
+        Window.X3: (2 * a - 2 * b, 2 * a - 2 * r),
+        Window.Y1: (2 * a, 0.0),
+        Window.Y2: (0.0, 2 * r),
+        Window.Y3: (2 * r, 2 * b),
+    }[which]
 
 
 def default_window_r(V: Potential) -> float:
@@ -251,9 +243,10 @@ def _windowed_quadrature(grid, values, w0, w1, k, h_native):
 def kernel_fourier(field: KernelField, window, k, r: float | None = None):
     """Fourier transform of a windowed kernel piece at complex k.
 
-    `window` is a Window member or its name.  The FULL variants sum the
-    three windows and (for X) add the analytic transforms of the singular
-    parts: delta' -> ik, delta -> delta_coeff.
+    `window` is a Window member or its name.  The FULL variants add the
+    transforms of their three windows, in order, to a start value: for X the
+    analytic transforms of the singular parts (delta' -> ik, delta ->
+    delta_coeff), for Y zero.
     """
     V = field.potential
     a, b = V.hull
@@ -266,17 +259,20 @@ def kernel_fourier(field: KernelField, window, k, r: float | None = None):
         raise ImaginaryPartTooLarge(
             "|Im k| beyond the quadrature guard 10/h = %g" % (10.0 / h)
         )
+
+    def piece(w):
+        return _windowed_quadrature(*_samples(field, w), *_interval(w, a, b, r), kk, h)
+
     if which is Window.X_FULL:
         out = 1j * kk + field.delta_coeff
-        for piece in (Window.X1, Window.X2, Window.X3):
-            out = out + kernel_fourier(field, piece, kk, r=r)
+        for w in (Window.X1, Window.X2, Window.X3):
+            out = out + piece(w)
     elif which is Window.Y_FULL:
         out = np.zeros_like(kk)
-        for piece in (Window.Y1, Window.Y2, Window.Y3):
-            out = out + kernel_fourier(field, piece, kk, r=r)
+        for w in (Window.Y1, Window.Y2, Window.Y3):
+            out = out + piece(w)
     else:
-        w0, w1 = KernelWindow(which, r).interval(a, b)
-        out = _windowed_quadrature(*_samples(field, which), w0, w1, kk, h)
+        out = piece(which)
     return _like(k, out)
 
 
@@ -286,7 +282,6 @@ class InfluenceReport:
 
     window_diffs: dict
     truncation_error: float
-    kernel_scale: float
     x2_pass: bool
     y2_pass: bool
 
@@ -314,19 +309,14 @@ def domain_of_influence_check(V1: Potential, V2: Potential, r: float,
     a, b = V1.hull
     diffs = {}
     for which in (Window.X1, Window.X2, Window.X3, Window.Y1, Window.Y2, Window.Y3):
-        w0, w1 = KernelWindow(which, r).interval(a, b)
+        w0, w1 = _interval(which, a, b, r)
         (grid, v1), (_, v2) = _samples(f1, which), _samples(f2, which)
         m = (grid >= w0) & (grid <= w1)
         diffs[which.value] = float(np.max(np.abs(v1[m] - v2[m])))
     trunc = max(f1.truncation_error, f2.truncation_error)
-    scale = max(
-        np.max(np.abs(f1.X_reg)), np.max(np.abs(f1.Y_reg)),
-        np.max(np.abs(f2.X_reg)), np.max(np.abs(f2.Y_reg)),
-    )
     return InfluenceReport(
         window_diffs=diffs,
         truncation_error=trunc,
-        kernel_scale=float(scale),
         x2_pass=diffs["X2"] <= 10 * trunc,
         y2_pass=diffs["Y2"] <= 10 * trunc,
     )

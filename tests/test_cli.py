@@ -201,6 +201,52 @@ def test_scattering_grid_deterministic(well_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("k_min, k_max", [("3", "3"), ("-0.0", "0.0")])
+def test_svg_of_a_one_point_k_range_is_a_usage_error(well_file, tmp_path, capsys,
+                                                     k_min, k_max):
+    """The heatmap has no k axis to draw: exit 1 before any output, where the
+    CSV was written and then the SVG failed with a ZeroDivisionError."""
+    out, svg = tmp_path / "g.csv", tmp_path / "g.svg"
+    code = cli.main(["scattering-grid", "--potential", well_file, "--k-min", k_min,
+                     "--k-max", k_max, "--n", "5", "--out", str(out), "--svg", str(svg)])
+    assert code == cli.USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --svg") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "well.json"]
+
+
+@pytest.mark.parametrize("k_min, k_max, svg", [("3", "3", False), ("5", "-3", True)])
+def test_one_point_grid_and_reversed_range_stay_valid(well_file, tmp_path,
+                                                      k_min, k_max, svg):
+    out, svg_path = tmp_path / "g.csv", tmp_path / "g.svg"
+    argv = ["scattering-grid", "--potential", well_file, "--k-min", k_min,
+            "--k-max", k_max, "--n", "5", "--out", str(out)]
+    assert cli.main(argv + (["--svg", str(svg_path)] if svg else [])) == cli.PASS_EXIT
+    rows = list(csv.reader(out.open(newline="")))
+    assert len(rows) == 6 and rows[1][0] == repr(float(k_min))
+    assert svg_path.exists() == svg
+
+
+@pytest.mark.parametrize("existing", [None, "the old text\n"])
+def test_atomic_write_leaves_no_file_when_its_chunks_raise(tmp_path, existing):
+    """Chunks that raise partway leave no temp file, and the target as it was."""
+    target = tmp_path / "out.svg"
+    if existing is not None:
+        target.write_text(existing)
+
+    def chunks():
+        yield "<svg>\n"
+        raise ValueError("no more chunks")
+
+    with pytest.raises(ValueError, match="no more chunks"):
+        cli._atomic_write(str(target), chunks())
+    assert list(tmp_path.glob(".tmp-*.part")) == []
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [target] and target.read_text() == existing
+
+
 def test_kernels(well_file, tmp_path):
     out = tmp_path / "kernels.csv"
     code = cli.main(

@@ -23,8 +23,8 @@ from resonances1d.errors import (
 from resonances1d.potential import make_piecewise, square_well
 from resonances1d.scattering import xhat, yhat
 from resonances1d.wavekernel import (
-    KernelWindow,
     Window,
+    _interval,
     _windowed_quadrature,
     default_window_r,
     domain_of_influence_check,
@@ -296,12 +296,12 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_window_intervals():
     a, b, r = -1.0, 1.5, 0.1
-    assert KernelWindow(Window.X1, r).interval(a, b) == (2 * a, 0.0)
-    assert KernelWindow(Window.X2, r).interval(a, b) == (2 * a - 2 * r, 2 * a)
-    assert KernelWindow(Window.X3, r).interval(a, b) == (
+    assert _interval(Window.X1, a, b, r) == (2 * a, 0.0)
+    assert _interval(Window.X2, a, b, r) == (2 * a - 2 * r, 2 * a)
+    assert _interval(Window.X3, a, b, r) == (
         2 * a - 2 * b, 2 * a - 2 * r,
     )
-    assert KernelWindow(Window.Y2, r).interval(a, b) == (0.0, 2 * r)
+    assert _interval(Window.Y2, a, b, r) == (0.0, 2 * r)
 
 
 def test_imaginary_guard():
