@@ -41,7 +41,6 @@ from .asymptotics import (
     CartwrightReport,
     DensityReport,
     IndicatorReport,
-    blaschke,
     blaschke_chi,
     cartwright_integral,
     g_function_experiment,
@@ -70,8 +69,8 @@ __all__ = [
     "domain_of_influence_check", "kernel_fourier", "solve_kernels",
     "Rect", "Zero", "ZeroSet", "bound_states", "find_zeros",
     "resonances", "winding_number",
-    "CartwrightReport", "DensityReport", "IndicatorReport", "blaschke",
-    "blaschke_chi", "cartwright_integral", "g_function_experiment",
+    "CartwrightReport", "DensityReport", "IndicatorReport", "blaschke_chi",
+    "cartwright_integral", "g_function_experiment",
     "indicator_estimate", "indicator_width", "nevanlinna_residual",
     "zero_density",
     "InverseProblemSpec", "RecoveryResult", "distinguishability",

@@ -46,9 +46,6 @@ class IndicatorReport:
     h: float
     fit_residual: float
 
-    def passes(self):
-        return self.fit_residual <= 0.05 * (1.0 + abs(self.h))
-
 
 def _ln_on_ray(f, theta, radii):
     L = np.asarray(f(radii * np.exp(1j * theta)))
@@ -278,33 +275,21 @@ def cartwright_integral(f, cutoff: float) -> CartwrightReport:
 # Blaschke products and the Nevanlinna-Levin residual
 
 
-def _blaschke_log_factors(upper_zeros, z):
+def blaschke_chi(upper_zeros, z):
+    """The inverted Blaschke product chi(z) = prod (1 - z/a_k)/(1 - z/conj(a_k)),
+    in log space, |a_k| ascending; chi(a_k) = 0 and |chi| = 1 on the real line."""
     a = np.asarray(sorted(upper_zeros, key=abs), dtype=complex)
     if len(a) and np.any(a.imag <= 0):
         raise ZeroInLowerHalfPlane("Blaschke zeros must lie in the open upper half-plane")
-    num = 1.0 - z[..., None] / np.conj(a)
-    den = 1.0 - z[..., None] / a
-    return num, den
-
-
-def blaschke(upper_zeros, z):
-    """Product of (1 - z/conj(a_k)) / (1 - z/a_k), in log space, |a_k| ascending."""
-    num, den = _blaschke_log_factors(upper_zeros, _points(z))
+    zz = _points(z)[..., None]
+    num = 1.0 - zz / a
+    den = 1.0 - zz / np.conj(a)
     if np.any(den == 0):
-        raise EvaluationAtZero("evaluation point coincides with a zero a_k")
-    out = np.exp(np.sum(np.log(num) - np.log(den), axis=-1))
-    return _like(z, out)
-
-
-def blaschke_chi(upper_zeros, z):
-    """The inverted product chi(z) = prod (1 - z/a_k)/(1 - z/conj(a_k)); chi(a_k) = 0."""
-    num, den = _blaschke_log_factors(upper_zeros, _points(z))
-    if np.any(num == 0):
         raise EvaluationAtZero("evaluation point coincides with conj(a_k)")
     out = np.where(
-        np.any(den == 0, axis=-1),
+        np.any(num == 0, axis=-1),
         0.0,
-        np.exp(np.sum(np.log(np.where(den == 0, 1.0, den)) - np.log(num), axis=-1)),
+        np.exp(np.sum(np.log(np.where(num == 0, 1.0, num)) - np.log(den), axis=-1)),
     )
     return _like(z, out)
 

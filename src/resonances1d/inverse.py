@@ -34,6 +34,9 @@ class InverseProblemSpec:
     def __post_init__(self):
         if not self.a < 0:
             raise ValueError("left endpoint a must be negative")
+        if self.known_right.breakpoints[0] < 0:
+            raise ValueError("known right part starts at x = %g < 0"
+                             % self.known_right.breakpoints[0])
         if self.n_params < 1:
             raise ValueError("need at least one left cell")
         ks = np.asarray(self.k_samples, dtype=float)
@@ -64,7 +67,7 @@ class InverseProblemSpec:
             rbp = rbp[1:]
         bp.extend(rbp)
         vs.extend(rvs)
-        return Potential._unchecked(bp, vs, "candidate")
+        return Potential._unchecked(bp, vs)
 
     def to_json(self):
         return {

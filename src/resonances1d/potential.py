@@ -1,20 +1,21 @@
 """Piecewise-constant compactly supported potentials.
 
-A :class:`Potential` is a step function with support hull ``[a, b]``,
-``a < 0 < b``.  Constructors trim leading/trailing zero cells (exact zero
-comparison: support is structural) and merge adjacent cells of equal value,
-so the stored breakpoints describe the minimal convex support hull.
+A :class:`Fragment` is a step function on its breakpoints.  Constructors
+trim leading/trailing zero cells (exact zero comparison: support is
+structural) and merge adjacent cells of equal value, so the stored
+breakpoints describe the minimal convex support hull.
 
-One-sided pieces (everything on one side of the origin) are represented by
-:class:`Fragment`; :func:`glue` joins a left and a right fragment at 0 into
-a full potential.
+A :class:`Potential` is a Fragment whose hull ``[a, b]`` straddles the
+origin, ``a < 0 < b``.  One-sided fragments are the parts of the partial
+inverse problem: :meth:`Potential.split_at_zero` cuts a potential at 0 and
+:func:`glue` joins a left and a right fragment back into a potential.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -64,11 +65,10 @@ def _clean(breakpoints, values):
 
 @dataclass(frozen=True)
 class Fragment:
-    """One-sided piecewise-constant piece, used as glue input."""
+    """Trimmed step function; a Potential is one whose hull straddles 0."""
 
     breakpoints: tuple
     values: tuple
-    label: str = ""
 
     def __post_init__(self):
         bp, vs = _clean(self.breakpoints, self.values)
@@ -81,36 +81,26 @@ class Fragment:
 
 
 @dataclass(frozen=True)
-class Potential:
+class Potential(Fragment):
     """Trimmed step potential whose hull straddles the origin."""
 
-    breakpoints: tuple
-    values: tuple
-    label: str = ""
-
     def __post_init__(self):
-        bp, vs = _clean(self.breakpoints, self.values)
-        if not (bp[0] < 0.0 < bp[-1]):
+        super().__post_init__()
+        a, b = self.hull
+        if not (a < 0.0 < b):
             raise HullDoesNotStraddleZero(
-                "effective support hull is [%g, %g]; need a < 0 < b" % (bp[0], bp[-1])
+                "effective support hull is [%g, %g]; need a < 0 < b" % (a, b)
             )
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vs)
 
     @classmethod
-    def _unchecked(cls, breakpoints, values, label=""):
+    def _unchecked(cls, breakpoints, values):
         """Build as given: no trimming, merging or hull check."""
         p = object.__new__(cls)
         object.__setattr__(p, "breakpoints", tuple(float(x) for x in breakpoints))
         object.__setattr__(p, "values", tuple(float(v) for v in values))
-        object.__setattr__(p, "label", label)
         return p
 
     # -- basic geometry ---------------------------------------------------
-
-    @property
-    def hull(self):
-        return (self.breakpoints[0], self.breakpoints[-1])
 
     @property
     def a(self):
@@ -170,29 +160,23 @@ class Potential:
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
-        d = {"breakpoints": list(self.breakpoints), "values": list(self.values)}
-        if self.label:
-            d["label"] = self.label
-        return d
+        return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
 
     @classmethod
     def from_json(cls, d):
-        return cls(
-            tuple(d["breakpoints"]), tuple(d["values"]), d.get("label", "")
-        )
+        return cls(tuple(d["breakpoints"]), tuple(d["values"]))
 
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, indent=2)
 
 
-def make_piecewise(breakpoints: Sequence[float], values: Sequence[float],
-                   label: str = "") -> Potential:
+def make_piecewise(breakpoints: Sequence[float], values: Sequence[float]) -> Potential:
     """Construct a trimmed potential; hull must straddle 0 after trimming."""
-    return Potential(tuple(breakpoints), tuple(values), label)
+    return Potential(tuple(breakpoints), tuple(values))
 
 
-def square_well(depth: float, left: float, right: float, label: str = ""):
+def square_well(depth: float, left: float, right: float):
     """Single-cell well.  Returns a Potential when left < 0 < right,
     otherwise a Fragment usable only through glue()."""
     if not right > left:
@@ -200,8 +184,8 @@ def square_well(depth: float, left: float, right: float, label: str = ""):
     if depth == 0.0:
         raise AllZero("zero-depth well")
     if left < 0.0 < right:
-        return Potential((left, right), (depth,), label)
-    return Fragment((left, right), (depth,), label)
+        return Potential((left, right), (depth,))
+    return Fragment((left, right), (depth,))
 
 
 def _require_shared_right(V1: Potential, V2: Potential):
@@ -215,10 +199,10 @@ def _require_shared_right(V1: Potential, V2: Potential):
         raise SharedPartMismatch("potentials differ on [0, b]")
 
 
-def glue(left_part, right_part, label: str = "") -> Potential:
+def glue(left_part, right_part) -> Potential:
     """Concatenate a piece supported in x <= 0 with one supported in x >= 0."""
     for part, side in ((left_part, "left"), (right_part, "right")):
-        lo, hi = part.breakpoints[0], part.breakpoints[-1]
+        lo, hi = part.hull
         if side == "left" and hi > 0.0:
             raise OverlappingSupports("left part extends to x = %g > 0" % hi)
         if side == "right" and lo < 0.0:
@@ -233,4 +217,4 @@ def glue(left_part, right_part, label: str = "") -> Potential:
     if rbp[0] != 0.0:
         rbp.insert(0, 0.0)
         rvs.insert(0, 0.0)
-    return Potential(tuple(bp + rbp[1:]), tuple(vs + rvs), label)
+    return Potential(tuple(bp + rbp[1:]), tuple(vs + rvs))

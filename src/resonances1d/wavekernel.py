@@ -285,10 +285,6 @@ class InfluenceReport:
     x2_pass: bool
     y2_pass: bool
 
-    @property
-    def passed(self):
-        return self.x2_pass and self.y2_pass
-
 
 def domain_of_influence_check(V1: Potential, V2: Potential, r: float,
                               n_grid: int) -> InfluenceReport:

@@ -19,7 +19,7 @@ def make_zero_potential(a=-1.0, b=1.0):
     be empty), so the free case is assembled directly; every solver must
     treat it as V = 0.
     """
-    return Potential._unchecked((a, 0.0, b), (0.0, 0.0), "free")
+    return Potential._unchecked((a, 0.0, b), (0.0, 0.0))
 
 
 @st.composite

@@ -19,7 +19,6 @@ from resonances1d.asymptotics import (
     _quad,
     _quad_tail,
     _tail_fit,
-    blaschke,
     blaschke_chi,
     cartwright_integral,
     g_function_experiment,
@@ -59,7 +58,7 @@ def _ln(f):
 def test_indicator_of_polynomial_is_zero():
     rep = indicator_estimate(_ln(lambda z: 1j * z), 0.7, 50.0)
     assert abs(rep.h) < 0.01
-    assert rep.passes()
+    assert rep.fit_residual <= 0.05 * (1.0 + abs(rep.h))
 
 
 def test_indicator_of_pure_exponential():
@@ -329,13 +328,13 @@ def test_quad_tail_two_catalan():
 
 
 def test_blaschke_empty():
-    assert blaschke((), 1.0 + 1.0j) == 1.0
+    assert blaschke_chi((), 1.0 + 1.0j) == 1.0
 
 
 def test_blaschke_modulus_on_reals(rng):
     a = rng.uniform(-3, 3, 20) + 1j * rng.uniform(0.1, 3.0, 20)
     x = rng.uniform(-25, 25, 100)
-    np.testing.assert_allclose(np.abs(blaschke(a, x)), 1.0, atol=1e-10)
+    np.testing.assert_allclose(np.abs(blaschke_chi(a, x)), 1.0, atol=1e-10)
 
 
 def test_chi_vanishes_at_zero():
@@ -347,7 +346,7 @@ def test_chi_vanishes_at_zero():
 def test_scalar_z_gives_a_complex_with_the_bits_of_its_array_element():
     a = (1.0 + 2.0j, -0.5 + 0.3j, 3.0 + 0.1j)
     field = solve_kernels(square_well(-4.0, -1.0, 1.0), 128)
-    for f in (lambda z: blaschke(a, z), lambda z: blaschke_chi(a, z),
+    for f in (lambda z: blaschke_chi(a, z),
               lambda z: kernel_fourier(field, Window.X_FULL, z)):
         for z in (0.7 + 0.4j, -2.3 - 0.1j, 1.5 + 0.0j):
             one = f(z)
@@ -357,12 +356,12 @@ def test_scalar_z_gives_a_complex_with_the_bits_of_its_array_element():
 
 def test_blaschke_rejects_lower_zeros():
     with pytest.raises(ZeroInLowerHalfPlane):
-        blaschke((1 - 1j,), 2j)
+        blaschke_chi((1 - 1j,), 2j)
 
 
 def test_blaschke_pole_detection():
     with pytest.raises(EvaluationAtZero):
-        blaschke((1 + 1j,), 1 + 1j)
+        blaschke_chi((1 + 1j,), 1 - 1j)
 
 
 # -- Nevanlinna-Levin residual ----------------------------------------------

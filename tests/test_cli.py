@@ -495,12 +495,17 @@ def test_inverse_recover_malformed_spec(tmp_path, capsys):
                                                                          [0.5, 0.2]),
                                   lambda d: d.__setitem__("n_params", 2.5),
                                   lambda d: d.__setitem__("n_params", True),
-                                  lambda d: d.__setitem__("n_params", "2")])
+                                  lambda d: d.__setitem__("n_params", "2"),
+                                  lambda d: d["known_right"].update(breakpoints=[-0.5, 1.0],
+                                                                    values=[-2.0]),
+                                  lambda d: d["known_right"].update(breakpoints=[-2.0, -1.5],
+                                                                    values=[-2.0])])
 def test_inverse_recover_rejects_a_spec_it_cannot_fit(tmp_path, capsys, edit):
     """A non-finite k or det S sample, det S parts of unequal length, a
-    known right part that cannot be built, or an n_params that is not an
-    integer (2.5, true and "2" were read as 2, 1 and 2) is a malformed
-    spec: exit 1, before any fit."""
+    known right part that cannot be built or that starts left of 0 (a fit
+    ran and exited 2), or an n_params that is not an integer (2.5, true
+    and "2" were read as 2, 1 and 2) is a malformed spec: exit 1 with one
+    error line, before any fit."""
     right = Fragment((0.0, 1.0), (-2.0,))
     truth = make_piecewise([-1.0, -0.5, 0.0, 1.0], [-3.0, 1.0, -2.0])
     d = synthesize_data(right, -1.0, 2, truth, np.linspace(0.3, 10.0, 30)).to_json()
@@ -511,7 +516,8 @@ def test_inverse_recover_rejects_a_spec_it_cannot_fit(tmp_path, capsys, edit):
     code = cli.main(["inverse-recover", "--spec", str(spec), "--out", str(out)])
     assert code == cli.USAGE_EXIT
     assert not out.exists()
-    assert "malformed" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed")
 
 
 def test_inverse_recover_rejects_other_loss_kinds(tmp_path, capsys):

@@ -49,6 +49,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         InverseProblemSpec(RIGHT, -1.0, 2, k_samples=(1.0, 2.0),
                            det_s_values=(1j,))
+    # candidate() would move the first right part to start at 0 and give
+    # the second non-increasing breakpoints
+    for bp in ((-0.5, 1.0), (-2.0, -1.5)):
+        with pytest.raises(ValueError, match="right part starts at x = .* < 0"):
+            InverseProblemSpec(Fragment(bp, (-2.0,)), -1.0, 2, k_samples=(1.0,),
+                               det_s_values=(1j,))
 
 
 @pytest.mark.parametrize("k, value", [(np.nan, 1j), (np.inf, 1j), (2.0, np.nan + 0j),

@@ -123,6 +123,7 @@ def test_square_well_branches():
     assert isinstance(V, Potential)
     frag = square_well(-4.0, 0.0, 1.0)
     assert isinstance(frag, Fragment)
+    assert not isinstance(frag, Potential)
     with pytest.raises(EmptyInterval):
         square_well(-4.0, 1.0, 1.0)
     with pytest.raises(AllZero):
@@ -130,13 +131,14 @@ def test_square_well_branches():
 
 
 def test_json_round_trip(tmp_path):
-    V = make_piecewise([-1.5, -0.5, 0.5, 1.0], [1.0, -2.0, 3.0], label="demo")
+    V = make_piecewise([-1.5, -0.5, 0.5, 1.0], [1.0, -2.0, 3.0])
     path = tmp_path / "v.json"
     V.save(path)
     with open(path) as fh:
         d = json.load(fh)
+    assert set(d) == {"breakpoints", "values"}
     assert Potential.from_json(d) == V
-    assert d["label"] == "demo"
+    assert Potential.from_json(dict(d, label="demo")) == V
 
 
 @given(

@@ -353,7 +353,7 @@ def test_identical_pair_is_insensitive_everywhere():
     V = make_piecewise([-1.0, 0.0, 1.0], [-1.5, -2.0])
     rep = domain_of_influence_check(V, V, 0.1, 256)
     assert all(v == 0.0 for v in rep.window_diffs.values())
-    assert rep.passed
+    assert rep.x2_pass and rep.y2_pass
 
 
 def test_default_window_r():
