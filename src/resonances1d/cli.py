@@ -2,8 +2,8 @@
 
 Each subcommand loads potentials from JSON, runs one library pipeline, and
 writes its outputs atomically (temp file + rename).  Exit status: 0 on
-success/PASS, 2 when a numerical check fails its threshold, 1 on usage
-errors (bad flags, missing or malformed files).
+success/PASS, 2 when a numerical check fails its threshold, 1 on malformed
+input (bad flags, missing or malformed files, a pair that differs on [0, b]).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import warnings
 
 import numpy as np
 
-from . import asymptotics, czeros, errors, inverse, plots, scattering, wavekernel
-from .errors import LowCountWarning, Resonances1DError, UsageError
+from . import asymptotics, czeros, inverse, plots, scattering, wavekernel
+from .errors import InputError, LowCountWarning, Resonances1DError, UsageError
 from .potential import Potential
 
 PASS_EXIT, USAGE_EXIT, FAIL_EXIT = 0, 1, 2
@@ -67,14 +67,13 @@ def _emit_json(path, obj):
 
 def _load(path, cls=Potential):
     """A cls read from its JSON file; a missing file, content that does not
-    parse, or a potential it cannot build is a UsageError."""
+    parse, or content it cannot build from is a UsageError."""
     if not os.path.exists(path):
         raise UsageError("no such file: %s" % path)
     try:
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-    except (KeyError, TypeError, ValueError, errors.AllZero,  # JSONDecodeError too
-            errors.HullDoesNotStraddleZero, errors.NonIncreasingBreakpoints) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError, InputError too
         raise UsageError("malformed %s file %s: %s" % (cls.__name__, path, exc))
 
 
@@ -392,10 +391,7 @@ def main(argv=None):
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return USAGE_EXIT
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_EXIT
     except Resonances1DError as exc:

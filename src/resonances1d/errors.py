@@ -5,25 +5,29 @@ class Resonances1DError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(Resonances1DError, ValueError):
+    """The input, not the numerics, is at fault."""
+
+
 # -- potential construction
 
-class NonIncreasingBreakpoints(Resonances1DError):
+class NonIncreasingBreakpoints(InputError):
     pass
 
 
-class HullDoesNotStraddleZero(Resonances1DError):
+class HullDoesNotStraddleZero(InputError):
     pass
 
 
-class AllZero(Resonances1DError):
+class AllZero(InputError):
     pass
 
 
-class EmptyInterval(Resonances1DError):
+class EmptyInterval(InputError):
     pass
 
 
-class OverlappingSupports(Resonances1DError):
+class OverlappingSupports(InputError):
     pass
 
 
@@ -43,7 +47,7 @@ class ImaginaryPartTooLarge(Resonances1DError):
     pass
 
 
-class SharedPartMismatch(Resonances1DError):
+class SharedPartMismatch(InputError):
     pass
 
 
@@ -95,7 +99,7 @@ class JacobianSingular(Resonances1DError):
 
 # -- CLI
 
-class UsageError(Resonances1DError):
+class UsageError(InputError):
     pass
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .czeros import resonances
-from .errors import DivergedLoss, JacobianSingular
-from .potential import Fragment, Potential, _require_shared_right
+from .errors import DivergedLoss, JacobianSingular, SharedPartMismatch
+from .potential import Fragment, Potential, _joined, _require_shared_right
 from .scattering import det_s, det_s_jacobian, xhat, yhat
 
 _LOSS_KIND = "det_s_grid"  # the one loss; the spec schema still names it
@@ -56,25 +56,12 @@ class InverseProblemSpec:
         Construction bypasses zero-cell trimming so the parameter vector
         keeps a fixed length along the optimization path.
         """
-        bp = [float(x) for x in np.linspace(self.a, 0.0, self.n_params + 1)]
-        vs = [float(v) for v in np.asarray(params, dtype=float)]
-        rbp = [float(x) for x in self.known_right.breakpoints]
-        rvs = [float(v) for v in self.known_right.values]
-        if rbp[0] > 0.0:
-            # zero-valued filler between the origin and the known support
-            vs.append(0.0)
-        else:
-            rbp = rbp[1:]
-        bp.extend(rbp)
-        vs.extend(rvs)
-        return Potential._unchecked(bp, vs)
+        return Potential._unchecked(*_joined(
+            np.linspace(self.a, 0.0, self.n_params + 1), params, self.known_right))
 
     def to_json(self):
         return {
-            "known_right": {
-                "breakpoints": list(self.known_right.breakpoints),
-                "values": list(self.known_right.values),
-            },
+            "known_right": self.known_right.to_json(),
             "a": self.a,
             "n_params": self.n_params,
             "loss_kind": _LOSS_KIND,
@@ -87,10 +74,7 @@ class InverseProblemSpec:
 
     @classmethod
     def from_json(cls, d):
-        kr = Fragment(
-            tuple(d["known_right"]["breakpoints"]),
-            tuple(d["known_right"]["values"]),
-        )
+        kr = Fragment.from_json(d["known_right"])
         if d.get("loss_kind", _LOSS_KIND) != _LOSS_KIND:
             raise ValueError("unsupported loss_kind %r" % d["loss_kind"])
         data = d.get("data", {})
@@ -116,7 +100,10 @@ class RecoveryResult:
 
 def synthesize_data(spec_like_right, a, n_params, truth: Potential,
                     k_samples) -> InverseProblemSpec:
-    """Build a spec whose data comes from a known truth (round-trip input)."""
+    """Build a spec whose data comes from a known truth (round-trip input);
+    a truth that differs from spec_like_right on [0, b] is SharedPartMismatch."""
+    if truth.split_at_zero()[1] != spec_like_right:
+        raise SharedPartMismatch("truth differs from the known right part on [0, b]")
     vals = tuple(complex(v) for v in det_s(truth, np.asarray(k_samples)))
     return InverseProblemSpec(spec_like_right, a, n_params,
                               k_samples=tuple(k_samples), det_s_values=vals)
@@ -217,10 +204,7 @@ def _hausdorff(z1, z2):
 def uniqueness_report(truth_pair, radius: float) -> UniquenessReport:
     """Measure every distance the uniqueness statement says must co-vanish."""
     V1, V2 = truth_pair
-    _require_shared_right(V1, V2)
-    l1 = V1.split_at_zero()[0]
-    l2 = V2.split_at_zero()[0]
-    identical = l1.breakpoints == l2.breakpoints and l1.values == l2.values
+    identical = V1.split_at_zero()[0] == V2.split_at_zero()[0]
     k_std = np.linspace(0.1, 20.0, 201)
     dist = distinguishability(V1, V2, k_std)
     kr = np.linspace(-radius, radius, 401)

@@ -79,6 +79,13 @@ class Fragment:
     def hull(self):
         return (self.breakpoints[0], self.breakpoints[-1])
 
+    def to_json(self):
+        return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
+
+    @classmethod
+    def from_json(cls, d):
+        return cls(tuple(d["breakpoints"]), tuple(d["values"]))
+
 
 @dataclass(frozen=True)
 class Potential(Fragment):
@@ -159,13 +166,6 @@ class Potential(Fragment):
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self):
-        return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(tuple(d["breakpoints"]), tuple(d["values"]))
-
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, indent=2)
@@ -194,27 +194,27 @@ def _require_shared_right(V1: Potential, V2: Potential):
     The trimmed right fragments are compared exactly: they are stored
     exactly, and JSON round trips and glue() reproduce them exactly.
     """
-    r1, r2 = V1.split_at_zero()[1], V2.split_at_zero()[1]
-    if (r1.breakpoints, r1.values) != (r2.breakpoints, r2.values):
+    if V1.split_at_zero()[1] != V2.split_at_zero()[1]:
         raise SharedPartMismatch("potentials differ on [0, b]")
+
+
+def _joined(left_bp, left_vs, right):
+    """Breakpoints and values of a left part ending at x <= 0 followed by the
+    Fragment right, which starts at x >= 0; zero cells fill any gap at 0."""
+    bp, vs = list(left_bp), list(left_vs)
+    if bp[-1] != 0.0:
+        bp.append(0.0)
+        vs.append(0.0)
+    if right.breakpoints[0] == 0.0:
+        return bp + list(right.breakpoints[1:]), vs + list(right.values)
+    return bp + list(right.breakpoints), vs + [0.0] + list(right.values)
 
 
 def glue(left_part, right_part) -> Potential:
     """Concatenate a piece supported in x <= 0 with one supported in x >= 0."""
-    for part, side in ((left_part, "left"), (right_part, "right")):
-        lo, hi = part.hull
-        if side == "left" and hi > 0.0:
-            raise OverlappingSupports("left part extends to x = %g > 0" % hi)
-        if side == "right" and lo < 0.0:
-            raise OverlappingSupports("right part extends to x = %g < 0" % lo)
-    bp = list(left_part.breakpoints)
-    vs = list(left_part.values)
-    if bp[-1] != 0.0:
-        bp.append(0.0)
-        vs.append(0.0)
-    rbp = list(right_part.breakpoints)
-    rvs = list(right_part.values)
-    if rbp[0] != 0.0:
-        rbp.insert(0, 0.0)
-        rvs.insert(0, 0.0)
-    return Potential(tuple(bp + rbp[1:]), tuple(vs + rvs))
+    hi, lo = left_part.hull[1], right_part.hull[0]
+    if hi > 0.0:
+        raise OverlappingSupports("left part extends to x = %g > 0" % hi)
+    if lo < 0.0:
+        raise OverlappingSupports("right part extends to x = %g < 0" % lo)
+    return Potential(*_joined(left_part.breakpoints, left_part.values, right_part))

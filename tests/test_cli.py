@@ -442,6 +442,22 @@ def test_distinguish(pair_files, tmp_path):
     assert d["distinguishability"] > 1e-7
 
 
+@pytest.mark.parametrize("command", ["distinguish", "g-experiment"])
+def test_a_pair_that_differs_on_the_right_is_a_usage_error(well_file, tmp_path, capsys,
+                                                           command):
+    """sw4 and the two-cell well differ on [0, b]: the input is at fault, not
+    the numerics (both commands exited 2 with a JSON error line)."""
+    two = tmp_path / "two.json"
+    make_piecewise([-0.7, 0.3, 1.1], [1.5, -2.0]).save(two)
+    out = tmp_path / "report.json"
+    code = cli.main([command, "--potential1", well_file, "--potential2", str(two),
+                     "--out", str(out)])
+    assert code == cli.USAGE_EXIT
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_inverse_recover(tmp_path):
     right = Fragment((0.0, 1.0), (-2.0,))
     truth = make_piecewise([-1.0, -0.5, 0.0, 1.0], [-3.0, 1.0, -2.0])

@@ -83,21 +83,22 @@ def test_candidate_construction():
 
 
 def test_candidate_fills_the_gap_before_a_right_part_off_the_origin():
-    """A known right part starting at 0.25 gets a zero cell on [0, 0.25]:
-    the candidate is the glued truth, cell for cell and in det S bit for
-    bit, and the fit from zeros recovers it."""
-    right = Fragment((0.25, 0.5, 1.0), (-2.0, 1.5))
+    """A known right part starting at 0.25 gets a zero cell on [0, 0.25],
+    one starting at 0 none: the candidate is the glued truth, cell for cell
+    and in det S bit for bit, and the fit from zeros recovers it."""
     params = (-1.5, 0.7, -0.3)
-    truth = glue(Fragment(tuple(np.linspace(-1.0, 0.0, 4)), params), right)
     ks = np.linspace(0.3, 12.0, 60)
-    spec = synthesize_data(right, -1.0, 3, truth, ks)
-    cand = spec.candidate(params)
-    assert cand.breakpoints == truth.breakpoints
-    assert cand.values == truth.values
-    assert det_s(cand, ks).tobytes() == det_s(truth, ks).tobytes()
-    result = recover_left(spec, np.zeros(3))
-    assert result.converged
-    np.testing.assert_allclose(result.recovered_left, params, rtol=0, atol=1e-6)
+    for start in (0.25, 0.0):
+        right = Fragment((start, 0.5, 1.0), (-2.0, 1.5))
+        truth = glue(Fragment(tuple(np.linspace(-1.0, 0.0, 4)), params), right)
+        spec = synthesize_data(right, -1.0, 3, truth, ks)
+        cand = spec.candidate(params)
+        assert cand.breakpoints == truth.breakpoints
+        assert cand.values == truth.values
+        assert det_s(cand, ks).tobytes() == det_s(truth, ks).tobytes()
+        result = recover_left(spec, np.zeros(3))
+        assert result.converged
+        np.testing.assert_allclose(result.recovered_left, params, rtol=0, atol=1e-6)
 
 
 def test_json_round_trip(tmp_path):
@@ -108,6 +109,15 @@ def test_json_round_trip(tmp_path):
     with open(path) as fh:
         back = InverseProblemSpec.from_json(json.load(fh))
     assert back == spec
+    assert spec.to_json()["known_right"] == spec.known_right.to_json()
+
+
+def test_synthesize_data_rejects_a_truth_off_the_known_right_part():
+    """Data from such a truth fits no candidate: from zeros the fit ended
+    unconverged at loss 0.083."""
+    truth = make_piecewise([-1.0, -0.5, 0.0, 0.5, 1.0], [-3.0, 1.0, -1.0, 1.5])
+    with pytest.raises(SharedPartMismatch, match=r"\[0, b\]"):
+        synthesize_data(RIGHT, -1.0, 2, truth, K_SAMPLES)
 
 
 def test_loss_vanishes_at_truth():

@@ -139,6 +139,9 @@ def test_json_round_trip(tmp_path):
     assert set(d) == {"breakpoints", "values"}
     assert Potential.from_json(d) == V
     assert Potential.from_json(dict(d, label="demo")) == V
+    one_sided = square_well(-1.0, 0.2, 1.0)
+    back = Fragment.from_json(json.loads(json.dumps(one_sided.to_json())))
+    assert back == one_sided and type(back) is Fragment
 
 
 @given(
